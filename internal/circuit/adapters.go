@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"time"
 
+	"padico/internal/iovec"
 	"padico/internal/madapi"
 	"padico/internal/netaccess"
 	"padico/internal/vlink"
@@ -82,10 +83,10 @@ func (l *madioLink) Close() { l.p.Close() }
 // segment count and all segment lengths as express segments of the same
 // hardware message.
 func (l *madioLink) Send(plane Plane, segs [][]byte) {
-	hdr := make([]byte, 5)
+	meta := make([]byte, 5+4*len(segs))
+	hdr, lens := meta[:5:5], meta[5:]
 	hdr[0] = byte(plane)
 	binary.BigEndian.PutUint32(hdr[1:], uint32(len(segs)))
-	lens := make([]byte, 4*len(segs))
 	out := make([][]byte, 0, 2+len(segs))
 	out = append(out, hdr, lens)
 	for i, s := range segs {
@@ -127,42 +128,45 @@ func frameMessage(plane Plane, segs [][]byte) []byte {
 	return out
 }
 
-// frameParser incrementally decodes frames from stream chunks.
+// frameParser incrementally decodes frames from stream chunks. Every
+// field's size is known by the time its bytes arrive (the frame header,
+// each length word, each segment), so a chunk is copied once, straight
+// into the field it belongs to.
 type frameParser struct {
-	buf []byte
+	hdr   [5]byte // the frame header, then each segment's length word
+	got   int     // bytes filled so far of the field being read
+	plane Plane
+	nsegs int
+	segs  [][]byte // nil until the frame header is complete
+	seg   []byte   // the segment being filled, nil while reading its length
 }
 
-// feed appends stream data and returns every complete frame.
+// feed consumes stream data and emits every frame it completes.
 func (fp *frameParser) feed(data []byte, emit func(plane Plane, segs [][]byte)) {
-	fp.buf = append(fp.buf, data...)
 	for {
-		if len(fp.buf) < 5 {
-			return
-		}
-		plane := Plane(fp.buf[0])
-		nsegs := int(binary.BigEndian.Uint32(fp.buf[1:]))
-		off := 5
-		segs := make([][]byte, 0, nsegs)
-		ok := true
-		for i := 0; i < nsegs; i++ {
-			if len(fp.buf) < off+4 {
-				ok = false
-				break
+		if fp.segs == nil {
+			if !iovec.Fill(fp.hdr[:], &fp.got, &data) {
+				return
 			}
-			n := int(binary.BigEndian.Uint32(fp.buf[off:]))
-			off += 4
-			if len(fp.buf) < off+n {
-				ok = false
-				break
+			fp.plane, fp.nsegs = Plane(fp.hdr[0]), int(binary.BigEndian.Uint32(fp.hdr[1:]))
+			fp.segs, fp.got = make([][]byte, 0, fp.nsegs), 0
+		}
+		for len(fp.segs) < fp.nsegs {
+			if fp.seg == nil {
+				if !iovec.Fill(fp.hdr[:4], &fp.got, &data) {
+					return
+				}
+				fp.seg, fp.got = make([]byte, binary.BigEndian.Uint32(fp.hdr[:])), 0
 			}
-			segs = append(segs, append([]byte(nil), fp.buf[off:off+n]...))
-			off += n
+			if !iovec.Fill(fp.seg, &fp.got, &data) {
+				return
+			}
+			fp.segs = append(fp.segs, fp.seg)
+			fp.seg, fp.got = nil, 0
 		}
-		if !ok {
-			return
-		}
-		fp.buf = fp.buf[off:]
-		emit(plane, segs)
+		segs := fp.segs
+		fp.segs = nil
+		emit(fp.plane, segs)
 	}
 }
 

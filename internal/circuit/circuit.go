@@ -298,7 +298,14 @@ func (c *Circuit) Bcast(p *vtime.Proc, root int, data []byte) []byte {
 		parent := ((vrank &^ mask) + root) % n
 		data = c.collRecv(p, parent, 0x20)
 	}
-	// Forward to children.
+	// Forward to children. Links lend a message's segments all the way
+	// to the receiver while the root's caller gets its buffer back as
+	// soon as Bcast returns, so the root sends a copy; a forwarder's data
+	// is a received message nobody else writes to.
+	out := data
+	if vrank == 0 {
+		out = append([]byte(nil), data...)
+	}
 	mask := 1
 	for ; mask < n; mask <<= 1 {
 		if vrank&mask != 0 {
@@ -308,7 +315,7 @@ func (c *Circuit) Bcast(p *vtime.Proc, root int, data []byte) []byte {
 	for m := mask >> 1; m > 0; m >>= 1 {
 		child := vrank | m
 		if child < n && child != vrank {
-			c.collSend((child+root)%n, 0x20, data)
+			c.collSend((child+root)%n, 0x20, out)
 		}
 	}
 	return data

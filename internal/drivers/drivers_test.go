@@ -13,6 +13,7 @@ import (
 	"padico/internal/drivers/gm"
 	"padico/internal/drivers/sisci"
 	"padico/internal/drivers/via"
+	"padico/internal/iovec"
 	"padico/internal/model"
 	"padico/internal/netsim"
 	"padico/internal/topology"
@@ -41,11 +42,11 @@ func TestGMRoundTripLatency(t *testing.T) {
 	if err := k.Run(func(p *vtime.Proc) {
 		got := vtime.NewQueue[gm.RecvEvent]("rx0")
 		p0.SetHandler(func(ev gm.RecvEvent) { got.Push(ev) })
-		p1.SetHandler(func(ev gm.RecvEvent) { p1.Send(ev.SrcAddr, ev.SrcPort, ev.Data) })
+		p1.SetHandler(func(ev gm.RecvEvent) { p1.Send(ev.SrcAddr, ev.SrcPort, ev.Msg) })
 		const rounds = 100
 		start := p.Now()
 		for i := 0; i < rounds; i++ {
-			p0.Send(1, 0, []byte{1})
+			p0.Send(1, 0, iovec.Make([]byte{1}))
 			got.Pop(p)
 		}
 		oneway = p.Now().Sub(start) / (2 * rounds)
@@ -70,12 +71,12 @@ func TestGMBandwidthNearWireRate(t *testing.T) {
 	if err := k.Run(func(p *vtime.Proc) {
 		acks := vtime.NewQueue[struct{}]("acks")
 		p0.SetHandler(func(gm.RecvEvent) { acks.Push(struct{}{}) })
-		p1.SetHandler(func(ev gm.RecvEvent) { p1.Send(0, 0, []byte{1}) })
+		p1.SetHandler(func(ev gm.RecvEvent) { p1.Send(0, 0, iovec.Make([]byte{1})) })
 		const msgs, size = 32, 1 << 20
 		buf := make([]byte, size)
 		start := p.Now()
 		for i := 0; i < msgs; i++ {
-			p0.Send(1, 0, buf)
+			p0.Send(1, 0, iovec.Make(buf))
 			acks.Pop(p)
 		}
 		rate = float64(msgs*size) / p.Now().Sub(start).Seconds()
@@ -112,17 +113,23 @@ func TestGMScatterGatherSend(t *testing.T) {
 	n1 := gm.OpenNIC(k, xb, 1)
 	p0, _ := n0.OpenPort(0)
 	p1, _ := n1.OpenPort(1)
-	var got []byte
+	head := []byte("head|")
+	var got iovec.Vec
 	if err := k.Run(func(p *vtime.Proc) {
-		q := vtime.NewQueue[[]byte]("rx")
-		p1.SetHandler(func(ev gm.RecvEvent) { q.Push(ev.Data) })
-		p0.Send(1, 1, []byte("head|"), []byte("body|"), []byte("tail"))
+		q := vtime.NewQueue[iovec.Vec]("rx")
+		p1.SetHandler(func(ev gm.RecvEvent) { q.Push(ev.Msg) })
+		p0.Send(1, 1, iovec.Make(head, []byte("body|"), nil, []byte("tail")))
 		got = q.Pop(p)
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if string(got) != "head|body|tail" {
-		t.Fatalf("got %q", got)
+	// Boundaries survive (the empty segment too) and nothing was copied:
+	// the receiver reads the sender's memory.
+	if len(got.Segs) != 4 || string(got.AppendFrom(nil, 0)) != "head|body|tail" || len(got.Segs[2].B) != 0 {
+		t.Fatalf("got %d segments %q", len(got.Segs), got.AppendFrom(nil, 0))
+	}
+	if &got.Segs[0].B[0] != &head[0] {
+		t.Fatal("GM copied the first segment instead of passing it by reference")
 	}
 }
 
@@ -146,13 +153,16 @@ func TestQuickGMIntegrity(t *testing.T) {
 		p1, _ := n1.OpenPort(0)
 		ok := true
 		err := k.Run(func(p *vtime.Proc) {
-			q := vtime.NewQueue[[]byte]("rx")
-			p1.SetHandler(func(ev gm.RecvEvent) { q.Push(ev.Data) })
+			q := vtime.NewQueue[iovec.Vec]("rx")
+			p1.SetHandler(func(ev gm.RecvEvent) { q.Push(ev.Msg) })
 			for _, m := range msgs {
-				p0.Send(1, 0, m)
+				// Two segments split at an arbitrary point: packets cut
+				// across the boundary.
+				cut := len(m) / 3
+				p0.Send(1, 0, iovec.Make(m[:cut], m[cut:]))
 			}
 			for _, want := range msgs {
-				if !bytes.Equal(q.Pop(p), want) {
+				if !bytes.Equal(q.Pop(p).AppendFrom(nil, 0), want) {
 					ok = false
 				}
 			}

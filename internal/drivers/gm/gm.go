@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 
+	"padico/internal/iovec"
 	"padico/internal/model"
 	"padico/internal/netsim"
 	"padico/internal/vtime"
@@ -26,11 +27,14 @@ var (
 	ErrPortBusy = errors.New("gm: port id already open")
 )
 
-// RecvEvent is one received message.
+// RecvEvent is one received message: the sender's gather list, segment
+// boundaries intact. The segments are the sender's memory, handed over
+// by reference together with whatever buffer references the sender
+// attached; the handler owns them from here on.
 type RecvEvent struct {
 	SrcAddr int
 	SrcPort int
-	Data    []byte
+	Msg     iovec.Vec
 }
 
 // Handler consumes receive events in kernel context; it must not block.
@@ -48,15 +52,22 @@ type NIC struct {
 	MsgsRecv int64
 }
 
-// packet header modelled structurally (16 bytes charged on the wire).
-type pktHeader struct {
-	port    int // destination port
-	srcPort int
-	msgID   int64
-	offset  int
-	total   int
+// message is the descriptor every packet of one message points at. The
+// NICs DMA straight between the two hosts' pinned memory, so packets
+// carry wire sizes only and the gather list crosses by reference; the
+// receiving NIC counts arrived bytes in the same descriptor (one
+// receiver per message, one kernel for both NICs).
+type message struct {
+	srcPort, dstPort int
+	msg              iovec.Vec
+	wire             int // framed length: what the packets add up to
+	got              int // wire bytes arrived so far
+	pkts             []netsim.Packet
+	one              [1]netsim.Packet // pkts' storage for single-packet messages
 }
 
+// pktHeaderWire is the packet header charged on the wire (ports, message
+// id, offset, total length).
 const pktHeaderWire = 16
 
 // OpenNIC attaches GM to a crossbar address. The returned NIC can open
@@ -71,12 +82,12 @@ func OpenNIC(k *vtime.Kernel, xb *netsim.Crossbar, addr int) *NIC {
 func (n *NIC) Addr() int { return n.addr }
 
 func (n *NIC) deliver(pkt *netsim.Packet) {
-	h := pkt.Meta.(*pktHeader)
-	p, ok := n.ports[h.port]
+	m := pkt.Meta.(*message)
+	p, ok := n.ports[m.dstPort]
 	if !ok {
 		return // no such port: hardware drops silently
 	}
-	p.packet(pkt.Src, h, pkt.Payload)
+	p.packet(pkt.Src, m, pkt.Wire-pktHeaderWire)
 }
 
 // Port is one hardware communication channel.
@@ -84,19 +95,6 @@ type Port struct {
 	nic     *NIC
 	id      int
 	handler Handler
-	nextMsg int64
-	asm     map[asmKey]*assembly
-}
-
-type asmKey struct {
-	src   int
-	port  int
-	msgID int64
-}
-
-type assembly struct {
-	data []byte
-	got  int
 }
 
 // OpenPort opens hardware port id (0 <= id < MyrinetHWChannels).
@@ -107,7 +105,7 @@ func (n *NIC) OpenPort(id int) (*Port, error) {
 	if _, dup := n.ports[id]; dup {
 		return nil, ErrPortBusy
 	}
-	p := &Port{nic: n, id: id, asm: make(map[asmKey]*assembly)}
+	p := &Port{nic: n, id: id}
 	n.ports[id] = p
 	return p, nil
 }
@@ -121,76 +119,47 @@ func (p *Port) SetHandler(h Handler) { p.handler = h }
 // Close releases the port.
 func (p *Port) Close() { delete(p.nic.ports, p.id) }
 
-// Send transmits segments as one message to (dstAddr, dstPort). The
-// call is asynchronous: it queues the packets (which serialize on the
-// source link) and returns. Host-side CPU cost is modelled as a fixed
-// delay before the first packet leaves. Like real GM, the send "DMAs
-// from pinned buffers": a single segment is transmitted in place, so
-// it must stay untouched until delivery (Madeleine's backends hand
-// over freshly framed messages and never reuse them).
-func (p *Port) Send(dstAddr, dstPort int, segments ...[]byte) {
-	total := 0
-	for _, s := range segments {
-		total += len(s)
-	}
-	var data []byte
-	if len(segments) == 1 {
-		data = segments[0]
+// Send transmits a gather list as one message to (dstAddr, dstPort).
+// On the wire the list is its descriptor — a 4-byte segment count and a
+// 4-byte length per segment — followed by the segment bytes, cut into
+// MyrinetPacket-sized packets that serialize on the source link. The
+// call is asynchronous: host-side CPU cost is a fixed delay before the
+// first packet leaves.
+//
+// Like real GM the send DMAs from the caller's pinned memory: no byte
+// is copied, the receiver's event carries msg itself. The segments must
+// therefore stay untouched until the receiver is done with them, and
+// msg's buffer references pass to the receiver.
+func (p *Port) Send(dstAddr, dstPort int, msg iovec.Vec) {
+	m := &message{srcPort: p.id, dstPort: dstPort, msg: msg, wire: 4 + 4*len(msg.Segs) + msg.Len()}
+	if n := (m.wire + model.MyrinetPacket - 1) / model.MyrinetPacket; n == 1 {
+		m.pkts = m.one[:]
 	} else {
-		data = make([]byte, 0, total)
-		for _, s := range segments {
-			data = append(data, s...)
-		}
+		m.pkts = make([]netsim.Packet, n)
 	}
 	p.nic.MsgsSent++
-	msgID := p.nextMsg
-	p.nextMsg++
-	k := p.nic.k
 	// Host injection cost, then packets serialize on the crossbar.
-	k.Schedule(model.GMHostCost, func() {
-		if total == 0 {
-			p.sendPkt(dstAddr, dstPort, msgID, 0, total, nil)
-			return
-		}
-		for off := 0; off < total; off += model.MyrinetPacket {
-			end := off + model.MyrinetPacket
-			if end > total {
-				end = total
-			}
-			p.sendPkt(dstAddr, dstPort, msgID, off, total, data[off:end])
+	p.nic.k.Schedule(model.GMHostCost, func() {
+		for i := range m.pkts {
+			chunk := min(model.MyrinetPacket, m.wire-i*model.MyrinetPacket)
+			m.pkts[i] = netsim.Packet{Src: p.nic.addr, Dst: dstAddr, Wire: chunk + pktHeaderWire, Meta: m}
+			p.nic.xb.Send(&m.pkts[i])
 		}
 	})
 }
 
-func (p *Port) sendPkt(dstAddr, dstPort int, msgID int64, off, total int, chunk []byte) {
-	p.nic.xb.Send(&netsim.Packet{
-		Src: p.nic.addr, Dst: dstAddr,
-		Payload: chunk, Wire: len(chunk) + pktHeaderWire,
-		Meta: &pktHeader{port: dstPort, srcPort: p.id, msgID: msgID, offset: off, total: total},
-	})
-}
-
-// packet reassembles and, on completion, schedules the receive event
-// after the receive-side host cost.
-func (p *Port) packet(src int, h *pktHeader, chunk []byte) {
-	key := asmKey{src: src, port: h.srcPort, msgID: h.msgID}
-	a, ok := p.asm[key]
-	if !ok {
-		a = &assembly{data: make([]byte, h.total)}
-		p.asm[key] = a
-	}
-	copy(a.data[h.offset:], chunk)
-	a.got += len(chunk)
-	if a.got < h.total {
+// packet counts one arrived packet and, when the message is complete,
+// schedules the receive event after the receive-side host cost.
+func (p *Port) packet(src int, m *message, chunk int) {
+	m.got += chunk
+	if m.got < m.wire {
 		return
 	}
-	delete(p.asm, key)
 	p.nic.MsgsRecv++
-	ev := RecvEvent{SrcAddr: src, SrcPort: h.srcPort, Data: a.data}
 	p.nic.k.Schedule(model.GMHostCost, func() {
 		if p.handler == nil {
 			panic(fmt.Sprintf("gm: message arrived on port %d/%d with no handler", p.nic.addr, p.id))
 		}
-		p.handler(ev)
+		p.handler(RecvEvent{SrcAddr: src, SrcPort: m.srcPort, Msg: m.msg})
 	})
 }

@@ -51,10 +51,11 @@ var pools [len(classSizes)]sync.Pool
 // series volatile. Atomics, because the pools are shared across
 // kernels and tests bump them from multiple goroutines under -race.
 var (
-	poolGets     int64
-	poolMisses   int64
-	poolFrees    int64
-	poolUnpooled int64
+	poolGets      int64
+	poolMisses    int64
+	poolFrees     int64
+	poolUnpooled  int64
+	unpooledFrees int64
 )
 
 // PoolGets returns cumulative pooled-class Get calls.
@@ -70,6 +71,14 @@ func PoolFrees() int64 { return atomic.LoadInt64(&poolFrees) }
 // PoolUnpooled returns Gets beyond the largest class (dedicated
 // allocations).
 func PoolUnpooled() int64 { return atomic.LoadInt64(&poolUnpooled) }
+
+// Outstanding returns how many buffers handed out by Get — pooled
+// classes and dedicated allocations alike — have not seen their last
+// Release. A stack that leaks no reference reads the value it started
+// from once its traffic has drained.
+func Outstanding() int64 {
+	return PoolGets() + PoolUnpooled() - PoolFrees() - atomic.LoadInt64(&unpooledFrees)
+}
 
 func classFor(n int) int {
 	for c, s := range classSizes {
@@ -140,6 +149,8 @@ func (b *Buf) Release() {
 	if b.class >= 0 {
 		atomic.AddInt64(&poolFrees, 1)
 		pools[b.class].Put(b)
+	} else {
+		atomic.AddInt64(&unpooledFrees, 1)
 	}
 }
 
@@ -148,6 +159,13 @@ func (b *Buf) Release() {
 type Seg struct {
 	B     []byte
 	Owner *Buf
+}
+
+// Release drops the segment's buffer reference, if it holds one.
+func (s Seg) Release() {
+	if s.Owner != nil {
+		s.Owner.Release()
+	}
 }
 
 // Vec is a segment vector. The zero value is an empty vector.
@@ -193,9 +211,7 @@ func (v Vec) Retain() {
 // Release drops one reference from every owned segment.
 func (v Vec) Release() {
 	for _, s := range v.Segs {
-		if s.Owner != nil {
-			s.Owner.Release()
-		}
+		s.Release()
 	}
 }
 
@@ -372,6 +388,19 @@ func (f *Fifo) Consume(n int) {
 		f.buf = f.buf[:0]
 		f.off = 0
 	}
+}
+
+// Fill moves bytes from the front of *src to dst[*got:], advancing both,
+// and reports whether dst is full. It is the step of a stream
+// reassembler that knows the size of what it is waiting for (a fixed
+// header, a body whose length the header gave): each arriving chunk is
+// copied once, straight into its final place, instead of being staged
+// in a growing buffer and copied out again.
+func Fill(dst []byte, got *int, src *[]byte) bool {
+	n := copy(dst[*got:], *src)
+	*got += n
+	*src = (*src)[n:]
+	return *got == len(dst)
 }
 
 // CopyToFrom copies the vector's bytes starting at offset off into

@@ -7,19 +7,34 @@
 // MPICH/Madeleine runs unchanged inside PadicoTM (paper §4.3).
 package madapi
 
-import "padico/internal/vtime"
+import (
+	"padico/internal/iovec"
+	"padico/internal/vtime"
+)
 
 // PackMode expresses the sender-side constraint of a packed segment.
+//
+// A message is packed once and then travels by reference: on the SAN
+// path no layer between Pack and the receiver's Unpack copies payload
+// bytes, so the slice Unpack returns is the very memory that was
+// packed. SendSafer is the one copy of the send side; a segment packed
+// SendLater or SendCheaper is lent to the receiver and must stay valid
+// and unmodified until the receiver is done with the message — in a
+// request/reply exchange, until the reply is in. (Real Madeleine ends
+// the borrow at EndPacking because the NIC has DMA'd the bytes by then;
+// here the receiving host reads them in place.) Callers that cannot
+// keep a buffer that long pack it SendSafer.
 type PackMode int
 
 const (
 	// SendSafer: the buffer may be reused by the caller immediately
-	// (the layer copies it).
+	// (the layer copies it into memory the message owns).
 	SendSafer PackMode = iota
-	// SendLater: the buffer must remain valid until EndPacking.
+	// SendLater: the buffer is lent until the receiver has consumed
+	// the message.
 	SendLater
 	// SendCheaper: the layer chooses the cheapest strategy; the buffer
-	// must remain valid until EndPacking.
+	// is lent like SendLater.
 	SendCheaper
 )
 
@@ -75,4 +90,23 @@ type InMessage interface {
 	// endpoint the message was addressed to (failure recovery drops
 	// late traffic instead of violating the unpack protocol).
 	Discard()
+}
+
+// SegPacker is the buffer-owning extension of OutMessage, implemented
+// by the real Madeleine (Circuit's links carry plain byte vectors and
+// do not offer it). PackSeg appends s.B as one segment, lent like
+// SendLater; when s.Owner is set the caller's reference to that buffer
+// passes to the message, and whoever ends the segment's life — the
+// receiver through UnpackSeg, Discard, or a backend whose hardware
+// copies — releases it.
+type SegPacker interface {
+	PackSeg(s iovec.Seg)
+}
+
+// SegUnpacker is the matching extension of InMessage: Unpack that also
+// hands over the buffer reference packed with the segment (nil Owner
+// for plain memory). The caller releases it once it has copied the
+// bytes out.
+type SegUnpacker interface {
+	UnpackSeg(n int, mode UnpackMode) iovec.Seg
 }

@@ -8,6 +8,7 @@ import (
 	"padico/internal/drivers/gm"
 	"padico/internal/drivers/sisci"
 	"padico/internal/drivers/via"
+	"padico/internal/iovec"
 	"padico/internal/model"
 )
 
@@ -31,14 +32,12 @@ func NewGM(nic *gm.NIC, group []int) Backend {
 func (b *gmBackend) Name() string     { return "gm" }
 func (b *gmBackend) MaxChannels() int { return model.MyrinetHWChannels }
 
-func (b *gmBackend) OpenChannel(id int, deliver func(src int, segs [][]byte)) (BackendChannel, error) {
+func (b *gmBackend) OpenChannel(id int, deliver func(src int, msg iovec.Vec)) (BackendChannel, error) {
 	port, err := b.nic.OpenPort(id)
 	if err != nil {
 		return nil, err
 	}
-	port.SetHandler(func(ev gm.RecvEvent) {
-		deliver(b.rank[ev.SrcAddr], splitSegs(ev.Data))
-	})
+	port.SetHandler(func(ev gm.RecvEvent) { deliver(b.rank[ev.SrcAddr], ev.Msg) })
 	return &gmChannel{b: b, port: port, id: id}, nil
 }
 
@@ -48,9 +47,11 @@ type gmChannel struct {
 	id   int
 }
 
-func (c *gmChannel) Send(dst int, segs [][]byte) {
-	// Boundary framing rides in GM's scatter-gather vector.
-	c.port.Send(c.b.group[dst], c.id, flattenFramed(segs))
+// Send hands the vector to GM's gather send as it is: segment
+// boundaries ride in the gather descriptor, the bytes cross by
+// reference.
+func (c *gmChannel) Send(dst int, msg iovec.Vec) {
+	c.port.Send(c.b.group[dst], c.id, msg)
 }
 
 // ---------------------------------------------------------------------
@@ -71,7 +72,7 @@ func NewBIP(ep *bip.Endpoint, group []int) Backend {
 func (b *bipBackend) Name() string     { return "bip" }
 func (b *bipBackend) MaxChannels() int { return 1 }
 
-func (b *bipBackend) OpenChannel(id int, deliver func(src int, segs [][]byte)) (BackendChannel, error) {
+func (b *bipBackend) OpenChannel(id int, deliver func(src int, msg iovec.Vec)) (BackendChannel, error) {
 	for i := 0; i < 64; i++ {
 		b.ep.PostRecv()
 	}
@@ -84,8 +85,8 @@ func (b *bipBackend) OpenChannel(id int, deliver func(src int, segs [][]byte)) (
 
 type bipChannel struct{ b *bipBackend }
 
-func (c *bipChannel) Send(dst int, segs [][]byte) {
-	c.b.ep.Send(c.b.group[dst], flattenFramed(segs))
+func (c *bipChannel) Send(dst int, msg iovec.Vec) {
+	c.b.ep.Send(c.b.group[dst], flattenFramed(msg))
 }
 
 // ---------------------------------------------------------------------
@@ -121,7 +122,7 @@ func NewSISCI(node *sisci.Node, group []int) Backend {
 func (b *sciBackend) Name() string     { return "sisci" }
 func (b *sciBackend) MaxChannels() int { return model.SCIHWChannels }
 
-func (b *sciBackend) OpenChannel(id int, deliver func(src int, segs [][]byte)) (BackendChannel, error) {
+func (b *sciBackend) OpenChannel(id int, deliver func(src int, msg iovec.Vec)) (BackendChannel, error) {
 	c := &sciChannel{b: b, wcur: make(map[int]int), rcur: make(map[int]int),
 		rings: make(map[int]*sisci.RemoteSegment)}
 	// One interrupt number per sender rank.
@@ -158,8 +159,8 @@ func (c *sciChannel) ring(dst int) *sisci.RemoteSegment {
 // per-sender interrupt. Writer and reader advance cursors with the same
 // deterministic rules, so no cursor exchange is needed; the ring is
 // sized to hold any in-flight window of this simulation.
-func (c *sciChannel) Send(dst int, segs [][]byte) {
-	data := flattenFramed(segs)
+func (c *sciChannel) Send(dst int, vec iovec.Vec) {
+	data := flattenFramed(vec)
 	if 4+len(data) > sciRingSize {
 		panic("madeleine/sisci: message larger than ring")
 	}
@@ -189,7 +190,7 @@ func (c *sciChannel) Send(dst int, segs [][]byte) {
 // consume reads one framed message from the inbound ring of src. The
 // reader mirrors the writer's deterministic cursor rules, so no cursor
 // exchange is needed.
-func (c *sciChannel) consume(src int, deliver func(src int, segs [][]byte)) {
+func (c *sciChannel) consume(src int, deliver func(src int, msg iovec.Vec)) {
 	seg := c.b.inSegs[src]
 	cur := c.rcur[src]
 	if cur+4 > sciRingSize {
@@ -224,7 +225,7 @@ func NewVIA(nic *via.NIC, group []int) Backend {
 func (b *viaBackend) Name() string     { return "via" }
 func (b *viaBackend) MaxChannels() int { return 1 }
 
-func (b *viaBackend) OpenChannel(id int, deliver func(src int, segs [][]byte)) (BackendChannel, error) {
+func (b *viaBackend) OpenChannel(id int, deliver func(src int, msg iovec.Vec)) (BackendChannel, error) {
 	vi := b.nic.CreateVI(id)
 	for i := 0; i < 64; i++ {
 		vi.PostRecv(make([]byte, viaBufSize))
@@ -251,8 +252,8 @@ type viaChannel struct {
 	id int
 }
 
-func (c *viaChannel) Send(dst int, segs [][]byte) {
-	data := flattenFramed(segs)
+func (c *viaChannel) Send(dst int, msg iovec.Vec) {
+	data := flattenFramed(msg)
 	for off := 0; off < len(data) || off == 0; off += viaBufSize - 1 {
 		end := off + viaBufSize - 1
 		if end > len(data) {
@@ -271,38 +272,37 @@ func (c *viaChannel) Send(dst int, segs [][]byte) {
 }
 
 // ---------------------------------------------------------------------
-// Shared helpers: segment vectors travel as a framed byte stream
-// [count][len0][seg0][len1][seg1]... so every backend preserves segment
-// boundaries for Unpack.
+// Framing for the backends whose emulated hardware copies (BIP's
+// buffers, SCI's remote ring, VIA's descriptors): there a segment
+// vector travels as the byte stream [count][len0][seg0][len1][seg1]...
+// so that Unpack gets the boundaries back. GM needs none of this.
 
-func flattenFramed(segs [][]byte) []byte {
-	total := 4
-	for _, s := range segs {
-		total += 4 + len(s)
+// flattenFramed copies msg into its framed byte stream. The copy ends
+// the message's hold on the sender's memory, so msg's buffer references
+// are released here.
+func flattenFramed(msg iovec.Vec) []byte {
+	out := make([]byte, 0, 4+4*len(msg.Segs)+msg.Len())
+	out = binary.BigEndian.AppendUint32(out, uint32(len(msg.Segs)))
+	for _, s := range msg.Segs {
+		out = binary.BigEndian.AppendUint32(out, uint32(len(s.B)))
+		out = append(out, s.B...)
 	}
-	out := make([]byte, 0, total)
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(segs)))
-	out = append(out, hdr[:]...)
-	for _, s := range segs {
-		binary.BigEndian.PutUint32(hdr[:], uint32(len(s)))
-		out = append(out, hdr[:]...)
-		out = append(out, s...)
-	}
+	msg.Release()
 	return out
 }
 
-func splitSegs(data []byte) [][]byte {
+// splitSegs is the inverse: plain views into the received stream.
+func splitSegs(data []byte) iovec.Vec {
 	n := int(binary.BigEndian.Uint32(data))
-	segs := make([][]byte, 0, n)
+	msg := iovec.Vec{Segs: make([]iovec.Seg, 0, n)}
 	off := 4
 	for i := 0; i < n; i++ {
 		l := int(binary.BigEndian.Uint32(data[off:]))
 		off += 4
-		segs = append(segs, data[off:off+l])
+		msg.Append(nil, data[off:off+l])
 		off += l
 	}
-	return segs
+	return msg
 }
 
 func rankIndex(group []int) map[int]int {

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 
+	"padico/internal/iovec"
 	"padico/internal/madapi"
 	"padico/internal/model"
 	"padico/internal/vtime"
@@ -30,14 +31,16 @@ type Backend interface {
 	// MaxChannels is the hardware channel limit.
 	MaxChannels() int
 	// OpenChannel binds hardware channel id and returns a sender; incoming
-	// messages (concatenated segment payloads plus boundary list) are
-	// passed to deliver in kernel context.
-	OpenChannel(id int, deliver func(src int, segs [][]byte)) (BackendChannel, error)
+	// messages (the sender's segment vector, boundaries intact) are
+	// passed to deliver in kernel context, buffer references included.
+	OpenChannel(id int, deliver func(src int, msg iovec.Vec)) (BackendChannel, error)
 }
 
-// BackendChannel sends segment vectors to group ranks.
+// BackendChannel sends segment vectors to group ranks. Send takes over
+// msg's buffer references: a backend whose hardware moves bytes by
+// reference passes them to the receiver, one that copies releases them.
 type BackendChannel interface {
-	Send(dst int, segs [][]byte)
+	Send(dst int, msg iovec.Vec)
 }
 
 // Adapter is the per-node Madeleine instance over one backend.
@@ -85,7 +88,7 @@ func (a *Adapter) Open(id int) (*Channel, error) {
 // incoming is one received message.
 type incoming struct {
 	src  int
-	segs [][]byte
+	segs []iovec.Seg
 }
 
 // Channel is one Madeleine channel. It implements madapi.Channel.
@@ -119,10 +122,10 @@ func (ch *Channel) Pending() int { return ch.rx.Len() }
 
 // deliver runs in kernel context when the backend completes a message;
 // the receive-side per-message cost is charged here.
-func (ch *Channel) deliver(src int, segs [][]byte) {
+func (ch *Channel) deliver(src int, msg iovec.Vec) {
 	ch.a.k.Schedule(model.MadeleineCost, func() {
 		ch.MsgsRecv++
-		ch.rx.Push(&incoming{src: src, segs: segs})
+		ch.rx.Push(&incoming{src: src, segs: msg.Segs})
 	})
 }
 
@@ -131,7 +134,9 @@ func (ch *Channel) BeginPacking(dst int) madapi.OutMessage {
 	if dst < 0 || dst >= ch.a.size {
 		panic(fmt.Sprintf("madeleine: pack to rank %d outside group of %d", dst, ch.a.size))
 	}
-	return &outMessage{ch: ch, dst: dst}
+	m := &outMessage{ch: ch, dst: dst}
+	m.msg.Segs = m.first[:0]
+	return m
 }
 
 // BeginUnpacking implements madapi.Channel.
@@ -149,24 +154,34 @@ func (ch *Channel) TryBeginUnpacking() (madapi.InMessage, bool) {
 	return &inMessage{ch: ch, msg: in}, true
 }
 
-// outMessage accumulates segments until EndPacking.
+// outMessage accumulates segments until EndPacking. The vector it
+// builds is the message: it travels to the receiver's Unpack by
+// reference, never flattened.
 type outMessage struct {
 	ch    *Channel
 	dst   int
-	segs  [][]byte
+	msg   iovec.Vec
 	ended bool
+	first [4]iovec.Seg // msg's storage while the message has few segments
 }
 
+var _ madapi.SegPacker = (*outMessage)(nil)
+
 // Pack implements madapi.OutMessage. SendSafer copies the buffer so the
-// caller may reuse it; the other modes alias it until EndPacking.
+// caller may reuse it; the other modes lend it to the receiver.
 func (m *outMessage) Pack(data []byte, mode madapi.PackMode) {
-	if m.ended {
-		panic("madeleine: Pack after EndPacking")
-	}
 	if mode == madapi.SendSafer {
 		data = append([]byte(nil), data...)
 	}
-	m.segs = append(m.segs, data)
+	m.PackSeg(iovec.Seg{B: data})
+}
+
+// PackSeg implements madapi.SegPacker.
+func (m *outMessage) PackSeg(s iovec.Seg) {
+	if m.ended {
+		panic("madeleine: Pack after EndPacking")
+	}
+	m.msg.Segs = append(m.msg.Segs, s)
 }
 
 // EndPacking implements madapi.OutMessage: the message leaves after the
@@ -177,13 +192,11 @@ func (m *outMessage) EndPacking() {
 	}
 	m.ended = true
 	m.ch.MsgsSent++
-	segs := m.segs
-	dst := m.dst
 	ch := m.ch
-	ch.a.k.Schedule(model.MadeleineCost, func() { ch.bc.Send(dst, segs) })
+	ch.a.k.Schedule(model.MadeleineCost, func() { ch.bc.Send(m.dst, m.msg) })
 }
 
-// inMessage walks the received segment list.
+// inMessage walks the received segment vector.
 type inMessage struct {
 	ch      *Channel
 	msg     *incoming
@@ -192,13 +205,22 @@ type inMessage struct {
 	ended   bool
 }
 
+var _ madapi.SegUnpacker = (*inMessage)(nil)
+
 // Src implements madapi.InMessage.
 func (m *inMessage) Src() int { return m.msg.src }
 
 // Unpack implements madapi.InMessage. Segment sizes must match the
 // packing exactly; ReceiveExpress after ReceiveCheaper violates
-// Madeleine's protocol and panics.
+// Madeleine's protocol and panics. A buffer reference packed with the
+// segment is dropped, not released: the bytes stay valid for the caller
+// and the buffer is left to the garbage collector.
 func (m *inMessage) Unpack(n int, mode madapi.UnpackMode) []byte {
+	return m.UnpackSeg(n, mode).B
+}
+
+// UnpackSeg implements madapi.SegUnpacker.
+func (m *inMessage) UnpackSeg(n int, mode madapi.UnpackMode) iovec.Seg {
 	if m.ended {
 		panic("madeleine: Unpack after EndUnpacking")
 	}
@@ -208,12 +230,13 @@ func (m *inMessage) Unpack(n int, mode madapi.UnpackMode) []byte {
 	if mode == madapi.ReceiveCheaper {
 		m.cheaper = true
 	}
-	if m.next >= len(m.msg.segs) {
-		panic(fmt.Sprintf("madeleine: Unpack #%d beyond %d packed segments", m.next, len(m.msg.segs)))
+	segs := m.msg.segs
+	if m.next >= len(segs) {
+		panic(fmt.Sprintf("madeleine: Unpack #%d beyond %d packed segments", m.next, len(segs)))
 	}
-	seg := m.msg.segs[m.next]
-	if len(seg) != n {
-		panic(fmt.Sprintf("madeleine: Unpack size %d does not match packed segment size %d", n, len(seg)))
+	seg := segs[m.next]
+	if len(seg.B) != n {
+		panic(fmt.Sprintf("madeleine: Unpack size %d does not match packed segment size %d", n, len(seg.B)))
 	}
 	m.next++
 	return seg
@@ -221,15 +244,16 @@ func (m *inMessage) Unpack(n int, mode madapi.UnpackMode) []byte {
 
 // EndUnpacking implements madapi.InMessage.
 func (m *inMessage) EndUnpacking() {
-	if m.next != len(m.msg.segs) {
-		panic(fmt.Sprintf("madeleine: EndUnpacking with %d of %d segments unpacked",
-			m.next, len(m.msg.segs)))
+	if n := len(m.msg.segs); m.next != n {
+		panic(fmt.Sprintf("madeleine: EndUnpacking with %d of %d segments unpacked", m.next, n))
 	}
 	m.ended = true
 }
 
-// Discard implements madapi.InMessage.
+// Discard implements madapi.InMessage: the segments nobody will read
+// give their buffer references back.
 func (m *inMessage) Discard() {
+	iovec.Vec{Segs: m.msg.segs[m.next:]}.Release()
 	m.next = len(m.msg.segs)
 	m.ended = true
 }

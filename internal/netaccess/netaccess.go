@@ -29,6 +29,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"padico/internal/iovec"
 	"padico/internal/ipstack"
 	"padico/internal/madapi"
 	"padico/internal/model"
@@ -208,7 +209,19 @@ func (m *MadIO) Unregister(logical uint16) {
 // Send transmits segments on a logical channel to dst (a Madeleine
 // rank). With combining, the 2-byte demux header is one more segment of
 // the same hardware message; without, it is a separate message.
+//
+// The segments are lent, not copied (madapi.SendLater): the receiving
+// handler's Unpack returns this very memory, so it must stay valid and
+// unmodified until the receiver is done with the message. A caller
+// whose own contract ends the borrow earlier copies first.
 func (m *MadIO) Send(dst int, logical uint16, segs ...[]byte) {
+	m.SendVec(dst, logical, iovec.Make(segs...))
+}
+
+// SendVec is Send for segments that may sit in pooled buffers: v's
+// references pass to the message (madapi.SegPacker), and the receiving
+// handler takes them over with madapi.SegUnpacker.
+func (m *MadIO) SendVec(dst int, logical uint16, v iovec.Vec) {
 	m.MsgsSent++
 	var hdr [2]byte
 	binary.BigEndian.PutUint16(hdr[:], logical)
@@ -217,24 +230,21 @@ func (m *MadIO) Send(dst int, logical uint16, segs ...[]byte) {
 		cost = model.MadIOSeparateCost
 	}
 	m.na.k.Schedule(cost, func() {
-		if m.combining {
-			out := m.ch.BeginPacking(dst)
-			out.Pack(hdr[:], madapi.SendSafer)
-			for _, s := range segs {
-				out.Pack(s, madapi.SendLater)
-			}
+		out := m.ch.BeginPacking(dst)
+		out.Pack(hdr[:], madapi.SendSafer)
+		if !m.combining {
+			// Ablation: header as its own hardware message, then the payload.
 			out.EndPacking()
-			return
+			out = m.ch.BeginPacking(dst)
 		}
-		// Ablation: header as its own hardware message, then the payload.
-		oh := m.ch.BeginPacking(dst)
-		oh.Pack(hdr[:], madapi.SendSafer)
-		oh.EndPacking()
-		op := m.ch.BeginPacking(dst)
-		for _, s := range segs {
-			op.Pack(s, madapi.SendLater)
+		for _, s := range v.Segs {
+			if s.Owner == nil {
+				out.Pack(s.B, madapi.SendLater)
+			} else {
+				out.(madapi.SegPacker).PackSeg(s)
+			}
 		}
-		op.EndPacking()
+		out.EndPacking()
 	})
 }
 

@@ -14,6 +14,7 @@
 package orb
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -22,6 +23,7 @@ import (
 	"strings"
 	"time"
 
+	"padico/internal/iovec"
 	"padico/internal/model"
 	"padico/internal/topology"
 	"padico/internal/vlink"
@@ -302,7 +304,7 @@ func (o *ORB) dispatch(v *vlink.VLink, kind msgKind, reqID uint32, body []byte) 
 			}
 			// Reply marshal cost, then send.
 			p.Consume(o.profile.RequestCost + o.profile.PerByte.Cost(len(out)))
-			v.PostWrite(frame(status, reqID, out))
+			v.PostWritev(message(status, reqID, out))
 		})
 	})
 }
@@ -380,23 +382,26 @@ func (r *ObjectRef) Invoke(p *vtime.Proc, op string, args *Encoder) (*Decoder, e
 		return nil, err
 	}
 	o.Requests++
-	body := NewEncoder()
-	body.PutString(r.key)
-	body.PutString(op)
+	target := NewEncoder()
+	target.PutString(r.key)
+	target.PutString(op)
+	// The marshalled arguments ride behind the target as a second
+	// segment, by reference: the caller's encoder is lent until the
+	// reply is in, which is when Invoke returns.
+	payload, size := [][]byte{target.buf}, len(target.buf)
 	if args != nil {
-		body.buf = append(body.buf, args.buf...)
+		payload, size = append(payload, args.buf), size+len(args.buf)
 	}
-	payload := body.Bytes()
 	if o.profile.Copying {
-		payload = append([]byte(nil), payload...)
+		payload = [][]byte{bytes.Join(payload, nil)}
 	}
 	// Client marshal cost.
-	p.Consume(o.profile.RequestCost + o.profile.PerByte.Cost(len(payload)))
+	p.Consume(o.profile.RequestCost + o.profile.PerByte.Cost(size))
 	cc.nextID++
 	id := cc.nextID
 	f := vtime.NewFuture[replyMsg]("orb:reply")
 	cc.waiters[id] = f
-	cc.v.PostWrite(frame(kindRequest, id, payload))
+	cc.v.PostWritev(message(kindRequest, id, payload...))
 	rep, _ := f.Wait(p)
 	// Client unmarshal cost.
 	p.Consume(o.profile.RequestCost + o.profile.PerByte.Cost(len(rep.body)))
@@ -409,27 +414,40 @@ func (r *ObjectRef) Invoke(p *vtime.Proc, op string, args *Encoder) (*Decoder, e
 // ---------------------------------------------------------------------
 // Framing shared by both sides.
 
-func frame(kind msgKind, reqID uint32, body []byte) []byte {
-	out := make([]byte, msgHdrLen, msgHdrLen+len(body))
-	out[0] = byte(kind)
-	binary.BigEndian.PutUint32(out[1:], reqID)
-	binary.BigEndian.PutUint32(out[5:], uint32(len(body)))
-	return append(out, body...)
+// message builds one message as a gather vector: the header, then the
+// body parts by reference — nothing is concatenated on the way to the
+// driver. The parts are lent until the write completes.
+func message(kind msgKind, reqID uint32, parts ...[]byte) iovec.Vec {
+	hdr := make([]byte, msgHdrLen)
+	v := iovec.Make(append([][]byte{hdr}, parts...)...)
+	hdr[0] = byte(kind)
+	binary.BigEndian.PutUint32(hdr[1:], reqID)
+	binary.BigEndian.PutUint32(hdr[5:], uint32(v.Len()-msgHdrLen))
+	return v
 }
 
-type framer struct{ buf []byte }
+// framer reassembles messages from stream chunks: the header first,
+// then a body allocated at the size the header gives, every chunk
+// copied once into its place.
+type framer struct {
+	hdr  [msgHdrLen]byte
+	body []byte // nil until the header is complete
+	got  int    // bytes of hdr, then of body, filled so far
+}
 
 func (fr *framer) feed(data []byte, emit func(kind msgKind, reqID uint32, body []byte)) {
-	fr.buf = append(fr.buf, data...)
-	for len(fr.buf) >= msgHdrLen {
-		n := int(binary.BigEndian.Uint32(fr.buf[5:]))
-		if len(fr.buf) < msgHdrLen+n {
+	for {
+		if fr.body == nil {
+			if !iovec.Fill(fr.hdr[:], &fr.got, &data) {
+				return
+			}
+			fr.body, fr.got = make([]byte, binary.BigEndian.Uint32(fr.hdr[5:])), 0
+		}
+		if !iovec.Fill(fr.body, &fr.got, &data) {
 			return
 		}
-		kind := msgKind(fr.buf[0])
-		id := binary.BigEndian.Uint32(fr.buf[1:])
-		body := append([]byte(nil), fr.buf[msgHdrLen:msgHdrLen+n]...)
-		fr.buf = fr.buf[msgHdrLen+n:]
-		emit(kind, id, body)
+		body := fr.body
+		fr.body, fr.got = nil, 0
+		emit(msgKind(fr.hdr[0]), binary.BigEndian.Uint32(fr.hdr[1:]), body)
 	}
 }

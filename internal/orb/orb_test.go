@@ -98,7 +98,7 @@ func TestQuickFramerReassembly(t *testing.T) {
 		}
 		var wire []byte
 		for i, b := range bodies {
-			wire = append(wire, frame(kindRequest, uint32(i), b)...)
+			wire = message(kindRequest, uint32(i), b).AppendFrom(wire, 0)
 		}
 		fr := &framer{}
 		var got [][]byte

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"padico/internal/iovec"
@@ -308,7 +309,9 @@ func (d *MadIODriver) onMessage(p *vtime.Proc, src int, in madapi.InMessage) {
 		delete(d.dials, cid)
 		cb(nil, ErrRefused)
 	case madData:
-		data := in.Unpack(int(arg), madapi.ReceiveCheaper)
+		// The sending madConn packed its pooled buffer with the segment;
+		// the reference is ours now.
+		data := in.(madapi.SegUnpacker).UnpackSeg(int(arg), madapi.ReceiveCheaper)
 		in.EndUnpacking()
 		// hdr[9] flags "sender is the dialer"; our matching link is then
 		// the accepted one (and vice versa), which disambiguates colliding
@@ -317,8 +320,10 @@ func (d *MadIODriver) onMessage(p *vtime.Proc, src int, in madapi.InMessage) {
 		if hdr[9] == 0 {
 			key |= dialerBit
 		}
-		if c, ok := d.conns[key]; ok {
+		if c, ok := d.conns[key]; ok && len(data.B) > 0 {
 			c.deliver(data)
+		} else {
+			data.Release() // no bytes, or the link already closed here: nothing to read
 		}
 	case madClose:
 		in.EndUnpacking()
@@ -343,10 +348,13 @@ func (d *MadIODriver) newConn(key uint32, peerRank int) *madConn {
 }
 
 type madConn struct {
-	d      *MadIODriver
-	key    uint32
-	peer   int
-	rx     []byte
+	d    *MadIODriver
+	key  uint32
+	peer int
+	// rx queues received data segments by reference, oldest first; each
+	// holds the sender's pooled buffer until its bytes have been copied
+	// into a posted read.
+	rx     []iovec.Seg
 	eof    bool
 	rbuf   []byte
 	rcb    func(int, error)
@@ -368,8 +376,8 @@ func (c *madConn) isDialer() byte {
 	return 0
 }
 
-func (c *madConn) deliver(data []byte) {
-	c.rx = append(c.rx, data...)
+func (c *madConn) deliver(data iovec.Seg) {
+	c.rx = append(c.rx, data)
 	c.tryComplete()
 }
 
@@ -378,15 +386,25 @@ func (c *madConn) deliverEOF() {
 	c.tryComplete()
 }
 
+// tryComplete copies queued segments straight into the posted read
+// buffer — the receive side's one copy — releasing each pooled buffer
+// as its last byte leaves.
 func (c *madConn) tryComplete() {
-	if c.rcb == nil {
+	if c.rcb == nil || (len(c.rx) == 0 && !c.eof) {
 		return
 	}
-	if len(c.rx) == 0 && !c.eof {
-		return
+	n, used := 0, 0
+	for used < len(c.rx) && n < len(c.rbuf) {
+		s := &c.rx[used]
+		m := copy(c.rbuf[n:], s.B)
+		n += m
+		if s.B = s.B[m:]; len(s.B) > 0 {
+			break
+		}
+		s.Release()
+		used++
 	}
-	n := copy(c.rbuf, c.rx)
-	c.rx = c.rx[n:]
+	c.rx = slices.Delete(c.rx, 0, used) // clears the vacated slots: they pin no buffer
 	cb := c.rcb
 	c.rcb, c.rbuf = nil, nil
 	var err error
@@ -405,46 +423,54 @@ func (c *madConn) PostRead(buf []byte, cb func(int, error)) {
 	c.tryComplete()
 }
 
+// shut unbinds the link: late data is released on arrival (onMessage)
+// and what was queued unread goes back to the pool now.
+func (c *madConn) shut() {
+	c.closed = true
+	delete(c.d.conns, c.key)
+	iovec.Vec{Segs: c.rx}.Release()
+	c.rx = nil
+}
+
 // Fail implements Failer: a crashed peer's pending read completes with
 // the error at once (a dead SAN NIC never delivers the close message).
 func (c *madConn) Fail(err error) {
 	if c.closed {
 		return
 	}
-	c.closed = true
-	delete(c.d.conns, c.key)
+	c.shut()
 	if cb := c.rcb; cb != nil {
 		c.rcb, c.rbuf = nil, nil
 		cb(0, err)
 	}
 }
 
-// PostWritev implements VecConn. MadIO's Madeleine packing aliases the
-// message until the send-side cost event fires, after the caller's
-// borrow ended — so the vector is flattened here, once, into a fresh
-// buffer the message can own (exactly the copy the session layer used
-// to make above this driver).
-func (c *madConn) PostWritev(v iovec.Vec, cb func(int, error)) {
-	data := make([]byte, v.Len())
-	v.CopyTo(data)
-	c.PostWrite(data, cb)
-}
-
 // PostWrite implements Conn: data rides one MadIO message. SAN links
 // are far faster than any producer here, so the driver accepts
 // immediately (no flow control, as on a well-provisioned SAN).
 func (c *madConn) PostWrite(data []byte, cb func(int, error)) {
+	c.PostWritev(iovec.Make(data), cb)
+}
+
+// PostWritev implements VecConn. The caller's borrow ends when cb
+// fires, which is at once, while MadIO lends its segments all the way
+// to the receiver — so the bytes are copied here, once, into a pooled
+// buffer the message owns: the send side's one copy. The receiving
+// madConn releases the buffer after copying it out.
+func (c *madConn) PostWritev(v iovec.Vec, cb func(int, error)) {
 	if c.closed {
 		cb(0, ErrClosed)
 		return
 	}
-	var hdr [10]byte
+	buf := v.Flatten()
+	n := len(buf.Bytes())
+	hdr := make([]byte, 10)
 	hdr[0] = madData
 	binary.BigEndian.PutUint32(hdr[1:], c.cid())
-	binary.BigEndian.PutUint32(hdr[5:], uint32(len(data)))
+	binary.BigEndian.PutUint32(hdr[5:], uint32(n))
 	hdr[9] = c.isDialer()
-	c.d.mio.Send(c.peer, c.d.logical, hdr[:], data)
-	cb(len(data), nil)
+	c.d.mio.SendVec(c.peer, c.d.logical, iovec.Vec{Segs: []iovec.Seg{{B: hdr}, {B: buf.Bytes(), Owner: buf}}})
+	cb(n, nil)
 }
 
 // Close implements Conn.
@@ -452,13 +478,12 @@ func (c *madConn) Close() {
 	if c.closed {
 		return
 	}
-	c.closed = true
 	var hdr [10]byte
 	hdr[0] = madClose
 	binary.BigEndian.PutUint32(hdr[1:], c.cid())
 	hdr[9] = c.isDialer()
 	c.d.mio.Send(c.peer, c.d.logical, hdr[:])
-	delete(c.d.conns, c.key)
+	c.shut()
 }
 
 // ---------------------------------------------------------------------

@@ -23,9 +23,13 @@ import (
 // testbed builds two nodes with VLink endpoints carrying the sysio,
 // madio and loopback drivers.
 type testbed struct {
-	k  *vtime.Kernel
-	ep [2]*vlink.Endpoint
+	k   *vtime.Kernel
+	ep  [2]*vlink.Endpoint
+	mio [2]*netaccess.MadIO
 }
+
+// madioLogical is the MadIO logical channel the madio drivers share.
+const madioLogical = 100
 
 func newTestbed(t *testing.T) *testbed {
 	t.Helper()
@@ -50,9 +54,9 @@ func newTestbed(t *testing.T) *testbed {
 		node := topology.NodeID(i)
 		ep := vlink.NewEndpoint(node)
 		ep.AddDriver(vlink.NewSysIODriver(k, st.Host(node), sys))
-		ep.AddDriver(vlink.NewMadIODriver(k, node, mio, 100, rankOf, nodeOf))
+		ep.AddDriver(vlink.NewMadIODriver(k, node, mio, madioLogical, rankOf, nodeOf))
 		ep.AddDriver(vlink.NewLoopbackDriver(k, node))
-		tb.ep[i] = ep
+		tb.ep[i], tb.mio[i] = ep, mio
 	}
 	return tb
 }

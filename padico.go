@@ -15,7 +15,9 @@
 //
 // Everything runs on a deterministic virtual-time simulation of the
 // paper's testbed (internal/vtime, internal/netsim): see DESIGN.md for
-// the substitution table and EXPERIMENTS.md for reproduced results.
+// the substitution table; `go run ./cmd/padico-bench` prints the
+// reproduced results, the BENCH_N.json sidecars record them per PR, and
+// benchmarks/README.md describes what the simulator itself costs.
 //
 // Entry points:
 //
