@@ -11,6 +11,17 @@
 // simulation is fully deterministic: the same program produces the same
 // virtual trace on every run, regardless of GOMAXPROCS.
 //
+// There is no scheduler goroutine. The scheduler loop (dispatch) runs on
+// whichever goroutine is giving up the CPU: a Proc that parks or exits
+// fires the due events and picks the next Proc itself. If that Proc is
+// the one that parked, it just carries on (a Sleep in a lone Proc never
+// leaves its goroutine); otherwise it wakes the other Proc's goroutine
+// and blocks. Event handlers therefore run on the stack of whichever
+// Proc happened to park last, which they cannot observe: a handler has
+// no Proc of its own and may not block. The root Proc is Run's caller:
+// it runs on the goroutine that called Run, every other Proc on one of
+// its own.
+//
 // Procs are real goroutines, but the kernel guarantees mutual exclusion
 // by construction, so simulation state shared between Procs needs no
 // locking. Do not share kernel objects with goroutines that are not
@@ -18,7 +29,6 @@
 package vtime
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"runtime/debug"
@@ -95,8 +105,7 @@ func (c TraceCtx) Zero() bool { return c == TraceCtx{} }
 type procState int
 
 const (
-	stateNew procState = iota
-	stateRunnable
+	stateRunnable procState = iota
 	stateRunning
 	stateBlocked
 	stateDone
@@ -106,13 +115,15 @@ const (
 // the Kernel. All blocking simulation primitives take the Proc so that
 // only code running inside a process can block.
 type Proc struct {
-	k      *Kernel
-	name   string
-	id     int64
-	state  procState
-	reason string // why blocked, for deadlock diagnostics
+	k     *Kernel
+	name  string
+	id    int64
+	state procState
+	// Why blocked, for deadlock diagnostics: the message is parkKind +
+	// parkName, joined only when a DeadlockError is built.
+	parkKind, parkName string
 
-	resume   chan struct{} // kernel -> proc: run
+	resume   chan struct{} // dispatch -> p's goroutine: run
 	daemon   bool
 	unparkFn func() // cached unpark closure for Sleep/Yield scheduling
 	ctx      TraceCtx
@@ -127,36 +138,89 @@ func (p *Proc) Kernel() *Kernel { return p.k }
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.k.now }
 
+// event is one entry of the event heap, held by value: the ordering key
+// (at, seq) sits in the heap's own backing array, so a sift touches no
+// other memory, and a fire-and-forget event allocates nothing.
 type event struct {
 	at  Time
 	seq int64
-	fn  func()
-	// pooled events (Schedule) have no Timer handle outstanding, so the
-	// kernel recycles them after firing; cancellable events (After/At)
-	// must not be recycled — a stale Timer.Stop would tombstone an
-	// unrelated reuse.
-	pooled bool
-	ctx    TraceCtx // scheduler's ambient context, reinstated at fire time
+	fn  func()   // Schedule: the handler; After/At: nil, the handler is tm.fn
+	tm  *Timer   // cancellable events only; tm.fn == nil marks a tombstone
+	ctx TraceCtx // scheduler's ambient context, reinstated at fire time
 }
 
-type eventHeap []*event
+func (e *event) before(o *event) bool {
+	return e.at < o.at || (e.at == o.at && e.seq < o.seq)
+}
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// eventHeap is a 4-ary min-heap on (at, seq): half the levels of a
+// binary heap, with the four children of a node adjacent in memory.
+// Sifting moves a hole along the path instead of swapping, and the
+// comparisons are direct calls, not container/heap's interface calls.
+// (at, seq) is a total order, so the pop sequence does not depend on
+// the heap's shape.
+type eventHeap []event
+
+func (h *eventHeap) push(e event) {
+	s := append(*h, e)
+	i := len(s) - 1
+	for i > 0 {
+		parent := (i - 1) / 4
+		if !e.before(&s[parent]) {
+			break
+		}
+		s[i] = s[parent]
+		i = parent
 	}
-	return h[i].seq < h[j].seq
+	s[i] = e
+	*h = s
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+
+// pop removes and returns the earliest event of a non-empty heap.
+func (h *eventHeap) pop() event {
+	s := *h
+	n := len(s) - 1
+	top, last := s[0], s[n]
+	s[n] = event{} // drop the handler and Timer references
+	s = s[:n]
+	*h = s
+	if n > 0 {
+		s.down(0, last)
+	}
+	return top
+}
+
+// down fills the hole at i with e or, while a child is earlier than e,
+// with the earliest child, moving the hole towards the leaves.
+func (s eventHeap) down(i int, e event) {
+	for {
+		first := 4*i + 1
+		if first >= len(s) {
+			break
+		}
+		min := first
+		for c := first + 1; c < first+4 && c < len(s); c++ {
+			if s[c].before(&s[min]) {
+				min = c
+			}
+		}
+		if !s[min].before(&e) {
+			break
+		}
+		s[i] = s[min]
+		i = min
+	}
+	s[i] = e
+}
+
+// init restores the heap order over arbitrary contents.
+func (s eventHeap) init() {
+	if len(s) < 2 {
+		return
+	}
+	for i := (len(s) - 2) / 4; i >= 0; i-- {
+		s.down(i, s[i])
+	}
 }
 
 // Kernel is a discrete-event scheduler. Create one with NewKernel, spawn
@@ -165,21 +229,24 @@ type Kernel struct {
 	now        Time
 	seq        int64
 	events     eventHeap
-	evFree     []*event // recycled pooled events (Schedule fire-and-forget)
-	tombstones int      // Stop-cancelled entries still sitting in the heap
-	runnable   []*Proc  // FIFO, head-indexed so the backing array is reused
+	tombstones int     // Stop-cancelled entries still sitting in the heap
+	runnable   []*Proc // FIFO, head-indexed so the backing array is reused
 	rhead      int
 	procs      map[int64]*Proc
-	parked     chan struct{} // proc -> kernel: I yielded
+	root       *Proc // runs on Run's goroutine; the simulation ends with it
 	running    *Proc
 	dead       bool
 	failure    error
 	nprocs     int64
 	cur        TraceCtx // ambient trace context of the running Proc/event
 
-	// Stats, exposed for tests and the bench harness.
+	// Stats, exposed for tests and the bench harness. ProcSwitches
+	// counts every resume of a Proc, including a Proc resuming itself
+	// out of its own park; Handoffs counts only the resumes that woke
+	// another goroutine.
 	EventsFired   int64
 	ProcSwitches  int64
+	Handoffs      int64
 	ProcsSpawned  int64
 	ProcsFinished int64
 
@@ -206,10 +273,7 @@ func (k *Kernel) notifyFailure(err error) {
 
 // NewKernel returns an empty kernel at t=0.
 func NewKernel() *Kernel {
-	return &Kernel{
-		procs:  make(map[int64]*Proc),
-		parked: make(chan struct{}),
-	}
+	return &Kernel{procs: make(map[int64]*Proc)}
 }
 
 // Now returns the current virtual time.
@@ -234,6 +298,13 @@ func (k *Kernel) SetTraceCtx(c TraceCtx) TraceCtx {
 // it. Procs that outlive the root Proc (network pollers, daemons) are
 // unwound when Run returns.
 func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
+	p := k.newProc(name)
+	go p.run(fn)
+	return p
+}
+
+// newProc makes a runnable Proc that has no goroutine yet.
+func (k *Kernel) newProc(name string) *Proc {
 	if k.dead {
 		panic("vtime: Go on dead kernel")
 	}
@@ -242,37 +313,55 @@ func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
 		k:      k,
 		name:   name,
 		id:     k.nprocs,
-		state:  stateNew,
+		state:  stateRunnable,
 		resume: make(chan struct{}),
 		ctx:    k.cur, // inherit the spawner's trace context
 	}
 	p.unparkFn = p.unpark
 	k.procs[p.id] = p
 	k.ProcsSpawned++
-	go func() {
-		<-p.resume // wait for first schedule
-		k.cur = p.ctx
-		defer func() {
-			if r := recover(); r != nil {
-				if err, ok := r.(error); ok && errors.Is(err, errKilled) {
-					// Normal teardown unwind.
-					k.parked <- struct{}{}
-					return
-				}
-				if k.failure == nil {
-					k.failure = &PanicError{ProcName: p.name, Value: r, Stack: debug.Stack()}
-				}
-			}
-			p.state = stateDone
-			delete(k.procs, p.id)
-			k.ProcsFinished++
-			k.parked <- struct{}{}
-		}()
-		fn(p)
-	}()
-	p.state = stateRunnable
 	k.runnable = append(k.runnable, p)
 	return p
+}
+
+// run is the goroutine of every Proc but root: wait for the first
+// resume, run fn, pass the CPU on.
+func (p *Proc) run(fn func(p *Proc)) {
+	k := p.k
+	<-p.resume
+	// A Proc spawned but never resumed before the kernel shut down must
+	// not start on the dead kernel.
+	if !k.dead && p.call(fn) {
+		k.dispatch(nil)
+	} else {
+		k.root.resume <- struct{}{} // unwound by teardown: back to Run
+	}
+}
+
+// call runs fn as the body of p, which has just been resumed for the
+// first time, and reports whether p came to its end: false if the
+// kernel's shutdown unwound it. A panic of fn's own ends p and becomes
+// the kernel's failure.
+func (p *Proc) call(fn func(p *Proc)) (ended bool) {
+	k := p.k
+	defer func() {
+		if r := recover(); r != nil {
+			if err, ok := r.(error); ok && errors.Is(err, errKilled) {
+				return
+			}
+			if k.failure == nil {
+				k.failure = &PanicError{ProcName: p.name, Value: r, Stack: debug.Stack()}
+			}
+		}
+		p.state = stateDone
+		delete(k.procs, p.id)
+		k.ProcsFinished++
+		k.running = nil
+		ended = true
+	}()
+	k.cur = p.ctx
+	fn(p)
+	return
 }
 
 // GoDaemon is Go for Procs that are expected to outlive the root Proc
@@ -286,9 +375,8 @@ func (k *Kernel) GoDaemon(name string, fn func(p *Proc)) *Proc {
 
 // Timer is a cancellable scheduled event.
 type Timer struct {
-	k       *Kernel
-	ev      *event
-	stopped bool
+	k  *Kernel
+	fn func() // nil once fired or stopped
 }
 
 // Stop cancels the timer; it is a no-op if the timer already fired.
@@ -298,11 +386,10 @@ type Timer struct {
 // workload that arms and cancels timers at a high rate (TCP RTO on
 // every ACK round) cannot grow the heap without bound.
 func (t *Timer) Stop() bool {
-	if t.stopped || t.ev.fn == nil {
+	if t.fn == nil {
 		return false
 	}
-	t.stopped = true
-	t.ev.fn = nil // tombstone; heap entry is skipped when popped
+	t.fn = nil // tombstone; heap entry is skipped when popped
 	t.k.tombstones++
 	t.k.maybeCompact()
 	return true
@@ -312,13 +399,9 @@ func (t *Timer) Stop() bool {
 // be short and non-blocking: they typically complete operations and wake
 // Procs. Blocking primitives panic if used from handler context.
 func (k *Kernel) After(d Duration, fn func()) *Timer {
-	if d < 0 {
-		d = 0
-	}
-	k.seq++
-	ev := &event{at: k.now.Add(d), seq: k.seq, fn: fn, ctx: k.cur}
-	heap.Push(&k.events, ev)
-	return &Timer{k: k, ev: ev}
+	t := &Timer{k: k, fn: fn}
+	k.push(d, nil, t)
+	return t
 }
 
 // At schedules fn at absolute virtual time t (clamped to now).
@@ -328,33 +411,22 @@ func (k *Kernel) At(t Time, fn func()) *Timer {
 }
 
 // Schedule is After for fire-and-forget events: no Timer handle is
-// returned, which lets the kernel recycle the event object after it
-// fires. Hot paths (per-packet fabric steps, per-operation cost
-// charges) schedule millions of these; pooling them removes the
-// dominant allocation of long simulations. Timing and ordering are
-// identical to After.
-func (k *Kernel) Schedule(d Duration, fn func()) {
+// returned, so the event lives in the heap's backing array alone and
+// costs no allocation. Hot paths (per-packet fabric steps,
+// per-operation cost charges) schedule millions of these. Timing and
+// ordering are identical to After.
+func (k *Kernel) Schedule(d Duration, fn func()) { k.push(d, fn, nil) }
+
+// ScheduleAt is Schedule at absolute virtual time t (clamped to now).
+func (k *Kernel) ScheduleAt(t Time, fn func()) { k.Schedule(t.Sub(k.now), fn) }
+
+func (k *Kernel) push(d Duration, fn func(), tm *Timer) {
 	if d < 0 {
 		d = 0
 	}
 	k.seq++
-	var ev *event
-	if n := len(k.evFree); n > 0 {
-		ev = k.evFree[n-1]
-		k.evFree = k.evFree[:n-1]
-	} else {
-		ev = &event{}
-	}
-	ev.at = k.now.Add(d)
-	ev.seq = k.seq
-	ev.fn = fn
-	ev.pooled = true
-	ev.ctx = k.cur
-	heap.Push(&k.events, ev)
+	k.events.push(event{at: k.now.Add(d), seq: k.seq, fn: fn, tm: tm, ctx: k.cur})
 }
-
-// ScheduleAt is Schedule at absolute virtual time t (clamped to now).
-func (k *Kernel) ScheduleAt(t Time, fn func()) { k.Schedule(t.Sub(k.now), fn) }
 
 // maybeCompact rebuilds the event heap without tombstones once they
 // outnumber the live entries. Pop order is governed by the total
@@ -364,34 +436,51 @@ func (k *Kernel) maybeCompact() {
 		return
 	}
 	live := k.events[:0]
-	for _, ev := range k.events {
-		if ev.fn != nil {
-			live = append(live, ev)
+	for i := range k.events {
+		if ev := &k.events[i]; ev.tm == nil || ev.tm.fn != nil {
+			live = append(live, *ev)
 		}
 	}
-	for i := len(live); i < len(k.events); i++ {
-		k.events[i] = nil
-	}
+	clear(k.events[len(live):])
 	k.events = live
 	k.tombstones = 0
-	heap.Init(&k.events)
+	k.events.init()
 }
 
-// Run executes the simulation: it spawns root and schedules Procs and
-// events until root returns. It then unwinds any remaining Procs and
-// returns. Run returns an error if any Proc panicked or if the
-// simulation deadlocked (no runnable Proc, no pending event, and at
-// least one non-daemon Proc blocked) before root completed.
+// Run executes the simulation: it runs root as a Proc on the calling
+// goroutine and schedules Procs and events until root returns. It then
+// unwinds any remaining Procs and returns. Run returns an error if any
+// Proc or event handler panicked or if the simulation deadlocked (no
+// runnable Proc, no pending event, and at least one non-daemon Proc
+// blocked) before root completed.
 func (k *Kernel) Run(root func(p *Proc)) error {
 	if k.dead {
 		return errors.New("vtime: Run on dead kernel")
 	}
-	done := false
-	k.Go("root", func(p *Proc) {
-		defer func() { done = true }()
-		root(p)
-	})
-	for !done && k.failure == nil {
+	p := k.newProc("root")
+	k.root = p
+	if !k.dispatch(p) { // Procs spawned before Run go first
+		<-p.resume
+	}
+	if !k.dead {
+		p.call(root)
+	}
+	p.state = stateDone
+	k.notifyFailure(k.failure)
+	k.teardown()
+	return k.failure
+}
+
+// dispatch is the scheduler loop. It runs on the goroutine that is
+// giving up the CPU (self's, when a Proc parks; self is nil for a Proc
+// that has ended): resume runnable Procs in FIFO order, fire events in
+// (at, seq) order when none is runnable. It reports whether the Proc to
+// run next is self, in which case the caller just carries on. Otherwise
+// it has passed the CPU to another goroutine and the caller must touch
+// no kernel state until it is resumed itself.
+func (k *Kernel) dispatch(self *Proc) (resumed bool) {
+	defer k.handlerPanicked(self, &resumed)
+	for k.failure == nil {
 		if k.rhead < len(k.runnable) {
 			p := k.runnable[k.rhead]
 			k.runnable[k.rhead] = nil
@@ -400,61 +489,69 @@ func (k *Kernel) Run(root func(p *Proc)) error {
 				k.runnable = k.runnable[:0]
 				k.rhead = 0
 			}
-			k.step(p)
-			continue
+			p.state = stateRunning
+			k.running = p
+			k.ProcSwitches++
+			if p == self {
+				return true
+			}
+			k.Handoffs++
+			p.resume <- struct{}{}
+			return false
 		}
 		if !k.fireNextEvent() {
-			// Nothing runnable, nothing scheduled.
-			if err := k.deadlock(); err != nil {
-				k.notifyFailure(err)
-				k.teardown()
-				return err
-			}
+			// Nothing runnable, nothing scheduled, and root still blocked.
+			k.failure = k.deadlock()
 			break
 		}
 	}
-	k.notifyFailure(k.failure)
-	k.teardown()
-	return k.failure
+	return k.halt(self)
 }
 
-// step resumes p and waits for it to yield control back.
-func (k *Kernel) step(p *Proc) {
-	if p.state == stateDone {
-		return
+// halt ends the simulation before root has returned: park points see
+// the dead kernel and unwind, root's first, which takes control back to
+// Run. It reports whether the caller is root itself, which then has
+// nobody to wait for.
+func (k *Kernel) halt(self *Proc) bool {
+	k.dead = true
+	if self == k.root {
+		return true
 	}
-	p.state = stateRunning
-	p.reason = ""
-	k.running = p
-	k.ProcSwitches++
-	p.resume <- struct{}{}
-	<-k.parked
-	k.running = nil
+	k.root.resume <- struct{}{}
+	return false
+}
+
+// handlerPanicked, deferred by dispatch, turns a panic in an event
+// handler into the kernel's failure. The Proc whose goroutine hosted
+// the handler is not the culprit: dispatch returns false to it, so it
+// stays parked and is unwound with the others.
+func (k *Kernel) handlerPanicked(self *Proc, resumed *bool) {
+	if r := recover(); r != nil {
+		if k.failure == nil {
+			k.failure = &PanicError{ProcName: "event handler", Value: r, Stack: debug.Stack()}
+		}
+		*resumed = k.halt(self)
+	}
 }
 
 // fireNextEvent pops events until one live event has run; it reports
 // whether any event fired.
 func (k *Kernel) fireNextEvent() bool {
 	for len(k.events) > 0 {
-		ev := heap.Pop(&k.events).(*event)
-		if ev.fn == nil {
-			k.tombstones-- // cancelled; its tombstone leaves the heap here
-			continue
+		ev := k.events.pop()
+		fn := ev.fn
+		if ev.tm != nil {
+			if fn = ev.tm.fn; fn == nil {
+				k.tombstones-- // cancelled; its tombstone leaves the heap here
+				continue
+			}
+			ev.tm.fn = nil // fired: a later Stop reports false
 		}
 		if ev.at > k.now {
 			k.now = ev.at
 		}
-		fn := ev.fn
-		ev.fn = nil
-		pooled := ev.pooled
 		k.cur = ev.ctx
 		k.EventsFired++
-		if pooled {
-			// Safe to recycle before running: no Timer references this
-			// event, and fn was captured above.
-			ev.pooled = false
-			k.evFree = append(k.evFree, ev)
-		}
 		fn()
 		return true
 	}
@@ -467,7 +564,7 @@ func (k *Kernel) deadlock() error {
 	stuck := false
 	for _, p := range k.procs {
 		if p.state == stateBlocked {
-			blocked = append(blocked, fmt.Sprintf("%s (%s)", p.name, p.reason))
+			blocked = append(blocked, fmt.Sprintf("%s (%s%s)", p.name, p.parkKind, p.parkName))
 			if !p.daemon {
 				stuck = true
 			}
@@ -481,14 +578,16 @@ func (k *Kernel) deadlock() error {
 }
 
 // teardown unwinds every remaining Proc by resuming it with the kernel
-// marked dead; park points detect this and panic errKilled, which the
-// spawn wrapper swallows. This prevents goroutine leaks across tests.
+// marked dead: park points panic errKilled, which call swallows, and a
+// Proc that was never resumed returns without running. Each passes the
+// CPU back to Run's goroutine, root's, when it is done. This prevents
+// goroutine leaks across tests.
 func (k *Kernel) teardown() {
 	k.dead = true
 	for _, p := range k.procs {
 		if p.state == stateBlocked || p.state == stateRunnable {
 			p.resume <- struct{}{}
-			<-k.parked
+			<-k.root.resume
 		}
 	}
 	k.runnable = nil
@@ -497,23 +596,23 @@ func (k *Kernel) teardown() {
 }
 
 // park blocks the calling Proc until something re-queues it via unpark.
-// reason is recorded for deadlock diagnostics.
-func (p *Proc) park(reason string) {
+// kind and name, concatenated, are the reason shown in deadlock
+// diagnostics; they are kept apart so that parking allocates nothing.
+func (p *Proc) park(kind, name string) {
 	k := p.k
 	if k.running != p {
 		panic(fmt.Sprintf("vtime: park of %q from outside its own context", p.name))
 	}
 	p.state = stateBlocked
-	p.reason = reason
+	p.parkKind, p.parkName = kind, name
 	p.ctx = k.cur // save ambient context across the block
 	k.running = nil
-	k.parked <- struct{}{}
-	<-p.resume
+	if !k.dispatch(p) {
+		<-p.resume
+	}
 	if k.dead {
 		panic(errKilled)
 	}
-	p.state = stateRunning
-	k.running = p
 	k.cur = p.ctx
 }
 
@@ -532,7 +631,7 @@ func (p *Proc) unpark() {
 // p continues, without advancing virtual time.
 func (p *Proc) Yield() {
 	p.k.Schedule(0, p.unparkFn)
-	p.park("yield")
+	p.park("yield", "")
 }
 
 // Sleep suspends p for virtual duration d.
@@ -542,7 +641,7 @@ func (p *Proc) Sleep(d Duration) {
 		return
 	}
 	p.k.Schedule(d, p.unparkFn)
-	p.park("sleep")
+	p.park("sleep", "")
 }
 
 // Consume models CPU time spent by this process: it advances virtual

@@ -467,8 +467,7 @@ func TestTimerTombstoneCompaction(t *testing.T) {
 }
 
 // TestScheduleMatchesAfter pins Schedule's contract: identical firing
-// time and ordering as After for the same (d, call-order) sequence, and
-// pooled events must be recycled.
+// time and ordering as After for the same (d, call-order) sequence.
 func TestScheduleMatchesAfter(t *testing.T) {
 	run := func(useSchedule bool) ([]int, Time) {
 		k := NewKernel()
@@ -499,22 +498,5 @@ func TestScheduleMatchesAfter(t *testing.T) {
 		if o1[i] != o2[i] {
 			t.Fatalf("firing order differs at %d: %v vs %v", i, o1, o2)
 		}
-	}
-}
-
-// TestSchedulePoolRecycles checks that fire-and-forget events are
-// actually reused instead of reallocated.
-func TestSchedulePoolRecycles(t *testing.T) {
-	k := NewKernel()
-	if err := k.Run(func(p *Proc) {
-		for i := 0; i < 1000; i++ {
-			k.Schedule(time.Microsecond, func() {})
-			p.Sleep(2 * time.Microsecond)
-		}
-		if len(k.evFree) == 0 {
-			t.Fatal("no pooled events on the free list after 1000 Schedules")
-		}
-	}); err != nil {
-		t.Fatal(err)
 	}
 }

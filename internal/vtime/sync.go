@@ -1,5 +1,7 @@
 package vtime
 
+import "slices"
+
 // Cond is a condition variable for simulated processes. Unlike
 // sync.Cond there is no associated mutex: the kernel guarantees mutual
 // exclusion, so the usual pattern is
@@ -16,21 +18,25 @@ package vtime
 // reallocate on nearly every Wait. With the head index the backing is
 // reused once drained. Wakeup order is unchanged (FIFO).
 type Cond struct {
-	name    string
-	waiters []*Proc
-	head    int
+	// kind + name is the park reason shown in deadlock diagnostics.
+	// Queue, WaitGroup, Semaphore and Future embed a Cond by value and
+	// tell themselves apart by kind, so building one concatenates and
+	// allocates nothing beyond the object itself.
+	kind, name string
+	waiters    []*Proc
+	head       int
 }
 
 // NewCond returns a condition variable; name appears in deadlock
 // diagnostics.
-func NewCond(name string) *Cond { return &Cond{name: name} }
+func NewCond(name string) *Cond { return &Cond{kind: "cond:", name: name} }
 
 // Wait parks p until Signal or Broadcast. Spurious wakeups are possible
 // (a Signal may race with another waiter's predicate), so always re-check
 // the condition in a loop.
 func (c *Cond) Wait(p *Proc) {
 	c.waiters = append(c.waiters, p)
-	p.park("cond:" + c.name)
+	p.park(c.kind, c.name)
 }
 
 // WaitTimeout parks p until a signal or until d elapses; it reports
@@ -42,7 +48,7 @@ func (c *Cond) WaitTimeout(p *Proc, d Duration) bool {
 	timer := p.k.After(d, func() {
 		for i := c.head; i < len(c.waiters); i++ {
 			if c.waiters[i] == p {
-				c.waiters = append(c.waiters[:i], c.waiters[i+1:]...)
+				c.waiters = slices.Delete(c.waiters, i, i+1) // also nils the vacated tail slot
 				timedOut = true
 				p.unpark()
 				return
@@ -50,7 +56,7 @@ func (c *Cond) WaitTimeout(p *Proc, d Duration) bool {
 		}
 	})
 	c.waiters = append(c.waiters, p)
-	p.park("cond:" + c.name)
+	p.park(c.kind, c.name)
 	timer.Stop()
 	return !timedOut
 }
@@ -92,7 +98,7 @@ func (c *Cond) Waiting() int { return len(c.waiters) - c.head }
 type Queue[T any] struct {
 	items []T
 	head  int
-	cond  *Cond
+	cond  Cond
 	// OnPush, if non-nil, runs after each Push; used by multiplexers to
 	// kick a shared poller when any of many queues becomes non-empty.
 	OnPush func()
@@ -100,7 +106,7 @@ type Queue[T any] struct {
 
 // NewQueue returns an empty queue; name appears in deadlock diagnostics.
 func NewQueue[T any](name string) *Queue[T] {
-	return &Queue[T]{cond: NewCond("queue:" + name)}
+	return &Queue[T]{cond: Cond{kind: "cond:queue:", name: name}}
 }
 
 // Push appends v. Callable from Procs and event handlers.
@@ -160,12 +166,12 @@ func (q *Queue[T]) Len() int { return len(q.items) - q.head }
 // WaitGroup mirrors sync.WaitGroup for simulated processes.
 type WaitGroup struct {
 	n    int
-	cond *Cond
+	cond Cond
 }
 
 // NewWaitGroup returns a WaitGroup; name appears in deadlock diagnostics.
 func NewWaitGroup(name string) *WaitGroup {
-	return &WaitGroup{cond: NewCond("waitgroup:" + name)}
+	return &WaitGroup{cond: Cond{kind: "cond:waitgroup:", name: name}}
 }
 
 // Add adds delta to the counter.
@@ -192,12 +198,12 @@ func (w *WaitGroup) Wait(p *Proc) {
 // Semaphore is a counting semaphore with FIFO acquisition order.
 type Semaphore struct {
 	avail int
-	cond  *Cond
+	cond  Cond
 }
 
 // NewSemaphore returns a semaphore with n initial permits.
 func NewSemaphore(name string, n int) *Semaphore {
-	return &Semaphore{avail: n, cond: NewCond("sem:" + name)}
+	return &Semaphore{avail: n, cond: Cond{kind: "cond:sem:", name: name}}
 }
 
 // Acquire takes one permit, blocking p until one is available.
@@ -230,7 +236,7 @@ type Future[T any] struct {
 	done bool
 	val  T
 	err  error
-	cond *Cond
+	cond Cond
 	// Handler, if set before completion, runs in the completer's context
 	// immediately upon completion (active-message style callback).
 	Handler func(T, error)
@@ -238,7 +244,7 @@ type Future[T any] struct {
 
 // NewFuture returns an incomplete Future.
 func NewFuture[T any](name string) *Future[T] {
-	return &Future[T]{cond: NewCond("future:" + name)}
+	return &Future[T]{cond: Cond{kind: "cond:future:", name: name}}
 }
 
 // Complete resolves the future. Completing twice panics: completions
