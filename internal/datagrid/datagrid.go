@@ -227,7 +227,8 @@ type DataGrid struct {
 	groups   map[string]*group.Group
 	groupWAN map[*group.Group]int64
 
-	stats Stats
+	stats  Stats
+	hashed int64 // payload bytes put through SHA-256 (see hash); not a registry metric
 
 	// Telemetry handles, nil (free no-ops) unless a hub was attached to
 	// the kernel before New.
@@ -449,6 +450,14 @@ func (dg *DataGrid) onQuarantine(_ *vtime.Proc, n topology.NodeID, key string) {
 	dg.repairKick.Broadcast()
 }
 
+// hash is the datagrid's only pass over payload bytes: at birth (Put),
+// on arrival (recvTransfer), in the audit (VerifyReplicas) and on the
+// sender of a rejected transfer. Elsewhere the digest travels with them.
+func (dg *DataGrid) hash(b []byte) [32]byte {
+	dg.hashed += int64(len(b))
+	return sha256.Sum256(b)
+}
+
 func (dg *DataGrid) storePut(p *vtime.Proc, n topology.NodeID, name string, data []byte, sum [32]byte) {
 	if err := dg.EngineOn(n).Put(p, name, data, sum); err != nil {
 		panic(fmt.Sprintf("datagrid: store put %q on node %d: %v", name, n, err))
@@ -474,7 +483,7 @@ func (dg *DataGrid) Put(p *vtime.Proc, client topology.NodeID, name string, data
 	// proximity order without a weather service — identical to nearest).
 	entry := dg.rankSources(client, live, false)[0]
 	meta := &ObjectMeta{
-		Name: name, Size: len(data), Sum: sha256.Sum256(data),
+		Name: name, Size: len(data), Sum: dg.hash(data),
 		Targets: targets,
 	}
 	if old, ok := dg.catalog[name]; ok {
@@ -491,7 +500,7 @@ func (dg *DataGrid) Put(p *vtime.Proc, client topology.NodeID, name string, data
 	// attaches to this span through the ambient trace context.
 	defer sp.Exit(sp.Enter())
 	// Ingest: client -> entry, synchronously in the caller's proc.
-	got, err := dg.runTransfer(p, client, entry, name, data)
+	got, err := dg.runTransfer(p, client, entry, name, data, meta.Sum)
 	if err != nil {
 		return err
 	}
@@ -578,10 +587,11 @@ func (dg *DataGrid) newGroup(members []topology.NodeID) (*group.Group, error) {
 	})
 }
 
-// dropGroup folds a transient group's WAN bytes into Stats and closes
-// its cached channels.
+// dropGroup folds a transient group's WAN (and hashed) bytes into the
+// datagrid's counts and closes its cached channels.
 func (dg *DataGrid) dropGroup(g *group.Group) {
 	dg.syncGroupWAN(g)
+	dg.hashed += g.HashedBytes()
 	g.Close() // moves live edge counts into the group's closed total; WANBytes() is unchanged
 	delete(dg.groupWAN, g)
 }
@@ -615,14 +625,23 @@ func (dg *DataGrid) syncGroupWAN(g *group.Group) {
 }
 
 // Get reads an object back to a client node from the best-placed
-// replica (local copy, then SAN neighbour, then LAN, then WAN), with
-// checksum verification; corrupt or unreachable replicas are skipped.
+// replica (local copy, then SAN neighbour, then LAN, then WAN). The
+// receiving end verifies the bytes against the catalogued digest;
+// stale, rotten or unreachable replicas are skipped.
 func (dg *DataGrid) Get(p *vtime.Proc, client topology.NodeID, name string) ([]byte, error) {
 	meta, ok := dg.catalog[name]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNoObject, name)
 	}
-	holders := dg.reachable(dg.Holders(name))
+	// A holder still on an older version (down during an overwrite, then
+	// marked up) is not a source: its bytes could only be rejected.
+	reachable := dg.reachable(dg.Holders(name))
+	holders := reachable[:0] // Holders returns a slice of its own
+	for _, h := range reachable {
+		if dg.fresh(meta, h) {
+			holders = append(holders, h)
+		}
+	}
 	if len(holders) == 0 {
 		return nil, fmt.Errorf("%w: %s", ErrNoReplica, name)
 	}
@@ -638,11 +657,8 @@ func (dg *DataGrid) Get(p *vtime.Proc, client topology.NodeID, name string) ([]b
 		if !ok {
 			continue
 		}
-		got, err := dg.runTransfer(p, h, client, name, data)
+		got, err := dg.runTransfer(p, h, client, name, data, meta.Sum)
 		if err != nil {
-			continue
-		}
-		if sha256.Sum256(got) != meta.Sum {
 			continue
 		}
 		return got, nil
@@ -742,14 +758,47 @@ func (dg *DataGrid) WaitSettled(p *vtime.Proc) { dg.sched.waitSettled(p) }
 // exhausted their retries (in completion order).
 func (dg *DataGrid) JobErrors() []error { return dg.sched.errs }
 
-// freshCopy returns node n's copy of an object if it matches the
-// catalogued checksum.
+// fresh reports whether node n's engine records the catalogued version
+// of an object: digest and size from the index, no payload touched.
+// Whether the bytes still match is the auditor's question and, for a
+// copy being sent, the receiver's.
+func (dg *DataGrid) fresh(meta *ObjectMeta, n topology.NodeID) bool {
+	eng, ok := dg.engines[n]
+	if !ok {
+		return false
+	}
+	sum, ok := eng.Sum(meta.Name)
+	size, _ := eng.Size(meta.Name)
+	return ok && sum == meta.Sum && size == meta.Size
+}
+
+// freshCopy returns node n's copy of an object if the node holds the
+// catalogued version (see fresh).
 func (dg *DataGrid) freshCopy(meta *ObjectMeta, n topology.NodeID) ([]byte, bool) {
 	data, ok := dg.ObjectOn(n, meta.Name)
-	if !ok || len(data) != meta.Size || sha256.Sum256(data) != meta.Sum {
+	if !ok || !dg.fresh(meta, n) {
 		return nil, false
 	}
 	return data, true
+}
+
+// quarantineRotten is the sender's half of a receiver's reject: a wire
+// or injected fault (retry), or src's stored bytes no longer match their
+// recorded digest. One hash of the sent view decides (failure path, no
+// virtual cost); a rotten replica leaves service through the auditor's
+// hinge. A view that is not src's stored copy of this version (a Put's
+// client buffer) is never hashed.
+func (dg *DataGrid) quarantineRotten(p *vtime.Proc, src topology.NodeID, name string, data []byte, sum [32]byte) bool {
+	eng, ok := dg.engines[src]
+	if !ok {
+		return false
+	}
+	if rec, ok := eng.Sum(name); !ok || rec != sum || dg.hash(data) == sum {
+		return false
+	}
+	eng.Quarantine(p, name)
+	dg.onQuarantine(p, src, name)
+	return true
 }
 
 // freshHolder picks the up-to-date holder nearest to dst, excluding
@@ -782,22 +831,24 @@ func (dg *DataGrid) VerifyReplicas(name string) error {
 		if !ok {
 			return fmt.Errorf("%w: %s missing on node %d", ErrNoReplica, name, t)
 		}
-		if len(data) != meta.Size || sha256.Sum256(data) != meta.Sum {
+		if len(data) != meta.Size || dg.hash(data) != meta.Sum {
 			return fmt.Errorf("%w: %s on node %d", ErrBadPayload, name, t)
 		}
 	}
 	return nil
 }
 
-// runTransfer performs one logical transfer with retries, charging
-// checksum CPU on the sender side.
-func (dg *DataGrid) runTransfer(p *vtime.Proc, src, dst topology.NodeID, name string, data []byte) ([]byte, error) {
+// runTransfer performs one logical transfer with retries. sum is the
+// catalogued digest of data, vouched for by the caller: the sender
+// hashes nothing (the virtual checksum charge models reading that digest
+// plus the NIC's pass). A rotten source replica ends it with errRotten.
+func (dg *DataGrid) runTransfer(p *vtime.Proc, src, dst topology.NodeID, name string, data []byte, sum [32]byte) ([]byte, error) {
 	atomic.AddInt64(&dg.stats.Jobs, 1)
 	t0 := dg.k.Now()
 	p.Consume(model.MemcpyPerByte.Cost(len(data))) // checksum pass over the payload
 	var lastErr error
 	for attempt := 1; attempt <= dg.cfg.MaxRetries; attempt++ {
-		got, err := dg.transferOnce(p, src, dst, name, data, attempt)
+		got, err := dg.transferOnce(p, src, dst, name, data, sum, attempt)
 		if err == nil {
 			atomic.AddInt64(&dg.stats.BytesMoved, int64(len(got)))
 			dg.hTransfer.Observe(dg.k.Now().Sub(t0))
@@ -806,6 +857,10 @@ func (dg *DataGrid) runTransfer(p *vtime.Proc, src, dst topology.NodeID, name st
 		lastErr = err
 		atomic.AddInt64(&dg.stats.Retries, 1)
 		dg.tel.Note("datagrid", "transfer retry", int(src), int64(dst), int64(attempt))
+		var te *errTransfer
+		if errors.As(err, &te) && te.rejected && dg.quarantineRotten(p, src, name, data, sum) {
+			return nil, fmt.Errorf("%w: %s on node %d", errRotten, name, src)
+		}
 	}
 	atomic.AddInt64(&dg.stats.Retries, -1) // the final attempt was a failure, not a retry
 	atomic.AddInt64(&dg.stats.Failures, 1)

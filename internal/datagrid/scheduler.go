@@ -1,6 +1,7 @@
 package datagrid
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 
@@ -140,30 +141,43 @@ func (s *scheduler) run(p *vtime.Proc, j *job) {
 	if _, ok := dg.freshCopy(meta, j.dst); ok {
 		return // destination already converged (duplicate submission)
 	}
-	// The job may have queued behind a membership change, a newer
-	// version, or a source crash: replicate only from a reachable
-	// source whose bytes match the catalogued checksum (a stale copy
-	// would transfer "successfully" — the wire verifies the sender's
-	// own checksum, not the catalog's).
-	data, ok := dg.freshCopy(meta, j.src)
-	if !ok || dg.NodeDown(j.src) {
-		src, found := dg.freshHolder(meta, j.dst)
-		if !found {
-			s.fail(fmt.Errorf("%w: %s has no up-to-date source", ErrNoReplica, j.name))
-			atomic.AddInt64(&dg.stats.Failures, 1)
+	for {
+		data, ok := s.source(j, meta, j.dst)
+		if !ok {
 			return
 		}
-		j.src = src
-		data, _ = dg.freshCopy(meta, src)
-	}
-	dg.EngineOn(j.src).Read(p, j.name) // charge the source engine's read
-	got, err := dg.runTransfer(p, j.src, j.dst, j.name, data)
-	if err != nil {
-		s.fail(fmt.Errorf("%s -> node %d: %w", j.name, j.dst, err))
+		dg.EngineOn(j.src).Read(p, j.name) // charge the source engine's read
+		got, err := dg.runTransfer(p, j.src, j.dst, j.name, data, meta.Sum)
+		if errors.Is(err, errRotten) {
+			continue // the source was quarantined: pick another holder
+		}
+		if err != nil {
+			s.fail(fmt.Errorf("%s -> node %d: %w", j.name, j.dst, err))
+			return
+		}
+		dg.storePut(p, j.dst, j.name, got, meta.Sum)
+		s.finishRepair(j, j.dst)
 		return
 	}
-	dg.storePut(p, j.dst, j.name, got, meta.Sum)
-	s.finishRepair(j, j.dst)
+}
+
+// source returns the bytes a job will send, moving j.src to the fresh
+// holder nearest dst when the submitted one cannot serve (the job may
+// have queued behind a membership change, a newer version, a source
+// crash or a quarantine); any other copy could only be rejected.
+func (s *scheduler) source(j *job, meta *ObjectMeta, dst topology.NodeID) ([]byte, bool) {
+	dg := s.dg
+	if data, ok := dg.freshCopy(meta, j.src); ok && !dg.NodeDown(j.src) {
+		return data, true
+	}
+	src, found := dg.freshHolder(meta, dst)
+	if !found {
+		s.fail(fmt.Errorf("%w: %s has no up-to-date source", ErrNoReplica, j.name))
+		atomic.AddInt64(&dg.stats.Failures, 1)
+		return nil, false
+	}
+	j.src = src
+	return dg.freshCopy(meta, src)
 }
 
 // runGroup serves one multi-target replication job with hierarchical
@@ -184,16 +198,9 @@ func (s *scheduler) runGroup(p *vtime.Proc, j *job, meta *ObjectMeta) {
 	if len(remaining) == 0 {
 		return // every destination already converged (or died in queue)
 	}
-	data, ok := dg.freshCopy(meta, j.src)
-	if !ok || dg.NodeDown(j.src) {
-		src, found := dg.freshHolder(meta, remaining[0])
-		if !found {
-			s.fail(fmt.Errorf("%w: %s has no up-to-date source", ErrNoReplica, j.name))
-			atomic.AddInt64(&dg.stats.Failures, 1)
-			return
-		}
-		j.src = src
-		data, _ = dg.freshCopy(meta, src)
+	data, ok := s.source(j, meta, remaining[0])
+	if !ok {
+		return
 	}
 	// Only the submitted full placement set lives in the long-lived
 	// group cache; a fan-out some other worker already partially
@@ -224,7 +231,7 @@ func (s *scheduler) runGroup(p *vtime.Proc, j *job, meta *ObjectMeta) {
 	p.Consume(model.MemcpyPerByte.Cost(len(data))) // checksum pass over the payload
 	var lastErr error
 	for attempt := 1; attempt <= dg.cfg.MaxRetries; attempt++ {
-		got, err := grp.Multicast(p, j.src, j.name, data, attempt)
+		got, err := grp.MulticastSum(p, j.src, j.name, data, meta.Sum, attempt)
 		dg.syncGroupWAN(grp)
 		for _, t := range remaining {
 			if copyBytes, ok := got[t]; ok {
@@ -239,6 +246,11 @@ func (s *scheduler) runGroup(p *vtime.Proc, j *job, meta *ObjectMeta) {
 		}
 		lastErr = err
 		atomic.AddInt64(&dg.stats.Retries, 1)
+		var rejected *group.MulticastError
+		if errors.As(err, &rejected) && dg.quarantineRotten(p, j.src, j.name, data, meta.Sum) {
+			s.runGroup(p, j, meta) // start over from another holder
+			return
+		}
 		next := remaining[:0]
 		for _, t := range remaining {
 			if _, ok := dg.freshCopy(meta, t); !ok {

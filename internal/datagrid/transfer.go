@@ -1,8 +1,8 @@
 package datagrid
 
 import (
-	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -47,18 +47,25 @@ func encodeHeader(name string, size int, sum [32]byte) []byte {
 	return hdr
 }
 
-func encodeFrame(typ byte, val uint64) []byte {
-	f := make([]byte, frameLen)
-	f[0] = typ
-	binary.BigEndian.PutUint64(f[1:], val)
-	return f
+// sendFrame sends one reverse frame out of the receiver's scratch
+// buffer (Channel.Send ends the borrow before it returns).
+func sendFrame(q *vtime.Proc, ch session.Channel, scratch []byte, typ byte, val uint64) error {
+	scratch[0] = typ
+	binary.BigEndian.PutUint64(scratch[1:], val)
+	return ch.Send(q, scratch[:1], scratch[1:frameLen])
 }
 
-// errTransfer wraps per-attempt failures so the scheduler can retry.
+// errRotten: the receiver rejected the bytes and the source replica,
+// found rotten, was quarantined — the caller must re-source.
+var errRotten = errors.New("datagrid: source replica rotten")
+
+// errTransfer wraps per-attempt failures so the scheduler can retry;
+// rejected marks a statusBad answer (possibly a rotten source).
 type errTransfer struct {
 	src, dst topology.NodeID
 	attempt  int
 	cause    string
+	rejected bool
 }
 
 func (e *errTransfer) Error() string {
@@ -69,10 +76,10 @@ func (e *errTransfer) Error() string {
 // returns the bytes as received (and verified) on the dst side. The
 // session manager picks the substrate — local pipe, SAN circuit,
 // (striped) VLink — so this engine is a pure chunk pump: header, chunks
-// under a credit window, status. attempt is 1-based and feeds the
-// fault hook.
+// under a credit window, status. sum rides the header as given.
+// attempt is 1-based and feeds the fault hook.
 func (dg *DataGrid) transferOnce(p *vtime.Proc, src, dst topology.NodeID,
-	name string, data []byte, attempt int) ([]byte, error) {
+	name string, data []byte, sum [32]byte, attempt int) ([]byte, error) {
 	var opts []session.Option
 	if dg.cfg.Streams > 0 {
 		opts = append(opts, session.WithStreams(dg.cfg.Streams))
@@ -105,7 +112,6 @@ func (dg *DataGrid) transferOnce(p *vtime.Proc, src, dst topology.NodeID,
 
 	result := vtime.NewQueue[[]byte]("dg:result")
 	status := vtime.NewQueue[byte]("dg:status")
-	sum := sha256.Sum256(data)
 
 	// Receiver side (dst) drives the remote end.
 	dg.k.GoDaemon(fmt.Sprintf("dg-recv:%s", name), func(q *vtime.Proc) {
@@ -155,7 +161,7 @@ func (dg *DataGrid) transferOnce(p *vtime.Proc, src, dst topology.NodeID,
 	}
 	if err := ch.Send(p, hdrSegs...); err != nil {
 		ch.Close()
-		return nil, &errTransfer{src, dst, attempt, "header: " + err.Error()}
+		return nil, &errTransfer{src: src, dst: dst, attempt: attempt, cause: "header: " + err.Error()}
 	}
 	chunk := dg.cfg.ChunkBytes
 	window := dg.cfg.WindowBytes
@@ -188,14 +194,14 @@ func (dg *DataGrid) transferOnce(p *vtime.Proc, src, dst topology.NodeID,
 	st, ok := status.PopTimeout(p, tmo)
 	ch.Close() // receiver unblocks on EOF if it is still draining
 	if !ok {
-		return nil, &errTransfer{src, dst, attempt, "status timeout"}
+		return nil, &errTransfer{src: src, dst: dst, attempt: attempt, cause: "status timeout"}
 	}
 	if st != statusOK {
-		return nil, &errTransfer{src, dst, attempt, "checksum rejected by receiver"}
+		return nil, &errTransfer{src: src, dst: dst, attempt: attempt, cause: "checksum rejected by receiver", rejected: true}
 	}
 	out, ok := result.TryPop()
 	if !ok {
-		return nil, &errTransfer{src, dst, attempt, "receiver reported ok without data"}
+		return nil, &errTransfer{src: src, dst: dst, attempt: attempt, cause: "receiver reported ok without data"}
 	}
 	return out, nil
 }
@@ -228,6 +234,7 @@ func (dg *DataGrid) recvTransfer(q *vtime.Proc, ch session.Channel, attempt int,
 		dg.tel.SetCur(telemetry.DecodeCtx(ctxSeg[0]))
 	}
 	buf := make([]byte, size)
+	scratch := make([]byte, 16) // reverse frames out, then the closing drain in
 	received := 0
 	for received < size {
 		n, err := ch.Read(q, buf[received:])
@@ -235,13 +242,12 @@ func (dg *DataGrid) recvTransfer(q *vtime.Proc, ch session.Channel, attempt int,
 		if err != nil {
 			return // sender gave up; no status to send
 		}
-		f := encodeFrame(frameCredit, uint64(received))
-		if err := ch.Send(q, f[:1], f[1:]); err != nil {
+		if err := sendFrame(q, ch, scratch, frameCredit, uint64(received)); err != nil {
 			return
 		}
 	}
 	q.Consume(model.MemcpyPerByte.Cost(size)) // store write
-	ok := sha256.Sum256(buf) == want
+	ok := dg.hash(buf) == want                // the arrival check: this path's one pass
 	if ok && dg.cfg.InjectFault != nil && dg.cfg.InjectFault(name, attempt) {
 		ok = false
 	}
@@ -250,15 +256,13 @@ func (dg *DataGrid) recvTransfer(q *vtime.Proc, ch session.Channel, attempt int,
 		result.Push(buf)
 		st = statusOK
 	}
-	f := encodeFrame(frameStatus, uint64(st))
-	if err := ch.Send(q, f[:1], f[1:]); err != nil {
+	if err := sendFrame(q, ch, scratch, frameStatus, uint64(st)); err != nil {
 		return
 	}
 	// Hold the channel open until the sender has read the status and
 	// closed; closing first could truncate the reverse stream.
-	small := make([]byte, 16)
 	for {
-		if _, err := ch.Read(q, small); err != nil {
+		if _, err := ch.Read(q, scratch); err != nil {
 			return
 		}
 	}

@@ -145,10 +145,22 @@ type Group struct {
 	// site leaders and routes around the body.
 	dead map[topology.NodeID]bool
 
-	stats Stats
-	tel   *telemetry.Hub
-	hOp   *telemetry.Histogram
+	stats  Stats
+	hashed int64 // see hash; read through HashedBytes, not a registry metric
+	tel    *telemetry.Hub
+	hOp    *telemetry.Histogram
 }
+
+// hash is the group's only pass over payload bytes: the end-to-end
+// check at each receiving member.
+func (g *Group) hash(b []byte) [32]byte {
+	g.hashed += int64(len(b))
+	return sha256.Sum256(b)
+}
+
+// HashedBytes returns how many payload bytes the group's members have
+// hashed so far: one pass per delivery, none at MulticastSum's root.
+func (g *Group) HashedBytes() int64 { return g.hashed }
 
 // Stats returns a consistent copy of the group's counters.
 func (g *Group) Stats() Stats {
@@ -527,20 +539,17 @@ func encodeMcastHeader(tag string, size int, sum [32]byte, attempt int) []byte {
 }
 
 func sendStatus(q *vtime.Proc, ch session.Channel, failed []topology.NodeID) error {
-	okb := byte(1)
-	if len(failed) > 0 {
-		okb = 0
-	}
-	var nbuf [2]byte
-	binary.BigEndian.PutUint16(nbuf[:], uint16(len(failed)))
+	var f [3]byte // both fixed segments in one scratch: Send ends the borrow
+	binary.BigEndian.PutUint16(f[1:], uint16(len(failed)))
 	if len(failed) == 0 {
-		return ch.Send(q, []byte{okb}, nbuf[:])
+		f[0] = 1
+		return ch.Send(q, f[:1], f[1:])
 	}
 	ids := make([]byte, 4*len(failed))
 	for i, n := range failed {
 		binary.BigEndian.PutUint32(ids[4*i:], uint32(n))
 	}
-	return ch.Send(q, []byte{okb}, nbuf[:], ids)
+	return ch.Send(q, f[:1], f[1:], ids)
 }
 
 func recvStatus(q *vtime.Proc, ch session.Channel) (ok bool, failed []topology.NodeID, err error) {
@@ -565,17 +574,24 @@ func recvStatus(q *vtime.Proc, ch session.Channel) (ok bool, failed []topology.N
 // ---------------------------------------------------------------------
 // Multicast.
 
-// Multicast distributes data from root to every other member through
-// the spanning tree, with chunked pipelining and sha256 end-to-end
-// verification at each member. It returns the verified copy received
-// by each non-root member. attempt is 1-based and tags the operation
-// for the fault-injection hook and retry diagnostics; pass 1 unless
-// retrying. On partial failure the returned map holds the members that
-// did verify and the error is a *MulticastError listing those that did
-// not. On ErrEdgeFailed (a died or timed-out edge) the map is nil: a
-// straggler relay may still be consuming its delivery virtual time, so
-// no delivery set can be handed out safely.
+// Multicast is MulticastSum for a caller that holds no digest of data:
+// it hashes the payload once, at the root.
 func (g *Group) Multicast(p *vtime.Proc, root topology.NodeID, tag string, data []byte, attempt int) (map[topology.NodeID][]byte, error) {
+	return g.MulticastSum(p, root, tag, data, sha256.Sum256(data), attempt)
+}
+
+// MulticastSum distributes data from root to every other member through
+// the spanning tree, with chunked pipelining and sha256 end-to-end
+// verification at each member against sum — the digest of data, vouched
+// for by the caller (the root never hashes). It returns the verified
+// copy received by each non-root member. attempt is 1-based and tags
+// the operation for the fault-injection hook and retry diagnostics; pass
+// 1 unless retrying. On partial failure the returned map holds the
+// members that did verify and the error is a *MulticastError listing
+// those that did not. On ErrEdgeFailed (a died or timed-out edge) the
+// map is nil: a straggler relay may still be consuming its delivery
+// virtual time, so no delivery set can be handed out safely.
+func (g *Group) MulticastSum(p *vtime.Proc, root topology.NodeID, tag string, data []byte, sum [32]byte, attempt int) (map[topology.NodeID][]byte, error) {
 	sp := g.tel.Begin("group", "multicast", int(root))
 	if sp != nil {
 		sp.Str("tag", tag).I64("bytes", int64(len(data))).
@@ -612,7 +628,6 @@ func (g *Group) Multicast(p *vtime.Proc, root topology.NodeID, tag string, data 
 
 	// Root: header then chunks to each child, long-latency hops first.
 	kids := downChannels(t, chans, root)
-	sum := sha256.Sum256(data)
 	hdr := encodeMcastHeader(tag, len(data), sum, attempt)
 	hdrSegs := [][]byte{hdr, []byte(tag)}
 	if g.tel.Tracing() {
@@ -748,7 +763,7 @@ func (g *Group) relayMulticast(q *vtime.Proc, self topology.NodeID,
 		}
 	}
 	q.Consume(model.MemcpyPerByte.Cost(size)) // hand the copy to the consumer
-	ok := sha256.Sum256(buf) == want
+	ok := g.hash(buf) == want
 	if ok && g.cfg.InjectFault != nil && g.cfg.InjectFault(string(tagSeg[0]), self, attempt) {
 		ok = false
 	}

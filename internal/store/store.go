@@ -51,12 +51,14 @@ var (
 // snapshots race-free after Run).
 type Engine interface {
 	// Put stores (or replaces) key. data may be retained by the engine
-	// until the key is rewritten, deleted or quarantined; sum is the
-	// catalogued sha256 the auditor will scrub against.
+	// until the key is rewritten, deleted or quarantined. sum is vouched
+	// for by the caller and recorded unchecked: it is what Sum reports
+	// and what Verify and the auditor scrub against.
 	Put(p *vtime.Proc, key string, data []byte, sum [32]byte) error
 	// Get returns a zero-copy view of the stored bytes without charging
 	// virtual I/O time — the catalog/verification peek. The view is
-	// valid until the key is rewritten, deleted or quarantined.
+	// valid until the key is rewritten, deleted or quarantined; a
+	// cold-loaded view is unverified until Verify.
 	Get(key string) ([]byte, bool)
 	// Read is Get on the transfer-source path: the same view, with the
 	// engine's virtual read cost charged (a pack cold load pays
