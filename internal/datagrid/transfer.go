@@ -147,11 +147,14 @@ func (dg *DataGrid) transferOnce(p *vtime.Proc, src, dst topology.NodeID,
 		}
 	})
 
-	// Sender (runs in the worker proc). The chunk pump below writes
-	// views of the caller's data verbatim: on a vectored VLink stack
-	// the bytes are packed exactly once (into the TCP send queue), on a
-	// Circuit they ride incremental packing — no datagrid-level copy in
-	// either paradigm.
+	// Sender (runs in the worker proc). The chunk pump below lends views
+	// of the caller's data (WriteLent): data is a stored replica or a
+	// Put buffer nobody mutates while the job retries, and the status
+	// frame below is what ends the loan. On a vectored VLink stack the
+	// bytes are packed exactly once (into the TCP send queue), on a
+	// Circuit they ride incremental packing by reference and on the
+	// local pipe the receiver reads them in place — no datagrid-level
+	// copy in either paradigm; the receiver's buf is the only one.
 	// When tracing, the header carries the transfer's trace context so
 	// the destination adopts the request's identity from the wire — the
 	// cross-node link is in the bytes, not just in spawn ancestry.
@@ -177,7 +180,7 @@ func (dg *DataGrid) transferOnce(p *vtime.Proc, src, dst topology.NodeID,
 			break
 		}
 		csp := dg.tel.Begin("datagrid", "chunk", int(src)).Parent(sp).I64("off", int64(off))
-		_, werr := ch.Write(p, data[off:end])
+		_, werr := ch.WriteLent(p, data[off:end])
 		csp.End()
 		if werr != nil {
 			failed = true

@@ -648,7 +648,8 @@ func (g *Group) MulticastSum(p *vtime.Proc, root topology.NodeID, tag string, da
 			end = len(data)
 		}
 		for _, ch := range kids {
-			if _, err := ch.Write(p, data[off:end]); err != nil {
+			// Lent: the caller holds data until the status wave is in.
+			if _, err := ch.WriteLent(p, data[off:end]); err != nil {
 				sendErr = err
 				break
 			}
@@ -747,12 +748,14 @@ func (g *Group) relayMulticast(q *vtime.Proc, self topology.NodeID,
 	for received < size {
 		n, err := up.Read(q, buf[received:])
 		if n > 0 {
-			// Relay = retain + forward: the received bytes are written
-			// downstream verbatim as views of this member's single
-			// materialization — no re-framing, and the vectored driver
-			// stacks below add no further copies.
+			// Relay = retain + forward: the received bytes are lent
+			// downstream as views of this member's single
+			// materialization — buf is only ever appended to, and the
+			// subtree's statuses come back before it is handed out — so
+			// there is no re-framing and no copy on a message substrate,
+			// and the vectored driver stacks add none of their own.
 			for _, ch := range down {
-				if _, werr := ch.Write(q, buf[received:received+n]); werr != nil {
+				if _, werr := ch.WriteLent(q, buf[received:received+n]); werr != nil {
 					return
 				}
 			}

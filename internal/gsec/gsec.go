@@ -29,6 +29,11 @@ import (
 // ErrAuth is returned when the peer fails the handshake.
 var ErrAuth = errors.New("gsec: authentication failed")
 
+// ErrIntegrity fails a connection that received a record whose MAC does
+// not verify: nothing from that record on is delivered, and the pending
+// and every later read complete with it.
+var ErrIntegrity = errors.New("gsec: record integrity failure")
+
 const (
 	nonceLen  = 16
 	macLen    = 16 // truncated HMAC-SHA256
@@ -214,11 +219,17 @@ type secConn struct {
 	// large one's when an upper wrapper pipelines writes.
 	wHorizon vtime.Time
 
-	fp   iovec.Fifo
-	rx   iovec.Fifo
-	eof  bool
-	rbuf []byte
-	rcb  func(int, error)
+	// Reassembly: the 4-byte length sizes the pooled buffer the record's
+	// ciphertext and MAC are then received into; a verified record is
+	// decrypted in place and queues in rx, where reads consume it.
+	hdr    [recHdrLen]byte
+	got    int        // bytes so far of hdr, then of rec
+	rec    *iovec.Buf // the record being received; nil between records
+	rx     iovec.Queue
+	rerr   error // io.EOF or ErrIntegrity once the inbound stream ended
+	closed bool
+	rbuf   []byte
+	rcb    func(int, error)
 }
 
 func newSecConn(d *Driver, inner vlink.Conn, session []byte) (*secConn, error) {
@@ -232,9 +243,11 @@ func newSecConn(d *Driver, inner vlink.Conn, session []byte) (*secConn, error) {
 	var pump func(n int, err error)
 	pump = func(n int, err error) {
 		c.feed(buf[:n])
+		if c.rerr != nil {
+			return // integrity failure: feed closed the inner conn
+		}
 		if err != nil {
-			c.eof = true
-			c.tryComplete()
+			c.endRead(io.EOF)
 			return
 		}
 		inner.PostRead(buf, pump)
@@ -305,41 +318,72 @@ func (c *secConn) PostWritev(v iovec.Vec, cb func(int, error)) {
 	})
 }
 
+// feed consumes stream bytes: each is copied once, into the header or
+// into the record buffer it is verified, decrypted and read from.
 func (c *secConn) feed(data []byte) {
-	c.fp.Write(data)
-	for c.fp.Len() >= recHdrLen {
-		fb := c.fp.Bytes()
-		n := int(binary.BigEndian.Uint32(fb))
-		if c.fp.Len() < recHdrLen+n+macLen {
+	for !c.orphaned() {
+		if c.rec == nil {
+			if !iovec.Fill(c.hdr[:], &c.got, &data) {
+				break
+			}
+			c.rec, c.got = iovec.Get(int(binary.BigEndian.Uint32(c.hdr[:]))+macLen), 0
+		}
+		if !iovec.Fill(c.rec.Bytes(), &c.got, &data) {
 			break
 		}
-		ct := fb[recHdrLen : recHdrLen+n]
-		mac := fb[recHdrLen+n : recHdrLen+n+macLen]
+		rb := c.rec.Bytes()
+		ct, mac := rb[:len(rb)-macLen], rb[len(rb)-macLen:]
 		ctr := c.rIV
 		c.rIV++
 		if !hmac.Equal(mac, c.mac(ctr, ct)) {
-			panic("gsec: record integrity failure")
+			c.inner.Close()
+			c.endRead(ErrIntegrity)
+			return
 		}
-		// Decrypt straight into the reassembly buffer (single copy).
-		c.ctrStream(ctr).XORKeyStream(c.rx.Grow(len(ct)), ct)
-		c.fp.Consume(recHdrLen + n + macLen)
+		c.ctrStream(ctr).XORKeyStream(ct, ct)
+		c.rx.Push(c.rec, ct)
+		c.rec, c.got = nil, 0
 	}
 	c.tryComplete()
 }
 
+// endRead ends the inbound stream: a half-received record is dropped,
+// and reads complete with err once what is queued has been consumed.
+func (c *secConn) endRead(err error) {
+	c.rerr = err
+	c.dropPartial()
+	c.tryComplete()
+}
+
+func (c *secConn) dropPartial() {
+	if c.rec != nil {
+		c.rec.Release()
+		c.rec = nil
+	}
+}
+
+// orphaned reports that nobody is left to read: the conn was closed and
+// the read posted before that, if any, has completed. (The wrappers
+// that pump a conn re-post from inside the completion; VLink posts
+// nothing after Close.) The inner conn is still read to its EOF, but
+// what arrives is dropped.
+func (c *secConn) orphaned() bool { return c.closed && c.rcb == nil }
+
 func (c *secConn) tryComplete() {
-	if c.rcb == nil || (c.rx.Len() == 0 && !c.eof) {
-		return
+	if c.rcb != nil && (c.rx.Len() > 0 || c.rerr != nil) {
+		n := c.rx.Read(c.rbuf)
+		cb := c.rcb
+		c.rcb, c.rbuf = nil, nil
+		var err error
+		if n == 0 {
+			err = c.rerr
+		}
+		cb(n, err)
 	}
-	n := copy(c.rbuf, c.rx.Bytes())
-	c.rx.Consume(n)
-	cb := c.rcb
-	c.rcb, c.rbuf = nil, nil
-	var err error
-	if n == 0 && c.eof {
-		err = io.EOF
+	if c.orphaned() {
+		c.dropPartial()
+		c.rx.Release()
 	}
-	cb(n, err)
 }
 
 // PostRead implements vlink.Conn.
@@ -351,5 +395,11 @@ func (c *secConn) PostRead(buf []byte, cb func(int, error)) {
 	c.tryComplete()
 }
 
-// Close implements vlink.Conn.
-func (c *secConn) Close() { c.inner.Close() }
+// Close implements vlink.Conn. A read still posted completes as if the
+// conn were open (with the next bytes, or the error that ends the
+// stream); everything else received goes back to the pool.
+func (c *secConn) Close() {
+	c.closed = true
+	c.tryComplete()
+	c.inner.Close()
+}

@@ -390,6 +390,64 @@ func (f *Fifo) Consume(n int) {
 	}
 }
 
+// Queue is the delivery side of a stream reassembler whose bodies
+// already sit in the pooled buffers they arrived into (see Fill):
+// completed buffers queue in order and are read head-first as one byte
+// stream, each released as its last byte is copied out. The zero value
+// is an empty queue.
+type Queue struct {
+	segs []Seg
+	head int // first unread segment
+	n    int // unread bytes
+}
+
+// Push appends view, a region of owner's bytes, and takes over the
+// caller's reference to owner. An empty view is released on the spot.
+func (q *Queue) Push(owner *Buf, view []byte) {
+	if len(view) == 0 {
+		owner.Release()
+		return
+	}
+	if q.head > 0 && len(q.segs) == cap(q.segs) {
+		q.segs = q.segs[:copy(q.segs, q.segs[q.head:])]
+		q.head = 0
+	}
+	q.segs = append(q.segs, Seg{B: view, Owner: owner})
+	q.n += len(view)
+}
+
+// Len returns the unread byte count.
+func (q *Queue) Len() int { return q.n }
+
+// Read copies the next unread bytes into dst — everything queued, up to
+// len(dst) — and returns the count.
+func (q *Queue) Read(dst []byte) int {
+	total := 0
+	for total < len(dst) && q.head < len(q.segs) {
+		s := &q.segs[q.head]
+		n := copy(dst[total:], s.B)
+		total += n
+		if s.B = s.B[n:]; len(s.B) == 0 {
+			s.Owner.Release()
+			*s = Seg{}
+			q.head++
+		}
+	}
+	q.n -= total
+	if q.head == len(q.segs) {
+		q.segs, q.head = q.segs[:0], 0
+	}
+	return total
+}
+
+// Release drops every unread buffer and empties the queue.
+func (q *Queue) Release() {
+	for _, s := range q.segs[q.head:] {
+		s.Owner.Release()
+	}
+	*q = Queue{}
+}
+
 // Fill moves bytes from the front of *src to dst[*got:], advancing both,
 // and reports whether dst is full. It is the step of a stream
 // reassembler that knows the size of what it is waiting for (a fixed

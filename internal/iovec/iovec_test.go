@@ -279,3 +279,49 @@ func TestWriteToGathersSegments(t *testing.T) {
 	}
 	b.Release()
 }
+
+// Queue reads pushed views back as one stream whatever the read sizes,
+// releases each buffer exactly as its last byte is copied out, releases
+// an empty view at once, and hands back the rest on Release.
+func TestQueueReadsHeadFirstAndReleases(t *testing.T) {
+	base := Outstanding()
+	var q Queue
+	var want []byte
+	for i := 0; i < 40; i++ {
+		b := Get(10 + i)
+		for j := range b.Bytes() {
+			b.Bytes()[j] = byte(i)
+		}
+		view := b.Bytes()[:len(b.Bytes())-3] // a trailer stays out of the stream
+		if i%7 == 0 {
+			view = view[:0]
+		}
+		want = append(want, view...)
+		q.Push(b, view)
+		if len(view) == 0 && b.Refs() != 0 {
+			t.Fatal("an empty view was queued instead of released")
+		}
+		if i%3 == 2 { // interleave reads so the head index advances under pushes
+			got := make([]byte, 25)
+			n := q.Read(got)
+			if !bytes.Equal(got[:n], want[:n]) {
+				t.Fatalf("push %d: read %d bytes out of order", i, n)
+			}
+			want = want[n:]
+		}
+	}
+	if q.Len() != len(want) {
+		t.Fatalf("Len = %d, want %d", q.Len(), len(want))
+	}
+	got := make([]byte, len(want)-5)
+	if n := q.Read(got); n != len(got) || !bytes.Equal(got, want[:n]) {
+		t.Fatalf("bulk read: %d bytes, identical=%v", n, bytes.Equal(got, want[:n]))
+	}
+	if Outstanding() != base+1 {
+		t.Fatalf("%d buffers out with 5 bytes of the last one unread, want 1", Outstanding()-base)
+	}
+	q.Release()
+	if q.Len() != 0 || q.Read(got) != 0 || Outstanding() != base {
+		t.Fatalf("after Release: Len=%d, %d buffers out", q.Len(), Outstanding()-base)
+	}
+}

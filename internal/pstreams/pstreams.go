@@ -157,11 +157,15 @@ type conn struct {
 	nextW   int    // round-robin writer cursor
 	seqW    uint64 // next chunk sequence number
 
-	// Reassembly.
+	// Reassembly: each stripe fills the chunk it is receiving in place
+	// (filling), complete chunks wait in stash for their turn, then
+	// queue in rx, where reads consume them head-first.
 	nextSeq uint64
+	filling []*iovec.Buf // per stripe; nil between chunks
 	stash   map[uint64]*iovec.Buf
-	rx      iovec.Fifo
+	rx      iovec.Queue
 	eofs    int
+	closed  bool
 	rbuf    []byte
 	rcb     func(int, error)
 }
@@ -170,7 +174,8 @@ type conn struct {
 const chunkHdrLen = 12
 
 func newConn(d *Driver, streams []vlink.Conn) *conn {
-	c := &conn{d: d, streams: streams, stash: make(map[uint64]*iovec.Buf)}
+	c := &conn{d: d, streams: streams, stash: make(map[uint64]*iovec.Buf),
+		filling: make([]*iovec.Buf, len(streams))}
 	// Size per-stripe socket windows so the aggregate slightly exceeds
 	// the path BDP instead of multiplying the default window by the
 	// stripe count (which would just fill bottleneck queues and drop).
@@ -182,8 +187,8 @@ func newConn(d *Driver, streams []vlink.Conn) *conn {
 			}
 		}
 	}
-	for _, s := range streams {
-		c.startReader(s)
+	for i := range streams {
+		c.startReader(i)
 	}
 	return c
 }
@@ -194,29 +199,35 @@ func (c *conn) Kernel() *vtime.Kernel { return c.d.k }
 // Peer implements vlink.Conn.
 func (c *conn) Peer() topology.NodeID { return c.streams[0].Peer() }
 
-// startReader pumps one stripe into the reassembler.
-func (c *conn) startReader(s vlink.Conn) {
-	var fp iovec.Fifo
+// startReader pumps stripe i into the reassembler. The 12-byte header
+// says how long the body is before the body arrives, so every byte read
+// off the stripe is copied once, straight into the pooled chunk it will
+// be consumed from.
+func (c *conn) startReader(i int) {
+	s := c.streams[i]
+	var hdr [chunkHdrLen]byte
+	got := 0 // bytes so far of the header, then of the body
 	buf := make([]byte, ChunkSize+chunkHdrLen)
 	var pump func(n int, err error)
 	pump = func(n int, err error) {
-		fp.Write(buf[:n])
-		for fp.Len() >= chunkHdrLen {
-			fb := fp.Bytes()
-			seq := binary.BigEndian.Uint64(fb)
-			ln := int(binary.BigEndian.Uint32(fb[8:]))
-			if fp.Len() < chunkHdrLen+ln {
+		for data := buf[:n]; !c.orphaned(); {
+			if c.filling[i] == nil {
+				if !iovec.Fill(hdr[:], &got, &data) {
+					break
+				}
+				c.filling[i], got = iovec.Get(int(binary.BigEndian.Uint32(hdr[8:]))), 0
+			}
+			if !iovec.Fill(c.filling[i].Bytes(), &got, &data) {
 				break
 			}
-			stashed := iovec.Get(ln)
-			copy(stashed.Bytes(), fb[chunkHdrLen:chunkHdrLen+ln])
-			c.stash[seq] = stashed
-			fp.Consume(chunkHdrLen + ln)
+			c.stash[binary.BigEndian.Uint64(hdr[:])] = c.filling[i]
+			c.filling[i], got = nil, 0
 		}
 		c.drain()
 		if err != nil {
 			c.eofs++
 			if c.eofs == len(c.streams) {
+				c.dropPartial()
 				c.drain() // deliver EOF if a read is pending
 			}
 			return
@@ -226,7 +237,30 @@ func (c *conn) startReader(s vlink.Conn) {
 	s.PostRead(buf, pump)
 }
 
-// drain moves in-order chunks to rx and completes a pending read.
+// dropPartial releases what can no longer become stream bytes: chunks
+// stashed behind a gap and half-received bodies.
+func (c *conn) dropPartial() {
+	for _, b := range c.stash {
+		b.Release()
+	}
+	clear(c.stash)
+	for i, b := range c.filling {
+		if b != nil {
+			b.Release()
+			c.filling[i] = nil
+		}
+	}
+}
+
+// orphaned reports that nobody is left to read: the conn was closed and
+// the read posted before that, if any, has completed. (The wrappers
+// that pump a conn re-post from inside the completion; VLink posts
+// nothing after Close.) The stripes are still read to their EOF, as
+// TCP's half-close has it, but what arrives is dropped.
+func (c *conn) orphaned() bool { return c.closed && c.rcb == nil }
+
+// drain moves in-order chunks to rx and completes a pending read with
+// everything queued, up to the size of its buffer.
 func (c *conn) drain() {
 	for {
 		chunk, ok := c.stash[c.nextSeq]
@@ -235,25 +269,22 @@ func (c *conn) drain() {
 		}
 		delete(c.stash, c.nextSeq)
 		c.nextSeq++
-		c.rx.Write(chunk.Bytes())
-		chunk.Release()
+		c.rx.Push(chunk, chunk.Bytes())
 	}
-	if c.rcb == nil {
-		return
-	}
-	if c.rx.Len() == 0 {
-		if c.eofs == len(c.streams) {
-			cb := c.rcb
-			c.rcb, c.rbuf = nil, nil
-			cb(0, io.EOF)
+	if c.rcb != nil && (c.rx.Len() > 0 || c.eofs == len(c.streams)) {
+		var err error
+		if c.rx.Len() == 0 {
+			err = io.EOF
 		}
-		return
+		n := c.rx.Read(c.rbuf)
+		cb := c.rcb
+		c.rcb, c.rbuf = nil, nil
+		cb(n, err)
 	}
-	n := copy(c.rbuf, c.rx.Bytes())
-	c.rx.Consume(n)
-	cb := c.rcb
-	c.rcb, c.rbuf = nil, nil
-	cb(n, nil)
+	if c.orphaned() {
+		c.dropPartial()
+		c.rx.Release()
+	}
 }
 
 // PostRead implements vlink.Conn.
@@ -321,8 +352,12 @@ func postv(s vlink.Conn, frame iovec.Vec, cb func(int, error)) {
 	})
 }
 
-// Close implements vlink.Conn.
+// Close implements vlink.Conn. A read still posted completes as if the
+// conn were open (with the next bytes, or io.EOF once every stripe has
+// reported its own); everything else received goes back to the pool.
 func (c *conn) Close() {
+	c.closed = true
+	c.drain()
 	for _, s := range c.streams {
 		s.Close()
 	}

@@ -612,7 +612,7 @@ func (e *adaptiveEnd) sendRecord(p *vtime.Proc, kind byte, segs [][]byte) error 
 	if e.closed || st.done {
 		return ErrClosed
 	}
-	rec := record{kind: kind, seq: e.tx.sendNext, segs: copySegs(segs),
+	rec := record{kind: kind, seq: e.tx.sendNext, segs: copySegs(segs, false),
 		ctx: st.mgr.k.TraceCtx()}
 	recBytes := 0
 	for _, s := range rec.segs {
@@ -760,6 +760,12 @@ func (e *adaptiveEnd) Write(p *vtime.Proc, data []byte) (int, error) {
 		off = end
 	}
 	return total, nil
+}
+
+// WriteLent implements Channel: the replay log keeps its own clone of
+// every record, so there is nothing to lend.
+func (e *adaptiveEnd) WriteLent(p *vtime.Proc, data []byte) (int, error) {
+	return e.Write(p, data)
 }
 
 // Read implements Channel: next stream bytes, record by record.

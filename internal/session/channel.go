@@ -19,10 +19,13 @@ import (
 
 type msgChannel struct {
 	info    Info
-	mgr     *Manager            // for the weather passive tap (may be nil in tests)
-	observe bool                // selector-driven channel: report at close
-	opened  vtime.Time          // when the channel was provisioned
-	sendf   func(segs [][]byte) // substrate transmit (kernel-context safe)
+	mgr     *Manager   // for the weather passive tap (may be nil in tests)
+	observe bool       // selector-driven channel: report at close
+	opened  vtime.Time // when the channel was provisioned
+	// sendf is the substrate transmit (kernel-context safe). It clones
+	// every segment before it returns, except the last one when lend is
+	// set: that one travels by reference (WriteLent).
+	sendf func(segs [][]byte, lend bool)
 	// closef releases the substrate once, when this end closes (nil for
 	// the pipe, the session release hook for circuits).
 	closef func()
@@ -93,7 +96,8 @@ func (c *msgChannel) waitMessage(p *vtime.Proc) ([][]byte, error) {
 	}
 }
 
-// Send implements Channel: one packed message (or pipe delivery).
+// Send implements Channel: one packed message (or pipe delivery), every
+// segment cloned before return.
 func (c *msgChannel) Send(p *vtime.Proc, segs ...[]byte) error {
 	if c.failErr != nil {
 		return c.failErr
@@ -108,14 +112,15 @@ func (c *msgChannel) Send(p *vtime.Proc, segs ...[]byte) error {
 	c.info.Sends++
 	c.info.BytesOut += int64(n)
 	c.sent++
-	c.sendf(segs)
+	c.sendf(segs, false)
 	return nil
 }
 
 // SendVec implements Channel: the vector's segments become the packed
 // message's segments — iovec views and Circuit incremental packing are
-// the same shape, so no flattening happens. The substrate copies
-// (SendSafer / pipe clone), which ends the borrow before return.
+// the same shape, so no flattening happens. Like Send and Write it
+// clones (Circuit SendSafer / pipe clone): the borrow ends before
+// return. Only WriteLent lends.
 func (c *msgChannel) SendVec(p *vtime.Proc, v iovec.Vec) error {
 	segs := make([][]byte, len(v.Segs))
 	for i, s := range v.Segs {
@@ -163,8 +168,20 @@ func (c *msgChannel) Recv(p *vtime.Proc, sizes ...int) ([][]byte, error) {
 // refactor moves identical bytes.
 const streamLenSeg = 4
 
-// Write implements Channel: one self-describing message per call.
+// Write implements Channel: one self-describing message per call, data
+// cloned before return.
 func (c *msgChannel) Write(p *vtime.Proc, data []byte) (int, error) {
+	return c.write(data, false)
+}
+
+// WriteLent implements Channel: Write's message with the payload packed
+// SendLater on a circuit, delivered as is on the pipe. The peer's Read
+// copies out of the caller's memory.
+func (c *msgChannel) WriteLent(p *vtime.Proc, data []byte) (int, error) {
+	return c.write(data, true)
+}
+
+func (c *msgChannel) write(data []byte, lend bool) (int, error) {
 	if c.failErr != nil {
 		return 0, c.failErr
 	}
@@ -176,7 +193,7 @@ func (c *msgChannel) Write(p *vtime.Proc, data []byte) (int, error) {
 	c.info.Sends++
 	c.info.BytesOut += int64(len(data))
 	c.sent++
-	c.sendf([][]byte{lenSeg[:], data})
+	c.sendf([][]byte{lenSeg[:], data}, lend)
 	return len(data), nil
 }
 
@@ -358,6 +375,12 @@ func (c *vlinkChannel) Write(p *vtime.Proc, data []byte) (int, error) {
 	n, err := c.v.Write(p, data)
 	c.info.BytesOut += int64(n)
 	return n, err
+}
+
+// WriteLent implements Channel: VLink.Write returns once the bytes sit
+// in the driver's send queue, so there is nothing left to lend.
+func (c *vlinkChannel) WriteLent(p *vtime.Proc, data []byte) (int, error) {
+	return c.Write(p, data)
 }
 
 // Remote implements Channel.

@@ -74,7 +74,8 @@ var (
 // callable from kernel context.
 type Channel interface {
 	// Send transmits one logical message as a vector of segments: one
-	// packed message on a Circuit, one gather-write on a stream.
+	// packed message on a Circuit, one gather-write on a stream. The
+	// segments are borrowed only until Send returns.
 	Send(p *vtime.Proc, segs ...[]byte) error
 	// SendVec is Send over an iovec segment vector — the shared
 	// representation of Circuit incremental packing and the stream
@@ -98,8 +99,17 @@ type Channel interface {
 	Read(p *vtime.Proc, buf []byte) (int, error)
 	// ReadFull blocks until len(buf) bytes arrived (or EOF).
 	ReadFull(p *vtime.Proc, buf []byte) (int, error)
-	// Write blocks until data is fully accepted by the substrate.
+	// Write blocks until data is fully accepted by the substrate. Like
+	// Send and SendVec it ends the borrow: the caller may overwrite data
+	// as soon as it returns.
 	Write(p *vtime.Proc, data []byte) (int, error)
+	// WriteLent is Write for a caller that vouches for its buffer — the
+	// paper's send_LATER: the same bytes and events as Write, but data
+	// may travel by reference and must stay immutable until the peer has
+	// consumed it, which the caller learns from its own protocol (a
+	// status frame coming back). Substrates that copy anyway (VLink,
+	// adaptive) treat it as Write.
+	WriteLent(p *vtime.Proc, data []byte) (int, error)
 	// Remote returns the peer end of the session. In this simulated
 	// single-process world the opener hands it to the destination
 	// node's proc — the rendezvous the PadicoTM bootstrap would do.
@@ -578,8 +588,8 @@ func (m *Manager) openLocal(src, dst topology.NodeID, cls selector.PathClass, de
 	a.mgr, b.mgr = m, m
 	a.opened, b.opened = m.k.Now(), m.k.Now()
 	a.peer, b.peer = b, a
-	a.sendf = func(segs [][]byte) { b.deliver(copySegs(segs)) }
-	b.sendf = func(segs [][]byte) { a.deliver(copySegs(segs)) }
+	a.sendf = func(segs [][]byte, lend bool) { b.deliver(copySegs(segs, lend)) }
+	b.sendf = func(segs [][]byte, lend bool) { a.deliver(copySegs(segs, lend)) }
 	return a
 }
 
@@ -652,12 +662,17 @@ func (m *Manager) openCircuit(p *vtime.Proc, src, dst topology.NodeID, cls selec
 
 // circuitSend packs one message to the fixed peer rank. The circuit
 // charges the abstraction cost; segments are copied (SendSafer) so
-// callers may reuse their buffers.
-func circuitSend(c *circuit.Circuit, dst int) func([][]byte) {
-	return func(segs [][]byte) {
+// callers may reuse their buffers, except a lent last segment, which is
+// packed SendLater and reaches the peer's Unpack by reference.
+func circuitSend(c *circuit.Circuit, dst int) func([][]byte, bool) {
+	return func(segs [][]byte, lend bool) {
 		out := c.BeginPacking(dst)
-		for _, s := range segs {
-			out.Pack(s, madapi.SendSafer)
+		for i, s := range segs {
+			mode := madapi.SendSafer
+			if lend && i == len(segs)-1 {
+				mode = madapi.SendLater
+			}
+			out.Pack(s, mode)
 		}
 		out.EndPacking()
 	}
@@ -704,9 +719,16 @@ func (m *Manager) openVLink(p *vtime.Proc, src, dst topology.NodeID, cls selecto
 	return a, nil
 }
 
-func copySegs(segs [][]byte) [][]byte {
+// copySegs clones a message's segments; with lend the last one is
+// shared with the caller instead.
+func copySegs(segs [][]byte, lend bool) [][]byte {
 	out := make([][]byte, len(segs))
-	for i, s := range segs {
+	n := len(segs)
+	if lend {
+		n--
+		out[n] = segs[n]
+	}
+	for i, s := range segs[:n] {
 		out[i] = append([]byte(nil), s...)
 	}
 	return out
