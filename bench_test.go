@@ -10,7 +10,13 @@ import (
 
 	"padico/internal/bench"
 	"padico/internal/orb"
+	"padico/internal/scenario"
 )
+
+// rows runs one registry entry plain and returns its typed rows.
+func rows[T any](b *testing.B, entry string) T {
+	return runEntry(b, entry, scenario.Observers{}).Rows.(T)
+}
 
 // metric builds a whitespace-free metric unit name.
 func metric(prefix, name string) string {
@@ -22,8 +28,7 @@ func metric(prefix, name string) string {
 // message size over Myrinet-2000, plus the Ethernet reference).
 func BenchmarkFig3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		series := bench.Fig3()
-		for _, s := range series {
+		for _, s := range rows[[]bench.Series](b, "fig3") {
 			last := s.Points[len(s.Points)-1]
 			b.ReportMetric(last.MBps, metric("vMB_s@1MB", s.Name[:6]))
 		}
@@ -34,8 +39,7 @@ func BenchmarkFig3(b *testing.B) {
 // bandwidth per API/middleware over Myrinet-2000).
 func BenchmarkTable1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := bench.Table1()
-		for _, r := range rows {
+		for _, r := range rows[[]bench.Row](b, "table1") {
 			b.ReportMetric(r.OnewayUS, metric("v-us", r.Name))
 		}
 	}
@@ -45,7 +49,7 @@ func BenchmarkTable1(b *testing.B) {
 // and MPICH-in-Padico vs standalone.
 func BenchmarkOverhead(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		o := bench.Overhead()
+		o := rows[bench.OverheadResult](b, "overhead")
 		b.ReportMetric(o.MadIOCombinedUS, "v-us-madio-combined")
 		b.ReportMetric(o.MadIOSeparateUS, "v-us-madio-separate")
 		b.ReportMetric(o.MPIPadicoUS, "v-us-mpi-padico")
@@ -57,7 +61,7 @@ func BenchmarkOverhead(b *testing.B) {
 // streams ~12 MB/s on the VTHD-like WAN.
 func BenchmarkWAN(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		w := bench.WAN()
+		w := rows[bench.WANResult](b, "wan")
 		b.ReportMetric(w.SingleMBps, "vMB_s-single")
 		b.ReportMetric(w.StripedMBps, "vMB_s-striped")
 	}
@@ -67,7 +71,7 @@ func BenchmarkWAN(b *testing.B) {
 // lossy trans-continental link.
 func BenchmarkVRP(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		v := bench.VRPBench()
+		v := rows[bench.VRPResult](b, "vrp")
 		b.ReportMetric(v.TCPKBps, "vKB_s-tcp")
 		b.ReportMetric(v.VRPKBps, "vKB_s-vrp")
 		b.ReportMetric(v.VRPKBps/v.TCPKBps, "x-speedup")
@@ -80,8 +84,10 @@ func BenchmarkAblationORBProfiles(b *testing.B) {
 	profiles := []orb.Profile{orb.OmniORB4, orb.Mico}
 	for i := 0; i < b.N; i++ {
 		for _, pr := range profiles {
-			r := bench.ORBOnMyrinet(pr)
-			_, mbps := bench.Measure(r, 1<<20, 8)
+			_, mbps, err := bench.ORBOnMyrinet(pr).Measure(1<<20, 8)
+			if err != nil {
+				b.Fatal(err)
+			}
 			b.ReportMetric(mbps, metric("vMB_s", pr.Name))
 		}
 	}
@@ -91,7 +97,7 @@ func BenchmarkAblationORBProfiles(b *testing.B) {
 // design choice at the MadIO layer.
 func BenchmarkAblationHeaderCombining(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		o := bench.Overhead()
+		o := rows[bench.OverheadResult](b, "overhead")
 		b.ReportMetric(o.MadIOSeparateUS-o.MadIOCombinedUS, "v-us-saved")
 	}
 }
@@ -102,7 +108,10 @@ func BenchmarkAblationHeaderCombining(b *testing.B) {
 // with -benchmem) are the zero-copy segment path's scoreboard.
 func BenchmarkDataGridWallClock(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := bench.DataGridWallClock()
+		r, err := bench.DataGridWallClock()
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.ReportMetric(r.IngestMBps, "vMB_s-ingest")
 		b.ReportMetric(r.ConvergeS, "v-s-converge")
 	}
@@ -112,7 +121,11 @@ func BenchmarkDataGridWallClock(b *testing.B) {
 // raw TCP connection across the WAN testbed.
 func BenchmarkTCPBulk(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		b.ReportMetric(bench.TCPBulk(), "vMB_s")
+		mbps, err := bench.TCPBulk()
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(mbps, "vMB_s")
 	}
 }
 
@@ -121,8 +134,7 @@ func BenchmarkTCPBulk(b *testing.B) {
 // the spanning tree must move fewer WAN bytes and converge sooner.
 func BenchmarkGroupFanout(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := bench.GroupBench()
-		for _, r := range rows {
+		for _, r := range rows[[]bench.DataGridResult](b, "group") {
 			mode := "flat"
 			if r.Hierarchical {
 				mode = "hier"
@@ -138,8 +150,7 @@ func BenchmarkGroupFanout(b *testing.B) {
 // fewer bytes over the degraded core.
 func BenchmarkWeather(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := bench.WeatherBench()
-		for _, r := range rows {
+		for _, r := range rows[[]bench.WeatherResult](b, "weather") {
 			mode := "static"
 			if r.Adaptive {
 				mode = "adaptive"

@@ -1,30 +1,18 @@
-// Command padico-bench regenerates the paper's evaluation (§5) and
-// prints each table/figure in the same shape the paper reports.
+// Command padico-bench regenerates the paper's evaluation (§5) and the
+// extension scenarios, printing each table in the shape the paper
+// reports. Every flag comes from one table: the experiment flags are
+// the entries of bench.Registry, the export flags are listed below
+// next to the entry they default to. `padico-bench -list` (or -h)
+// prints the catalogue, generated from that table.
 //
-// Usage:
-//
-//	padico-bench [-fig3] [-table1] [-overhead] [-wan] [-vrp] [-datagrid] [-group] [-weather] [-store]
-//	padico-bench -trace out.json [-metrics] [-critpath]
-//	padico-bench -slo
-//	padico-bench -partition
-//	padico-bench -series out.json [-dash dash.html] [-prom metrics.prom]
-//	padico-bench -list
-//
-// With no flags, every table runs. -trace, -metrics and -critpath
-// instead execute the fully observed degrading-WAN workload
-// (bench.TraceRun): -trace writes its Chrome trace-event JSON (load in
-// Perfetto or chrome://tracing), -metrics prints the telemetry registry
-// snapshot and writes the BENCH_6.json sidecar, -critpath prints the
-// critical-path attribution of the slowest requests. -slo runs the
-// SLO-monitored workload (bench.SLOBench) and writes BENCH_8.json.
-// -partition runs the crash-partition-and-heal failure scenarios
-// (bench.PartitionBench) and writes BENCH_9.json. -series, -dash and
-// -prom execute the sampled degrade→partition→heal workload
-// (bench.SeriesRun) once and export it three ways: deterministic
-// time-series JSON (plus the BENCH_10.json sidecar), a self-contained
-// HTML dashboard with inline-SVG timelines, and a Prometheus text
-// exposition of the final snapshot. -list enumerates every bench with
-// a one-line description and exits.
+// With no flags, every default table runs. An experiment flag runs
+// that entry; entries with a sidecar rewrite their BENCH_<pr>.json. An
+// export flag observes the one selected entry — any of them — and with
+// no entry selected runs the scenario it defaults to: -trace, -metrics
+// and -critpath the fully observed degrading-WAN workload, -series,
+// -dash and -prom the sampled degrade→partition→heal timeline. An
+// entry that builds several environments exports them concatenated, in
+// run order. A failing scenario prints `<entry>: <error>` and exits 1.
 package main
 
 import (
@@ -33,525 +21,269 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"padico/internal/bench"
-	"padico/internal/grid"
+	"padico/internal/scenario"
 	"padico/internal/telemetry"
 )
 
-func main() {
-	fig3 := flag.Bool("fig3", false, "Figure 3: bandwidth vs message size over Myrinet-2000")
-	table1 := flag.Bool("table1", false, "Table 1: one-way latency and peak bandwidth")
-	overhead := flag.Bool("overhead", false, "§5: MadIO and PadicoTM overheads")
-	wan := flag.Bool("wan", false, "§5: VTHD WAN parallel streams")
-	vrpf := flag.Bool("vrp", false, "§5: VRP on the lossy trans-continental link")
-	dgf := flag.Bool("datagrid", false, "data grid: striped replication across the lossy WAN")
-	grp := flag.Bool("group", false, "group: flat vs hierarchical replication fan-out")
-	wthr := flag.Bool("weather", false, "weather: adaptive vs static selection on a degrading WAN")
-	storef := flag.Bool("store", false, "store: memory vs durable pack engine, with the corrupt-and-repair drill (writes BENCH_7.json)")
-	tracef := flag.String("trace", "", "write a Chrome trace of the observed degrading-WAN workload to this file")
-	metrics := flag.Bool("metrics", false, "print the telemetry registry snapshot of the observed workload (writes BENCH_6.json)")
-	critpath := flag.Bool("critpath", false, "print the critical-path attribution of the observed workload's slowest requests")
-	slof := flag.Bool("slo", false, "run the SLO-monitored degrading-WAN workload and print the alert table (writes BENCH_8.json)")
-	partf := flag.Bool("partition", false, "run the crash-partition-and-heal failure scenarios (writes BENCH_9.json)")
-	seriesf := flag.String("series", "", "write deterministic time-series JSON of the sampled degrade→partition→heal workload to this file (writes BENCH_10.json)")
-	dashf := flag.String("dash", "", "write a self-contained HTML dashboard of the sampled workload to this file")
-	promf := flag.String("prom", "", "write the sampled workload's final registry snapshot in Prometheus text exposition format to this file")
-	listf := flag.Bool("list", false, "list every bench with a one-line description and exit")
-	flag.Parse()
-	if *listf {
-		printList()
-		os.Exit(0)
-	}
-	if *slof {
-		runSLO()
-	}
-	if *partf {
-		runPartition()
-	}
-	if *tracef != "" || *metrics || *critpath {
-		runObserved(*tracef, *metrics, *critpath)
-	}
-	if *seriesf != "" || *dashf != "" || *promf != "" {
-		runSeries(*seriesf, *dashf, *promf)
-	}
-	if *slof || *partf || *tracef != "" || *metrics || *critpath ||
-		*seriesf != "" || *dashf != "" || *promf != "" {
-		os.Exit(0)
-	}
-	all := !*fig3 && !*table1 && !*overhead && !*wan && !*vrpf && !*dgf && !*grp && !*wthr && !*storef
+// exports are the observer-backed output flags, in -list order. Each
+// names the entry it runs when none is selected and the observer it
+// needs attached.
+var exports = []struct {
+	name, arg, desc, entry string
+	observe                func(*scenario.Observers)
+}{
+	{"trace", "FILE", "Chrome trace of the observed degrading-WAN workload (Perfetto-loadable)", "observed", tracing},
+	{"metrics", "", "telemetry registry snapshot of the observed workload (BENCH_6.json)", "observed", tracing},
+	{"critpath", "", "critical-path attribution of the observed workload's slowest requests", "observed", tracing},
+	{"series", "FILE", "deterministic time-series of the sampled degrade→partition→heal run (BENCH_10.json)", "sampled", sampling},
+	{"dash", "FILE", "self-contained HTML dashboard (inline SVG) of the sampled run", "sampled", sampling},
+	{"prom", "FILE", "Prometheus text exposition of the sampled run's final snapshot", "sampled", sampling},
+}
 
-	if all || *fig3 {
-		fmt.Println("=== Figure 3: bandwidth (MB/s) of middleware systems in PadicoTM over Myrinet-2000 ===")
-		series := bench.Fig3()
-		fmt.Printf("%-34s", "message size")
-		for _, sz := range bench.Fig3Sizes {
-			fmt.Printf("%10s", sizeLabel(sz))
+func tracing(o *scenario.Observers)  { o.Trace = true }
+func sampling(o *scenario.Observers) { o.Sample = bench.SeriesInterval }
+
+// flagRow is one line of the flag table: an experiment flag (observe
+// nil) or an export flag.
+type flagRow struct {
+	name, arg, desc string
+	entry           *bench.Entry // the entry it selects, or defaults to
+	observe         func(*scenario.Observers)
+	value           flag.Value
+}
+
+// set returns the flag's value if it was given ("true" for a switch).
+func (r *flagRow) set() (string, bool) {
+	v := r.value.String()
+	return v, v != "" && v != "false"
+}
+
+// flagTable derives every flag from the registry, in -list order: each
+// entry's own flag, then the exports that default to it.
+func flagTable() []*flagRow {
+	var rows []*flagRow
+	for _, e := range bench.Registry {
+		if e.Desc != "" {
+			rows = append(rows, &flagRow{name: e.Name, desc: e.Desc, entry: e})
 		}
-		fmt.Println()
-		for _, s := range series {
-			fmt.Printf("%-34s", s.Name)
-			for _, pt := range s.Points {
-				fmt.Printf("%10.1f", pt.MBps)
+		for _, x := range exports {
+			if x.entry == e.Name {
+				rows = append(rows, &flagRow{name: x.name, arg: x.arg, desc: x.desc, entry: e, observe: x.observe})
 			}
-			fmt.Println()
 		}
-		fmt.Println()
 	}
-
-	if all || *table1 {
-		fmt.Println("=== Table 1: performance of middleware systems with PadicoTM over Myrinet-2000 ===")
-		fmt.Printf("%-24s %18s %22s\n", "API or middleware", "oneway latency (us)", "max bandwidth (MB/s)")
-		for _, r := range bench.Table1() {
-			fmt.Printf("%-24s %18.2f %22.1f\n", r.Name, r.OnewayUS, r.PeakMBps)
-		}
-		fmt.Println()
-	}
-
-	if all || *overhead {
-		fmt.Println("=== Overheads (§4.1, §5) ===")
-		o := bench.Overhead()
-		fmt.Printf("MadIO over plain Madeleine (header combining): %+.3f us  (paper: < 0.1 us)\n", o.MadIOCombinedUS)
-		fmt.Printf("MadIO without header combining (ablation):     %+.3f us\n", o.MadIOSeparateUS)
-		fmt.Printf("MPICH one-way inside PadicoTM:                 %.2f us\n", o.MPIPadicoUS)
-		fmt.Printf("MPICH one-way standalone (direct Circuit):     %.2f us  (paper: roughly the same)\n", o.MPIDirectUS)
-		fmt.Println()
-	}
-
-	if all || *wan {
-		fmt.Println("=== VTHD WAN (§5) ===")
-		w := bench.WAN()
-		fmt.Printf("single TCP stream:        %5.1f MB/s  (paper: ~9 MB/s)\n", w.SingleMBps)
-		fmt.Printf("parallel streams (x%d):    %5.1f MB/s  (paper: 12 MB/s, access-link cap)\n", w.Streams, w.StripedMBps)
-		fmt.Println()
-	}
-
-	if all || *vrpf {
-		fmt.Println("=== Lossy trans-continental link (§5) ===")
-		v := bench.VRPBench()
-		fmt.Printf("TCP/IP plain sockets:    %6.0f KB/s  (paper: 150 KB/s)\n", v.TCPKBps)
-		fmt.Printf("VRP, %2.0f%% loss allowed:  %6.0f KB/s  (paper: ~500 KB/s, i.e. 3x)\n", v.Tolerance*100, v.VRPKBps)
-		fmt.Printf("speedup: %.1fx, skipped fraction: %.1f%%\n", v.VRPKBps/v.TCPKBps, v.SkippedFrac*100)
-		fmt.Println()
-	}
-	if all || *dgf {
-		fmt.Printf("=== Data grid: %d objects x %dMB, two clusters, %.0f%% WAN loss ===\n",
-			bench.DataGridObjects, bench.DataGridObjectSize>>20, bench.DataGridWANLoss*100)
-		fmt.Printf("%8s %9s %14s %14s %14s %12s\n",
-			"stripes", "replicas", "ingest MB/s", "converge (s)", "circuit jobs", "vlink jobs")
-		for _, r := range bench.DataGridBench() {
-			fmt.Printf("%8d %9d %14.1f %14.2f %14d %12d\n",
-				r.Streams, r.Replicas, r.IngestMBps, r.ConvergeS, r.CircuitJobs, r.VLinkJobs)
-		}
-		fmt.Println()
-	}
-	if all || *grp {
-		fmt.Printf("=== Group fan-out: replica factor 3, %d objects x %dMB, two clusters, %.0f%% WAN loss ===\n",
-			bench.DataGridObjects, bench.DataGridObjectSize>>20, bench.DataGridWANLoss*100)
-		fmt.Printf("%-13s %10s %14s %14s %12s %12s\n",
-			"fan-out", "WAN MB", "ingest MB/s", "converge (s)", "group jobs", "vlink jobs")
-		rows := bench.GroupBench()
-		for _, r := range rows {
-			mode := "flat"
-			if r.Hierarchical {
-				mode = "hierarchical"
-			}
-			fmt.Printf("%-13s %10.1f %14.1f %14.2f %12d %12d\n",
-				mode, r.WANMB, r.IngestMBps, r.ConvergeS, r.GroupJobs, r.VLinkJobs)
-		}
-		flat, hier := rows[0], rows[1]
-		fmt.Printf("hierarchical fan-out: %.1fx WAN bytes, %.1f%% lower makespan\n\n",
-			hier.WANMB/flat.WANMB, 100*(1-hier.ConvergeS/flat.ConvergeS))
-	}
-	if all || *wthr {
-		fmt.Printf("=== Network weather: adaptive vs static on DegradingWAN (site0-site1 core /%d at t=%v) ===\n",
-			grid.DegradeFactor, grid.DegradeAt)
-		fmt.Printf("%-9s %12s %10s %9s %14s %11s %9s %8s\n",
-			"mode", "makespan (s)", "stream (s)", "gets (s)", "degraded MB", "src-switch", "reselect", "resume")
-		rows := bench.WeatherBench()
-		for _, r := range rows {
-			mode := "static"
-			if r.Adaptive {
-				mode = "adaptive"
-			}
-			fmt.Printf("%-9s %12.2f %10.2f %9.2f %14.1f %11d %9d %8d\n",
-				mode, r.MakespanS, r.StreamS, r.GetS, r.DegradedLinkMB,
-				r.SourceSwitches, r.Reselects, r.Resumes)
-		}
-		st, ad := rows[0], rows[1]
-		fmt.Printf("adaptive: %.1fx lower makespan, %.1fx fewer bytes over the degraded link\n\n",
-			st.MakespanS/ad.MakespanS, st.DegradedLinkMB/ad.DegradedLinkMB)
-	}
-	if all || *storef {
-		fmt.Printf("=== Store engines: %d objects x %dMB, replicas 2, two clusters, %.0f%% WAN loss ===\n",
-			bench.StoreObjects, bench.StoreObjectSize>>20, bench.DataGridWANLoss*100)
-		fmt.Printf("%-8s %11s %11s %10s %10s %12s %10s %6s\n",
-			"engine", "put MB/s", "get MB/s", "scrub (s)", "corrupted", "quarantined", "repaired", "lost")
-		rows := bench.StoreBench()
-		for _, r := range rows {
-			fmt.Printf("%-8s %11.1f %11.1f %10.3f %10d %12d %10d %6d\n",
-				r.Engine, r.PutMBps, r.GetMBps, r.ScrubS, r.Corrupted, r.Quarantined, r.Repaired, r.Lost)
-		}
-		if *storef {
-			if err := writeBench7(rows); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Println("wrote BENCH_7.json")
-		}
-		fmt.Println()
-	}
-	os.Exit(0)
-}
-
-// writeBench7 writes the store table sidecar.
-func writeBench7(rows []bench.StoreResult) error {
-	doc := struct {
-		PR      int                 `json:"pr"`
-		Title   string              `json:"title"`
-		Command string              `json:"command"`
-		Note    string              `json:"note"`
-		Table   []bench.StoreResult `json:"table"`
-	}{
-		PR:      7,
-		Title:   "internal/store: durable pack-engine object store under datagrid, with background auditor and anti-entropy repair",
-		Command: "go run ./cmd/padico-bench -store",
-		Note: "The identical datagrid workload (8x1MB objects, replica factor 2, striped x4, lossy two-cluster WAN) " +
-			"on both storage backends. The pack engine appends needles into bundle files with simulated disk " +
-			"charges (seek, per-byte platter rates, batched fsync), so its ingest trails the zero-cost memory map. " +
-			"The drill corrupts two needles on disk, one audit pass quarantines both, one repair pass restores " +
-			"the replication factor over the normal transfer path, and no object is lost. Deterministic: " +
-			"bit-identical across reruns, pinned by TestDeterminismStoreTable.",
-		Table: rows,
-	}
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile("BENCH_7.json", append(out, '\n'), 0o644)
-}
-
-// runObserved executes the traced workload once and serves the
-// observability flags from the same hub.
-func runObserved(tracePath string, metrics, critpath bool) {
-	h := bench.TraceRun()
-	if critpath {
-		fmt.Println("=== Critical paths: slowest requests of the observed degrading-WAN workload ===")
-		fmt.Print(telemetry.FormatCriticalPaths(h.CriticalPaths(), 5))
-		fmt.Println()
-	}
-	if tracePath != "" {
-		f, err := os.Create(tracePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := h.WriteTrace(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %d trace events to %s (open in Perfetto or chrome://tracing)\n",
-			len(h.Spans()), tracePath)
-	}
-	if metrics {
-		snap := h.Registry().Snapshot()
-		fmt.Println("=== Telemetry registry snapshot (observed degrading-WAN workload) ===")
-		fmt.Print(telemetry.FormatSnapshot(snap))
-		if err := writeBench6(snap); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Println("wrote BENCH_6.json")
-	}
-}
-
-// bench6Row is one registry metric in the BENCH_6.json sidecar.
-type bench6Row struct {
-	Name  string `json:"name"`
-	Kind  string `json:"kind"`
-	Value int64  `json:"value,omitempty"`
-	Count int64  `json:"count,omitempty"`
-	P50US int64  `json:"p50_us,omitempty"`
-	P99US int64  `json:"p99_us,omitempty"`
-	SumUS int64  `json:"sum_us,omitempty"`
-}
-
-func writeBench6(snap []telemetry.Metric) error {
-	rows := make([]bench6Row, 0, len(snap))
-	for _, m := range snap {
-		r := bench6Row{Name: m.Name}
-		switch m.Kind {
-		case telemetry.KindHistogram:
-			r.Kind = "histogram"
-			r.Count = m.Count
-			r.P50US = m.P50.Microseconds()
-			r.P99US = m.P99.Microseconds()
-			r.SumUS = m.Sum.Microseconds()
-		case telemetry.KindGauge:
-			r.Kind = "gauge"
-			r.Value = m.Value
-		default:
-			r.Kind = "counter"
-			r.Value = m.Value
-		}
-		rows = append(rows, r)
-	}
-	doc := struct {
-		PR      int         `json:"pr"`
-		Title   string      `json:"title"`
-		Command string      `json:"command"`
-		Note    string      `json:"note"`
-		Table   []bench6Row `json:"table"`
-	}{
-		PR:      6,
-		Title:   "internal/telemetry: virtual-time tracing, unified metrics registry, and a flight recorder across the whole stack",
-		Command: "go run ./cmd/padico-bench -metrics",
-		Note: "Registry snapshot after one fully observed DegradingWAN run (bench.TraceRun): " +
-			"weather monitoring on, adaptive striped data grid with hierarchical fan-out, one explicit " +
-			"multicast+barrier round, a 4MB adaptive stream across the degrade instant, and a 3% loss " +
-			"burst on the degraded core between t=2s and t=4s virtual. Counters come from the five layer " +
-			"Stats structs bound into the shared registry; histograms are virtual-time latency ladders " +
-			"(p50/p99 are bucket upper bounds on a 1-2-5 ladder). Deterministic: every figure is " +
-			"bit-identical across reruns, pinned by TestDeterminismTrace.",
-		Table: rows,
-	}
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile("BENCH_6.json", append(out, '\n'), 0o644)
-}
-
-// runSLO executes the SLO-monitored workload, prints the alert table
-// and writes the BENCH_8.json sidecar.
-func runSLO() {
-	mon := bench.SLOBench()
-	fmt.Println("=== SLO monitor: virtual-time burn-rate alerts across the DegradingWAN degrade ===")
-	fmt.Print(mon.FormatSLO())
-	if err := writeBench8(mon.Status()); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	fmt.Println("wrote BENCH_8.json")
-	fmt.Println()
-}
-
-// printList enumerates every bench the command can run.
-func printList() {
-	rows := []struct{ flagName, desc string }{
-		{"-fig3", "Figure 3: bandwidth vs message size for each middleware over Myrinet-2000"},
-		{"-table1", "Table 1: one-way latency and peak bandwidth per API or middleware"},
-		{"-overhead", "MadIO header-combining and PadicoTM virtualization overheads (§4.1, §5)"},
-		{"-wan", "VTHD WAN throughput: single TCP stream vs parallel striped streams (§5)"},
-		{"-vrp", "VRP vs TCP on the lossy trans-continental link, with tolerated loss (§5)"},
-		{"-datagrid", "striped replication across the lossy two-cluster WAN: ingest and convergence"},
-		{"-group", "flat vs hierarchical replication fan-out: WAN bytes and makespan"},
-		{"-weather", "adaptive vs static source selection while a WAN core degrades mid-run"},
-		{"-store", "memory vs durable pack engine, with the corrupt-and-repair drill (BENCH_7.json)"},
-		{"-trace FILE", "Chrome trace of the observed degrading-WAN workload (Perfetto-loadable)"},
-		{"-metrics", "telemetry registry snapshot of the observed workload (BENCH_6.json)"},
-		{"-critpath", "critical-path attribution of the observed workload's slowest requests"},
-		{"-slo", "burn-rate SLO alerts across a degrade plus a site partition (BENCH_8.json)"},
-		{"-partition", "failure scenarios: node crash, site blackout, WAN partition and heal (BENCH_9.json)"},
-		{"-series FILE", "deterministic time-series of the sampled degrade→partition→heal run (BENCH_10.json)"},
-		{"-dash FILE", "self-contained HTML dashboard (inline SVG) of the sampled run"},
-		{"-prom FILE", "Prometheus text exposition of the sampled run's final snapshot"},
-	}
-	fmt.Println("padico-bench tables (no flags = all paper tables):")
 	for _, r := range rows {
-		fmt.Printf("  %-12s %s\n", r.flagName, r.desc)
+		if r.arg != "" {
+			flag.String(r.name, "", r.desc)
+		} else {
+			flag.Bool(r.name, false, r.desc)
+		}
+		r.value = flag.Lookup(r.name).Value
+	}
+	return rows
+}
+
+func printList(w io.Writer, rows []*flagRow) {
+	fmt.Fprintln(w, "padico-bench tables (no flags = all paper tables):")
+	for _, r := range rows {
+		fmt.Fprintf(w, "  %-12s %s\n", strings.TrimSpace("-"+r.name+" "+r.arg), r.desc)
 	}
 }
 
-// runSeries executes the sampled workload once and serves all three
-// export surfaces from the same run.
-func runSeries(seriesPath, dashPath, promPath string) {
-	out := bench.SeriesRun()
-	set := out.Sampler.Series()
-	fmt.Printf("=== Time-series: sampled degrade→partition→heal workload (%d tracks, %d scrapes) ===\n",
-		set.Len(), out.Sampler.Scrapes())
-	if seriesPath != "" {
-		writeTo(seriesPath, set.WriteJSON)
-		fmt.Printf("wrote %d series to %s\n", set.Len(), seriesPath)
-		if err := writeBench10(out); err != nil {
-			fmt.Fprintln(os.Stderr, err)
+// job is one entry to run, under the observers of the exports that
+// apply to it.
+type job struct {
+	entry    *bench.Entry
+	explicit bool // selected by its own flag: rewrites its sidecar
+	obs      scenario.Observers
+	exports  map[string]string // export flag -> value
+}
+
+// plan turns the parsed flags into jobs, in registry order.
+func plan(rows []*flagRow) ([]*job, error) {
+	var jobs []*job
+	for _, r := range rows {
+		if _, on := r.set(); on && r.observe == nil {
+			jobs = append(jobs, &job{entry: r.entry, explicit: true, exports: map[string]string{}})
+		}
+	}
+	selected := len(jobs)
+	for _, r := range rows {
+		v, on := r.set()
+		if !on || r.observe == nil {
+			continue
+		}
+		if selected > 1 {
+			return nil, fmt.Errorf("-%s observes one entry at a time, %d selected", r.name, selected)
+		}
+		// The export applies to the selected entry, or else to its own
+		// default (one job per default entry, however many exports).
+		var j *job
+		for _, c := range jobs {
+			if selected == 1 || c.entry == r.entry {
+				j = c
+			}
+		}
+		if j == nil {
+			j = &job{entry: r.entry, exports: map[string]string{}}
+			jobs = append(jobs, j)
+		}
+		r.observe(&j.obs)
+		j.exports[r.name] = v
+	}
+	if len(jobs) == 0 {
+		for _, e := range bench.Registry {
+			if e.Default {
+				jobs = append(jobs, &job{entry: e})
+			}
+		}
+	}
+	return jobs, nil
+}
+
+func main() {
+	rows := flagTable()
+	list := flag.Bool("list", false, "list every bench with a one-line description and exit")
+	flag.Usage = func() { printList(flag.CommandLine.Output(), rows) }
+	flag.Parse()
+	if *list {
+		printList(os.Stdout, rows)
+		return
+	}
+	jobs, err := plan(rows)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	for _, j := range jobs {
+		if err := j.run(); err != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", j.entry.Name, err)
 			os.Exit(1)
 		}
-		fmt.Println("wrote BENCH_10.json")
-	}
-	if dashPath != "" {
-		opts := bench.SeriesDashOptions(out)
-		writeTo(dashPath, func(w io.Writer) error { return set.WriteDash(w, opts) })
-		fmt.Printf("wrote dashboard to %s (self-contained, open in any browser)\n", dashPath)
-	}
-	if promPath != "" {
-		writeTo(promPath, out.Hub.WriteProm)
-		fmt.Printf("wrote Prometheus exposition to %s\n", promPath)
 	}
 }
 
-// writeTo creates path and runs emit on it, exiting on any error.
-func writeTo(path string, emit func(io.Writer) error) {
+// run executes the entry and prints its table, its exports and its
+// sidecar, in the order the flags have always printed them.
+func (j *job) run() error {
+	e := j.entry
+	rep, err := e.Run(j.obs)
+	if err != nil {
+		return err
+	}
+	// sidecar rewrites the entry's BENCH file if flag is what triggers it.
+	sidecar := func(flag string, given bool) error {
+		if e.Sidecar == nil || e.Sidecar.On != flag || !given {
+			return nil
+		}
+		err := writeSidecar(e.Sidecar, rep.Rows)
+		if err == nil {
+			fmt.Printf("wrote %s\n", e.Sidecar.File())
+		}
+		return err
+	}
+	fmt.Print(rep.Text)
+	if err := sidecar(e.Name, j.explicit); err != nil {
+		return err
+	}
+	if _, ok := j.exports["critpath"]; ok {
+		fmt.Printf("=== Critical paths: slowest requests of the %s ===\n", e.WorkloadName())
+		for _, env := range rep.Envs {
+			fmt.Print(telemetry.FormatCriticalPaths(env.Hub.CriticalPaths(), 5))
+		}
+		fmt.Println()
+	}
+	if path := j.exports["trace"]; path != "" {
+		spans := 0
+		err := writeTo(path, rep.Envs, func(env *scenario.Env, w io.Writer) error {
+			spans += len(env.Hub.Spans())
+			return env.Hub.WriteTrace(w)
+		})
+		if err != nil {
+			return err
+		}
+		fmt.Printf("wrote %d trace events to %s (open in Perfetto or chrome://tracing)\n", spans, path)
+	}
+	if _, ok := j.exports["metrics"]; ok {
+		fmt.Printf("=== Telemetry registry snapshot (%s) ===\n", e.WorkloadName())
+		for _, env := range rep.Envs {
+			fmt.Print(telemetry.FormatSnapshot(env.Hub.Registry().Snapshot()))
+		}
+		if err := sidecar("metrics", true); err != nil {
+			return err
+		}
+	}
+	if j.obs.Sample > 0 {
+		tracks, scrapes := 0, int64(0)
+		for _, env := range rep.Envs {
+			tracks += env.Sampler.Series().Len()
+			scrapes += env.Sampler.Scrapes()
+		}
+		fmt.Printf("=== Time-series: %s (%d tracks, %d scrapes) ===\n", e.WorkloadName(), tracks, scrapes)
+		if path := j.exports["series"]; path != "" {
+			err := writeTo(path, rep.Envs, func(env *scenario.Env, w io.Writer) error { return env.Sampler.WriteJSON(w) })
+			if err != nil {
+				return err
+			}
+			fmt.Printf("wrote %d series to %s\n", tracks, path)
+			if err := sidecar("series", true); err != nil {
+				return err
+			}
+		}
+		if path := j.exports["dash"]; path != "" {
+			err := writeTo(path, rep.Envs, func(env *scenario.Env, w io.Writer) error { return env.Sampler.WriteDash(w, rep.Dash) })
+			if err != nil {
+				return err
+			}
+			fmt.Printf("wrote dashboard to %s (self-contained, open in any browser)\n", path)
+		}
+		if path := j.exports["prom"]; path != "" {
+			err := writeTo(path, rep.Envs, func(env *scenario.Env, w io.Writer) error { return env.Hub.WriteProm(w) })
+			if err != nil {
+				return err
+			}
+			fmt.Printf("wrote Prometheus exposition to %s\n", path)
+		}
+	}
+	if rep.Text != "" { // a table is followed by a blank line, bare exports are not
+		fmt.Println()
+	}
+	return nil
+}
+
+// writeTo creates path and emits every environment of the run into it,
+// in order.
+func writeTo(path string, envs []*scenario.Env, emit func(*scenario.Env, io.Writer) error) error {
 	f, err := os.Create(path)
-	if err == nil {
-		err = emit(f)
+	if err != nil {
+		return err
+	}
+	for _, env := range envs {
+		if err == nil {
+			err = emit(env, f)
+		}
 	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	return err
 }
 
-// bench10Row summarizes one track in the BENCH_10.json sidecar.
-type bench10Row struct {
-	Name   string  `json:"name"`
-	Kind   string  `json:"kind"`
-	Unit   string  `json:"unit,omitempty"`
-	Points int     `json:"points"`
-	Peak   float64 `json:"peak"`
-	Last   float64 `json:"last"`
-}
-
-func writeBench10(out bench.SeriesOutcome) error {
-	set := out.Sampler.Series()
-	rows := make([]bench10Row, 0, set.Len())
-	for _, t := range set.Tracks() {
-		_, hi := t.MinMax()
-		rows = append(rows, bench10Row{Name: t.Name, Kind: t.Kind, Unit: t.Unit,
-			Points: len(t.Points()), Peak: hi, Last: t.Last()})
-	}
-	doc := struct {
-		PR      int          `json:"pr"`
-		Title   string       `json:"title"`
-		Command string       `json:"command"`
-		Note    string       `json:"note"`
-		Table   []bench10Row `json:"table"`
-	}{
-		PR:      10,
-		Title:   "time-series telemetry: deterministic metric sampler, utilization and backpressure gauges, exposition and self-contained dashboard",
-		Command: "go run ./cmd/padico-bench -series out.json -dash dash.html",
-		Note: "A virtual-time sampler (250ms cadence) scrapes every registry metric of one degrade→partition→heal " +
-			"run into bounded per-metric series: counter deltas as rates, gauges as levels, histograms as windowed " +
-			"rate/p50/p99 tracks. New utilization and backpressure instrumentation feeds it: per-WAN-core-hop " +
-			"busy-fraction and queued-bytes, iovec pool occupancy, session channel backlogs, datagrid scheduler " +
-			"depth and in-flight transfers, and store fsync backlog. This table summarizes each track (points, " +
-			"peak, final value); the full point data is the -series JSON, rendered by the -dash dashboard. " +
-			"Deterministic: the series JSON is bit-identical across reruns, pinned by TestDeterminismSeries " +
-			"(GC-coupled pool-miss counts are marked volatile and excluded).",
-		Table: rows,
-	}
-	enc, err := json.MarshalIndent(doc, "", "  ")
+// writeSidecar is the one BENCH_<pr>.json writer: the sidecar's
+// description plus the entry's rows as the table.
+func writeSidecar(s *bench.Sidecar, rows any) error {
+	out, err := json.MarshalIndent(struct {
+		PR      int    `json:"pr"`
+		Title   string `json:"title"`
+		Command string `json:"command"`
+		Note    string `json:"note"`
+		Table   any    `json:"table"`
+	}{s.PR, s.Title, s.Command, s.Note, rows}, "", "  ")
 	if err != nil {
 		return err
 	}
-	return os.WriteFile("BENCH_10.json", append(enc, '\n'), 0o644)
-}
-
-// runPartition executes the failure scenarios, prints the table and
-// writes the BENCH_9.json sidecar.
-func runPartition() {
-	rows := bench.PartitionBench()
-	fmt.Println("=== Failure scenarios: crash, blackout and partition with self-healing recovery ===")
-	fmt.Printf("%-14s %-18s %11s %12s %10s %8s %6s\n",
-		"scenario", "testbed", "detect (s)", "recover (s)", "moved MB", "repairs", "lost")
-	for _, r := range rows {
-		fmt.Printf("%-14s %-18s %11.3f %12.3f %10.2f %8d %6d\n",
-			r.Scenario, r.Testbed, r.DetectS, r.RecoverS, r.MovedMB, r.Repairs, r.Lost)
-	}
-	if err := writeBench9(rows); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	fmt.Println("wrote BENCH_9.json")
-	fmt.Println()
-}
-
-// writeBench9 writes the failure-scenario table sidecar.
-func writeBench9(rows []bench.PartitionResult) error {
-	doc := struct {
-		PR      int                     `json:"pr"`
-		Title   string                  `json:"title"`
-		Command string                  `json:"command"`
-		Note    string                  `json:"note"`
-		Table   []bench.PartitionResult `json:"table"`
-	}{
-		PR:      9,
-		Title:   "failure scenarios end-to-end: node crashes, site blackouts, WAN partitions, and self-healing rebalance",
-		Command: "go run ./cmd/padico-bench -partition",
-		Note: "Three failure modes injected into a replicated working set (8x1MB, replica factor 2). " +
-			"node-crash and site-blackout kill the primary holder (alone, then with its whole site) on the " +
-			"three-site lossy testbed: a 500ms-sweep failure detector shrinks the consistent-hash ring, and " +
-			"the repair loop re-replicates every object that lost a copy from weather-ranked surviving " +
-			"sources. wan-partition cuts the primary WAN core on the dual-homed testbed: the weather " +
-			"forecast marks the wire down, placement re-selection moves reads onto the backup core, and the " +
-			"moved MB column counts bytes the backup carried. detect is fault-to-first-detection, recover is " +
-			"fault-to-reconvergence (every object verified at full replication, or a clean read round on the " +
-			"rerouted wire). Zero objects lost in every scenario. Deterministic: bit-identical across " +
-			"reruns, pinned by TestDeterminismPartitionTable.",
-		Table: rows,
-	}
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile("BENCH_9.json", append(out, '\n'), 0o644)
-}
-
-// bench8Row is one objective in the BENCH_8.json sidecar.
-type bench8Row struct {
-	Name     string    `json:"name"`
-	Breaches int64     `json:"breaches"`
-	Clears   int64     `json:"clears"`
-	Breached bool      `json:"breached"`
-	Burns    []float64 `json:"burns"`
-}
-
-func writeBench8(sts []telemetry.SLOStatus) error {
-	rows := make([]bench8Row, 0, len(sts))
-	for _, s := range sts {
-		rows = append(rows, bench8Row{Name: s.Name, Breaches: s.Breaches,
-			Clears: s.Clears, Breached: s.Breached, Burns: s.Burns})
-	}
-	doc := struct {
-		PR      int         `json:"pr"`
-		Title   string      `json:"title"`
-		Command string      `json:"command"`
-		Note    string      `json:"note"`
-		Table   []bench8Row `json:"table"`
-	}{
-		PR:      8,
-		Title:   "end-to-end causal tracing: propagated trace context, critical-path analysis, and virtual-time SLO monitoring",
-		Command: "go run ./cmd/padico-bench -slo",
-		Note: "Multi-window burn-rate SLO monitoring (windows 2s/8s virtual, alert at burn >= 2 on every window) over " +
-			"one DegradingWAN ingest run: 4x1MB puts while healthy, 4 more after the site0-site1 core collapses to " +
-			"1/16 rate at t=6s, a quiet tail, then a full site1 partition held for 6s and healed. The " +
-			"transfer-latency objective breaches while the degraded-era transfers burn the 500ms budget and clears " +
-			"when the short window cools; the recovery-availability objective breaches while the partition starves " +
-			"the repair loop of fresh sources and clears after the heal; repair and probe-availability objectives " +
-			"hold throughout. Deterministic: bit-identical across reruns, pinned by TestDeterminismSLOTable.",
-		Table: rows,
-	}
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile("BENCH_8.json", append(out, '\n'), 0o644)
-}
-
-func sizeLabel(sz int) string {
-	switch {
-	case sz >= 1<<20:
-		return fmt.Sprintf("%dMB", sz>>20)
-	case sz >= 1<<10:
-		return fmt.Sprintf("%dKB", sz>>10)
-	default:
-		return fmt.Sprintf("%dB", sz)
-	}
+	return os.WriteFile(s.File(), append(out, '\n'), 0o644)
 }

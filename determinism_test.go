@@ -9,7 +9,10 @@
 // the same way (it is new), so it is pinned against a double run: two
 // complete WeatherBench executions must agree bit for bit, which is
 // the "no wall-clock reads, no unseeded randomness in probes or
-// schedules" contract.
+// schedules" contract. That double run is generic: TestDeterminismRegistry
+// runs every entry of bench.Registry twice and compares everything the
+// run can export; the named tests below add the seed-pinned constants,
+// the traced variants and the behavioural assertions.
 //
 // CI runs `go test -run Determinism -count=2 .` so the whole gate is
 // exercised twice per push.
@@ -24,10 +27,73 @@ import (
 	"padico/internal/bench"
 	"padico/internal/datagrid"
 	"padico/internal/grid"
+	"padico/internal/scenario"
 	"padico/internal/telemetry"
 	"padico/internal/topology"
 	"padico/internal/vtime"
 )
+
+// runEntry executes one registry entry under obs.
+func runEntry(t testing.TB, name string, obs scenario.Observers) *bench.Report {
+	t.Helper()
+	rep, err := bench.Lookup(name).Run(obs)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return rep
+}
+
+// fingerprint renders everything a run can export: the printed table,
+// the rows at full float precision (JSON prints the shortest exact
+// representation, so any drift shows), and per environment the trace,
+// the critical-path table and the series.
+func fingerprint(t testing.TB, rep *bench.Report) string {
+	t.Helper()
+	rows, err := json.Marshal(rep.Rows)
+	if err != nil {
+		t.Fatalf("rows: %v", err)
+	}
+	var b bytes.Buffer
+	fmt.Fprintf(&b, "%s\n%s\n", rep.Text, rows)
+	for _, env := range rep.Envs {
+		if env.Hub.Tracing() {
+			b.Write(env.Hub.TraceJSON())
+			b.WriteString(telemetry.FormatCriticalPaths(env.Hub.CriticalPaths(), 5))
+		}
+		if env.Sampler != nil {
+			b.Write(env.Sampler.Series().JSON())
+		}
+	}
+	return b.String()
+}
+
+// twice is the double-run check: two complete runs of an entry under
+// the same observers must agree on every byte they can export. It
+// returns the first run.
+func twice(t *testing.T, name string, obs scenario.Observers) *bench.Report {
+	t.Helper()
+	first := runEntry(t, name, obs)
+	a, b := fingerprint(t, first), fingerprint(t, runEntry(t, name, obs))
+	if a != b {
+		i := 0
+		for i < len(a) && i < len(b) && a[i] == b[i] {
+			i++
+		}
+		t.Fatalf("%s drifted across reruns (%d vs %d bytes), first difference at byte %d:\n run1 ...%.200s\n run2 ...%.200s",
+			name, len(a), len(b), i, a[i:], b[i:])
+	}
+	return first
+}
+
+// TestDeterminismRegistry double-runs every registered experiment.
+func TestDeterminismRegistry(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every experiment twice")
+	}
+	for _, e := range bench.Registry {
+		t.Run(e.Name, func(t *testing.T) { twice(t, e.Name, scenario.Observers{}) })
+	}
+}
 
 // fmtRow renders one datagrid/group table row with full float precision
 // (%v prints the shortest exact representation, so any drift shows).
@@ -52,7 +118,7 @@ func TestDeterminismDataGridTable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full datagrid table run")
 	}
-	rows := bench.DataGridBench()
+	rows := runEntry(t, "datagrid", scenario.Observers{}).Rows.([]bench.DataGridResult)
 	if len(rows) != len(seedDataGridTable) {
 		t.Fatalf("table has %d rows, seed had %d", len(rows), len(seedDataGridTable))
 	}
@@ -67,7 +133,7 @@ func TestDeterminismGroupTable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full group table run")
 	}
-	rows := bench.GroupBench()
+	rows := runEntry(t, "group", scenario.Observers{}).Rows.([]bench.DataGridResult)
 	if len(rows) != len(seedGroupTable) {
 		t.Fatalf("table has %d rows, seed had %d", len(rows), len(seedGroupTable))
 	}
@@ -82,7 +148,7 @@ func TestDeterminismWANTable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full WAN run")
 	}
-	w := bench.WAN()
+	w := runEntry(t, "wan", scenario.Observers{}).Rows.(bench.WANResult)
 	const wantSingle, wantStriped = "8.942571519494994", "11.261711269578795"
 	if got := fmt.Sprintf("%v", w.SingleMBps); got != wantSingle {
 		t.Errorf("single-stream WAN rate drifted: got %s, seed %s", got, wantSingle)
@@ -92,34 +158,20 @@ func TestDeterminismWANTable(t *testing.T) {
 	}
 }
 
-// fmtWeatherRow renders one weather table row with full float
-// precision.
-func fmtWeatherRow(r bench.WeatherResult) string {
-	return fmt.Sprintf("adaptive=%v makespan=%v stream=%v gets=%v degradedMB=%v switches=%d reselects=%d resumes=%d",
-		r.Adaptive, r.MakespanS, r.StreamS, r.GetS, r.DegradedLinkMB,
-		r.SourceSwitches, r.Reselects, r.Resumes)
-}
-
-// TestDeterminismWeatherTable pins the new adaptive-vs-static table:
-// two complete WeatherBench runs must be bit-identical, the adaptive
-// row must beat the static one on makespan and degraded-link bytes,
-// and the adaptation events the acceptance criteria demand must fire.
+// TestDeterminismWeatherTable checks what the adaptive-vs-static table
+// must show (TestDeterminismRegistry pins it bit-identical across
+// reruns): the adaptive row beats the static one on makespan and
+// degraded-link bytes, and the adaptation events the acceptance
+// criteria demand fire.
 func TestDeterminismWeatherTable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full weather table run")
 	}
-	first := bench.WeatherBench()
-	second := bench.WeatherBench()
-	if len(first) != 2 || len(second) != 2 {
-		t.Fatalf("table has %d/%d rows, want 2", len(first), len(second))
+	rows := runEntry(t, "weather", scenario.Observers{}).Rows.([]bench.WeatherResult)
+	if len(rows) != 2 {
+		t.Fatalf("table has %d rows, want 2", len(rows))
 	}
-	for i := range first {
-		a, b := fmtWeatherRow(first[i]), fmtWeatherRow(second[i])
-		if a != b {
-			t.Errorf("row %d drifted across reruns:\n run1 %s\n run2 %s", i, a, b)
-		}
-	}
-	static, adaptive := first[0], first[1]
+	static, adaptive := rows[0], rows[1]
 	if static.Adaptive || !adaptive.Adaptive {
 		t.Fatalf("row order changed: %+v / %+v", static, adaptive)
 	}
@@ -138,34 +190,21 @@ func TestDeterminismWeatherTable(t *testing.T) {
 	}
 }
 
-// fmtStoreRow renders one store table row with full float precision.
-func fmtStoreRow(r bench.StoreResult) string {
-	return fmt.Sprintf("engine=%s put=%v get=%v scrub=%v corrupted=%d quarantined=%d repaired=%d lost=%d",
-		r.Engine, r.PutMBps, r.GetMBps, r.ScrubS, r.Corrupted, r.Quarantined, r.Repaired, r.Lost)
-}
-
-// TestDeterminismStoreTable pins the store engine table: two complete
-// StoreBench runs must be bit-identical (the pack engine's disk
-// charges are simulated virtual time, and its bundle files live in a
-// fresh temp dir each run), the pack ingest must trail the free
-// in-memory map, and the corrupt-and-repair drill must quarantine
-// both injected rots and lose nothing on either backend.
+// TestDeterminismStoreTable checks the store engine table (the pack
+// engine's disk charges are simulated virtual time, and its bundle
+// files live in a fresh temp dir each run, so the registry double run
+// pins both rows): the pack ingest must trail the free in-memory map,
+// and the corrupt-and-repair drill must quarantine both injected rots
+// and lose nothing on either backend.
 func TestDeterminismStoreTable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full store table run")
 	}
-	first := bench.StoreBench()
-	second := bench.StoreBench()
-	if len(first) != 2 || len(second) != 2 {
-		t.Fatalf("table has %d/%d rows, want 2", len(first), len(second))
+	rows := runEntry(t, "store", scenario.Observers{}).Rows.([]bench.StoreResult)
+	if len(rows) != 2 {
+		t.Fatalf("table has %d rows, want 2", len(rows))
 	}
-	for i := range first {
-		a, b := fmtStoreRow(first[i]), fmtStoreRow(second[i])
-		if a != b {
-			t.Errorf("row %d drifted across reruns:\n run1 %s\n run2 %s", i, a, b)
-		}
-	}
-	memory, pack := first[0], first[1]
+	memory, pack := rows[0], rows[1]
 	if memory.Engine != "memory" || pack.Engine != "pack" {
 		t.Fatalf("row order changed: %+v / %+v", memory, pack)
 	}
@@ -173,7 +212,7 @@ func TestDeterminismStoreTable(t *testing.T) {
 		t.Errorf("pack ingest %v not below the free memory map %v (no disk charged?)",
 			pack.PutMBps, memory.PutMBps)
 	}
-	for _, r := range first {
+	for _, r := range rows {
 		if r.Quarantined != r.Corrupted {
 			t.Errorf("%s: audit caught %d of %d injected rots", r.Engine, r.Quarantined, r.Corrupted)
 		}
@@ -186,26 +225,19 @@ func TestDeterminismStoreTable(t *testing.T) {
 	}
 }
 
-// TestDeterminismTrace pins the observability layer the same way the
-// weather table is pinned: two complete TraceRun executions must
-// serialize to byte-identical Chrome trace JSON. It also asserts the
-// trace actually covers the stack — a span (or instant) from every
-// instrumented layer — and that the registry snapshot carries the
-// per-layer latency histograms.
+// TestDeterminismTrace checks the observed run (pinned byte-identical,
+// trace JSON included, by the registry double run) actually covers the
+// stack — a span (or instant) from every instrumented layer — and that
+// the registry snapshot carries the per-layer latency histograms.
 func TestDeterminismTrace(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full traced run")
 	}
-	h := bench.TraceRun()
-	j1 := h.TraceJSON()
-	j2 := bench.TraceRun().TraceJSON()
-	if !bytes.Equal(j1, j2) {
-		t.Fatalf("trace JSON drifted across reruns: %d vs %d bytes", len(j1), len(j2))
-	}
+	h := runEntry(t, "observed", scenario.Observers{}).Envs[0].Hub
 	var doc struct {
 		TraceEvents []map[string]any `json:"traceEvents"`
 	}
-	if err := json.Unmarshal(j1, &doc); err != nil {
+	if err := json.Unmarshal(h.TraceJSON(), &doc); err != nil {
 		t.Fatalf("trace is not valid JSON: %v", err)
 	}
 	if len(doc.TraceEvents) == 0 {
@@ -236,51 +268,41 @@ func TestDeterminismTrace(t *testing.T) {
 	}
 }
 
-// TestDeterminismDataGridTrace double-runs the traced hierarchical
-// data-grid workload and asserts byte-identical trace JSON.
+// TestDeterminismDataGridTrace double-runs the data-grid and group
+// fan-out tables under span tracing — the same entries, observed — and
+// asserts byte-identical traces.
 func TestDeterminismDataGridTrace(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full traced datagrid run")
 	}
-	if !bytes.Equal(bench.DataGridTrace(), bench.DataGridTrace()) {
-		t.Fatal("datagrid trace JSON drifted across reruns")
-	}
+	twice(t, "datagrid", scenario.Observers{Trace: true})
+	twice(t, "group", scenario.Observers{Trace: true})
 }
 
-// TestDeterminismWeatherTrace double-runs the traced adaptive weather
-// workload and asserts byte-identical trace JSON.
+// TestDeterminismWeatherTrace double-runs the weather table under span
+// tracing and asserts byte-identical traces.
 func TestDeterminismWeatherTrace(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full traced weather run")
 	}
-	if !bytes.Equal(bench.WeatherTrace(), bench.WeatherTrace()) {
-		t.Fatal("weather trace JSON drifted across reruns")
-	}
+	twice(t, "weather", scenario.Observers{Trace: true})
 }
 
-// TestDeterminismCritPathTable double-runs the observed workload's
-// critical-path analysis and asserts a byte-identical attribution
-// table. It also checks the analysis is non-trivial: the slowest
-// request's path crosses more than one layer.
+// TestDeterminismCritPathTable checks the observed workload's
+// critical-path analysis (its table is part of the fingerprint the
+// registry double run compares) is non-trivial: the table is not
+// empty, every path covers its makespan, and some path crosses more
+// than one layer.
 func TestDeterminismCritPathTable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full traced run")
 	}
-	render := func() string {
-		h := bench.TraceRun()
-		return telemetry.FormatCriticalPaths(h.CriticalPaths(), 5)
-	}
-	first := render()
-	if second := render(); first != second {
-		t.Fatalf("critical-path table drifted across reruns:\n run1:\n%s\n run2:\n%s", first, second)
-	}
-	if first == "" {
-		t.Fatal("critical-path table is empty")
-	}
-	h := bench.TraceRun()
-	paths := h.CriticalPaths()
+	paths := runEntry(t, "observed", scenario.Observers{}).Envs[0].Hub.CriticalPaths()
 	if len(paths) == 0 {
 		t.Fatal("no request roots in the trace")
+	}
+	if telemetry.FormatCriticalPaths(paths, 5) == "" {
+		t.Fatal("critical-path table is empty")
 	}
 	multi := false
 	for _, cp := range paths {
@@ -304,25 +326,18 @@ func TestDeterminismCritPathTable(t *testing.T) {
 	}
 }
 
-// TestDeterminismSLOTable double-runs the SLO-monitored degrading-WAN
-// workload and asserts a byte-identical alert table, plus the alert
-// lifecycle the acceptance criteria demand: the transfer-latency
-// objective must both breach (degrade era) and clear (quiet tail),
-// and the recovery-availability objective must breach while the site
-// partition starves the repair loop of sources, then clear after the
-// heal.
+// TestDeterminismSLOTable checks the alert lifecycle the acceptance
+// criteria demand of the SLO-monitored timeline (its alert table is
+// pinned by the registry double run): the transfer-latency objective
+// must both breach (degrade era) and clear (quiet tail), and the
+// recovery-availability objective must breach while the site partition
+// starves the repair loop of sources, then clear after the heal.
 func TestDeterminismSLOTable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full SLO-monitored run")
 	}
-	first := bench.SLOBench()
-	second := bench.SLOBench()
-	a, b := first.FormatSLO(), second.FormatSLO()
-	if a != b {
-		t.Fatalf("SLO table drifted across reruns:\n run1:\n%s\n run2:\n%s", a, b)
-	}
 	byName := make(map[string]telemetry.SLOStatus)
-	for _, s := range first.Status() {
+	for _, s := range runEntry(t, "slo", scenario.Observers{}).Envs[0].Monitor.Status() {
 		byName[s.Name] = s
 	}
 	tr, ok := byName["datagrid-transfer-p99"]
@@ -358,34 +373,20 @@ func TestDeterminismSLOTable(t *testing.T) {
 	}
 }
 
-// fmtPartitionRow renders one failure-scenario row with full float
-// precision.
-func fmtPartitionRow(r bench.PartitionResult) string {
-	return fmt.Sprintf("scenario=%s testbed=%s detect=%v recover=%v movedMB=%v repairs=%d lost=%d",
-		r.Scenario, r.Testbed, r.DetectS, r.RecoverS, r.MovedMB, r.Repairs, r.Lost)
-}
-
-// TestDeterminismPartitionTable pins the crash-partition-and-heal
-// table: two complete PartitionBench runs must be bit-identical, every
-// scenario must reconverge in finite virtual time with zero lost
-// objects, the crash scenarios must actually move repair traffic, and
-// the WAN partition must push bytes over the backup wire.
+// TestDeterminismPartitionTable checks the crash-partition-and-heal
+// table (pinned by the registry double run): every scenario must
+// reconverge in finite virtual time with zero lost objects, the crash
+// scenarios must actually move repair traffic, and the WAN partition
+// must push bytes over the backup wire.
 func TestDeterminismPartitionTable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full failure-scenario run")
 	}
-	first := bench.PartitionBench()
-	second := bench.PartitionBench()
-	if len(first) != 3 || len(second) != 3 {
-		t.Fatalf("table has %d/%d rows, want 3", len(first), len(second))
+	rows := runEntry(t, "partition", scenario.Observers{}).Rows.([]bench.PartitionResult)
+	if len(rows) != 3 {
+		t.Fatalf("table has %d rows, want 3", len(rows))
 	}
-	for i := range first {
-		a, b := fmtPartitionRow(first[i]), fmtPartitionRow(second[i])
-		if a != b {
-			t.Errorf("row %d drifted across reruns:\n run1 %s\n run2 %s", i, a, b)
-		}
-	}
-	for _, r := range first {
+	for _, r := range rows {
 		if r.Lost != 0 {
 			t.Errorf("%s: %d objects lost after recovery", r.Scenario, r.Lost)
 		}
@@ -399,39 +400,32 @@ func TestDeterminismPartitionTable(t *testing.T) {
 			t.Errorf("%s: no bytes moved while healing", r.Scenario)
 		}
 	}
-	if first[0].Scenario != "node-crash" || first[1].Scenario != "site-blackout" || first[2].Scenario != "wan-partition" {
-		t.Fatalf("row order changed: %+v", first)
+	if rows[0].Scenario != "node-crash" || rows[1].Scenario != "site-blackout" || rows[2].Scenario != "wan-partition" {
+		t.Fatalf("row order changed: %+v", rows)
 	}
-	if first[0].Repairs == 0 || first[1].Repairs == 0 {
-		t.Errorf("crash scenarios completed no repair transfers: %+v", first[:2])
+	if rows[0].Repairs == 0 || rows[1].Repairs == 0 {
+		t.Errorf("crash scenarios completed no repair transfers: %+v", rows[:2])
 	}
-	if first[1].Repairs <= first[0].Repairs {
+	if rows[1].Repairs <= rows[0].Repairs {
 		t.Errorf("site blackout repaired %d objects, single crash %d — blackout should lose more replicas",
-			first[1].Repairs, first[0].Repairs)
+			rows[1].Repairs, rows[0].Repairs)
 	}
 }
 
-// TestDeterminismSeries pins the time-series sampler the same way the
-// traces are pinned: two complete SeriesRun executions must serialize
-// to byte-identical series JSON. Volatile metrics (iovec pool misses,
-// which depend on wall-clock GC timing) are excluded by the sampler,
-// so this holds even though the underlying sync.Pool is
-// nondeterministic. It also asserts the coverage the acceptance
-// criteria demand — tracks from at least six layers, including hop
-// utilization, queue depth and pool occupancy — and that the degrade
-// is visible in the data: the collapsed core's busy fraction after
-// DegradeAt must dwarf its healthy-era level.
+// TestDeterminismSeries checks the sampled timeline (its series JSON
+// is pinned by the registry double run; volatile metrics — iovec pool
+// misses, which depend on wall-clock GC timing — are excluded by the
+// sampler, so that holds even though the underlying sync.Pool is
+// nondeterministic). It asserts the coverage the acceptance criteria
+// demand — tracks from at least six layers, including hop utilization,
+// queue depth and pool occupancy — and that the degrade is visible in
+// the data: the collapsed core's busy fraction after DegradeAt must
+// dwarf its healthy-era level.
 func TestDeterminismSeries(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sampled run")
 	}
-	first := bench.SeriesRun()
-	j1 := first.Sampler.Series().JSON()
-	j2 := bench.SeriesRun().Sampler.Series().JSON()
-	if !bytes.Equal(j1, j2) {
-		t.Fatalf("series JSON drifted across reruns: %d vs %d bytes", len(j1), len(j2))
-	}
-	set := first.Sampler.Series()
+	set := runEntry(t, "sampled", scenario.Observers{}).Envs[0].Sampler.Series()
 	layers := make(map[string]bool)
 	for _, tr := range set.Tracks() {
 		if i := bytes.IndexByte([]byte(tr.Name), '.'); i > 0 {

@@ -18,12 +18,11 @@ import (
 	"padico/internal/grid"
 	"padico/internal/session"
 	"padico/internal/vtime"
-	"padico/internal/weather"
 )
 
 func main() {
 	g := grid.DegradingWAN(1) // node 0 = site0, 1 = site1, 2 = site2
-	svc := g.EnableWeather(weather.Config{})
+	svc := g.EnableWeather()
 
 	fmt.Printf("testbed: 3 sites over a VTHD-like WAN; site0-site1 core degrades /%d at t=%v\n\n",
 		grid.DegradeFactor, grid.DegradeAt)

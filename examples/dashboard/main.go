@@ -16,6 +16,7 @@ import (
 
 	"padico/internal/bench"
 	"padico/internal/grid"
+	"padico/internal/scenario"
 	"padico/internal/vtime"
 )
 
@@ -24,9 +25,14 @@ func main() {
 		"then site1 is partitioned and healed. Sampler cadence %v of virtual time.\n\n",
 		grid.DegradeFactor, grid.DegradeAt, bench.SeriesInterval)
 
-	out := bench.SeriesRun()
-	set := out.Sampler.Series()
-	fmt.Printf("sampled %d scrapes into %d tracks\n\n", out.Sampler.Scrapes(), set.Len())
+	rep, err := bench.Lookup("sampled").Run(scenario.Observers{})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "dashboard:", err)
+		os.Exit(1)
+	}
+	sampler := rep.Envs[0].Sampler
+	set := sampler.Series()
+	fmt.Printf("sampled %d scrapes into %d tracks\n\n", sampler.Scrapes(), set.Len())
 
 	// Terminal digest: the three curves that tell the story.
 	for _, name := range []string{
@@ -50,7 +56,7 @@ func main() {
 		fmt.Printf("  %-48s min %-12g peak %-12g at t=%v\n", name, lo, hi, peakAt)
 	}
 
-	for _, m := range out.Marks {
+	for _, m := range rep.Dash.Marks {
 		fmt.Printf("\n  mark: %-9s at t=%v", m.Label, m.T)
 	}
 	fmt.Println()
@@ -60,7 +66,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "dashboard:", err)
 		os.Exit(1)
 	}
-	if err := set.WriteDash(f, bench.SeriesDashOptions(out)); err != nil {
+	if err := set.WriteDash(f, rep.Dash); err != nil {
 		fmt.Fprintln(os.Stderr, "dashboard:", err)
 		os.Exit(1)
 	}

@@ -34,22 +34,16 @@ func main() {
 
 	// The failure detector is the bridge between the fault layer's
 	// ground truth and the datagrid's view: a detected crash marks the
-	// node down and shrinks the ring, which reroutes every placement the
-	// victim was part of through the repair loop.
+	// node down and shrinks the ring (DataGrid.NodeStateChanged does both
+	// halves), which reroutes every placement the victim was part of
+	// through the repair loop.
 	var detectedAt vtime.Time
-	det := faults.NewDetector(inj, 500*time.Millisecond, func(n topology.NodeID, down bool) {
-		if down {
-			if detectedAt == 0 {
-				detectedAt = g.K.Now()
-			}
-			dg.MarkDown(n)
-			dg.RemoveMember(n)
-			return
+	faults.NewDetector(inj, 500*time.Millisecond, func(n topology.NodeID, down bool) {
+		if down && detectedAt == 0 {
+			detectedAt = g.K.Now()
 		}
-		dg.MarkUp(n)
-		dg.AddMember(n, g.Topo.Node(n).Site)
-	})
-	det.Start()
+		dg.NodeStateChanged(n, down)
+	}).Start()
 
 	if err := g.K.Run(func(p *vtime.Proc) {
 		// Ingest a replicated working set.

@@ -31,19 +31,9 @@ var (
 type Config struct {
 	// Replicas is the replica factor per object (default 2).
 	Replicas int
-	// VNodes is the ring's virtual-node count per member (default
-	// DefaultVNodes).
-	VNodes int
 	// Streams overrides the selector's WAN stripe count for bulk
 	// transfers (0 keeps the testbed preference; 1 disables striping).
 	Streams int
-	// ChunkBytes is the transfer unit (default 256 KiB).
-	ChunkBytes int
-	// WindowBytes bounds unacknowledged in-flight bytes per transfer —
-	// the per-transfer flow-control window (default 1 MiB).
-	WindowBytes int
-	// Workers is the replication scheduler's concurrency (default 4).
-	Workers int
 	// MaxRetries bounds attempts per transfer job (default 3).
 	MaxRetries int
 	// Hierarchical routes Put replication fan-out through
@@ -83,9 +73,6 @@ type Config struct {
 	// (which kicks the repair loop). Zero starts no daemons; AuditNow
 	// still scrubs synchronously.
 	AuditInterval time.Duration
-	// AuditRate caps scrub throughput in payload bytes per second of
-	// virtual time (0 = the auditor's default).
-	AuditRate float64
 	// RepairInterval, when positive, runs the anti-entropy repair
 	// daemon: every interval — or immediately after an audit
 	// quarantine — the catalog is scanned for under-replicated objects
@@ -94,21 +81,20 @@ type Config struct {
 	RepairInterval time.Duration
 }
 
+// Transfer shape. Nothing ever set these, so they are constants.
+const (
+	// chunkBytes is the transfer unit.
+	chunkBytes = 256 << 10
+	// windowBytes bounds unacknowledged in-flight bytes per transfer —
+	// the per-transfer flow-control window.
+	windowBytes = 1 << 20
+	// schedWorkers is the replication scheduler's concurrency.
+	schedWorkers = 4
+)
+
 func (c Config) withDefaults() Config {
 	if c.Replicas <= 0 {
 		c.Replicas = 2
-	}
-	if c.ChunkBytes <= 0 {
-		c.ChunkBytes = 256 << 10
-	}
-	if c.WindowBytes < c.ChunkBytes {
-		c.WindowBytes = 1 << 20
-		if c.WindowBytes < c.ChunkBytes {
-			c.WindowBytes = 2 * c.ChunkBytes
-		}
-	}
-	if c.Workers <= 0 {
-		c.Workers = 4
 	}
 	if c.MaxRetries <= 0 {
 		c.MaxRetries = 3
@@ -246,7 +232,7 @@ func New(k *vtime.Kernel, topo *topology.Grid, mgr *session.Manager, cfg Config)
 	cfg = cfg.withDefaults()
 	dg := &DataGrid{
 		k: k, topo: topo, mgr: mgr, cfg: cfg,
-		ring:       RingFromTopology(topo, cfg.VNodes),
+		ring:       RingFromTopology(topo, 0),
 		catalog:    make(map[string]*ObjectMeta),
 		downNodes:  make(map[topology.NodeID]bool),
 		lost:       make(map[string]bool),
@@ -263,7 +249,7 @@ func New(k *vtime.Kernel, topo *topology.Grid, mgr *session.Manager, cfg Config)
 		dg.hAudit = h.Registry().Histogram("store.audit_latency")
 		dg.hRepair = h.Registry().Histogram("store.repair_latency")
 	}
-	dg.sched = newScheduler(dg, cfg.Workers)
+	dg.sched = newScheduler(dg, schedWorkers)
 	if dg.tel != nil {
 		// Scheduler backpressure: jobs submitted but not finished
 		// (queued + running) and distinct in-flight object transfers.
@@ -306,9 +292,9 @@ func (dg *DataGrid) Stats() Stats {
 }
 
 // MarkDown declares a node unreachable: it stops serving as a GET or
-// repair source, entry point, or replication destination. Called by the
-// failure detector (internal/faults) on a detected crash or partition;
-// the repair daemon is kicked so re-replication of copies the node held
+// repair source, entry point, or replication destination. It is the
+// reachability half of NodeStateChanged and leaves the ring alone; the
+// repair daemon is kicked so re-replication of copies the node held
 // starts on the next pass, not after a full RepairInterval.
 func (dg *DataGrid) MarkDown(n topology.NodeID) {
 	if dg.downNodes[n] {
@@ -332,6 +318,24 @@ func (dg *DataGrid) MarkUp(n topology.NodeID) {
 	atomic.AddInt64(&dg.stats.NodesDown, -1)
 	dg.tel.Note("datagrid", "node marked up", int(n), 0, 0)
 	dg.repairKick.Broadcast()
+}
+
+// NodeStateChanged is the target of a faults.Detector callback (it has
+// the faults.Listener shape): a node detected down is marked
+// unreachable and leaves the ring, so nothing places on it and every
+// copy it held re-replicates through the repair path; a node detected
+// up is marked reachable and rejoins the ring in its site's zone. Doing
+// only one half leaves a ring that still places on a dead node, or a
+// down-set that never heals — so detector wiring calls this, not the
+// halves.
+func (dg *DataGrid) NodeStateChanged(n topology.NodeID, down bool) {
+	if down {
+		dg.MarkDown(n)
+		dg.RemoveMember(n)
+		return
+	}
+	dg.MarkUp(n)
+	dg.AddMember(n, dg.topo.Node(n).Site)
 }
 
 // NodeDown reports the failure detector's current view of a node.
@@ -433,7 +437,6 @@ func (dg *DataGrid) auditorOn(n topology.NodeID) *store.Auditor {
 	}
 	a := store.NewAuditor(dg.k, n, dg.EngineOn(n), store.AuditConfig{
 		Interval:  dg.cfg.AuditInterval,
-		RateBytes: dg.cfg.AuditRate,
 		OnCorrupt: func(p *vtime.Proc, key string) { dg.onQuarantine(p, n, key) },
 	})
 	dg.auditors[n] = a
@@ -580,7 +583,6 @@ func (dg *DataGrid) newGroup(members []topology.NodeID) (*group.Group, error) {
 		}
 	}
 	return group.New(dg.k, dg.topo, dg.mgr, members, group.Config{
-		ChunkBytes:    dg.cfg.ChunkBytes,
 		Streams:       dg.cfg.Streams,
 		StatusTimeout: dg.cfg.RetryTimeout,
 		InjectFault:   fault,

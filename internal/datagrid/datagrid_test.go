@@ -12,7 +12,6 @@ import (
 	"padico/internal/store"
 	"padico/internal/topology"
 	"padico/internal/vtime"
-	weatherpkg "padico/internal/weather"
 )
 
 // payload returns size deterministic pseudo-random (incompressible)
@@ -603,7 +602,7 @@ func TestHierarchicalFaultRetryConverges(t *testing.T) {
 // the pre-degrade ranking matches the static one.
 func TestGetSwitchesSourceUnderWeather(t *testing.T) {
 	g := grid.DegradingWAN(1) // node 0 = site0, 1 = site1, 2 = site2
-	g.EnableWeather(weatherpkg.Config{})
+	g.EnableWeather()
 	dg := g.NewDataGrid(datagrid.Config{Replicas: 2})
 	ring := datagrid.NewRing(0)
 	ring.Add(1, "site1")
@@ -668,5 +667,58 @@ func TestAdaptiveTransfersConfig(t *testing.T) {
 	}
 	if g.Session().Stats().AdaptiveOpens == 0 {
 		t.Fatal("no adaptive opens despite Config.Adaptive")
+	}
+}
+
+// TestNodeStateChangedDoesBothHalves drives the detector callback by
+// hand: a node reported down must stop being reachable AND stop being a
+// placement target (its objects re-replicate elsewhere); reported up
+// again it must be reachable AND back in the ring, in its own site's
+// zone, so the original placement returns.
+func TestNodeStateChangedDoesBothHalves(t *testing.T) {
+	g := grid.Cluster(4)
+	dg := g.NewDataGrid(datagrid.Config{Replicas: 2})
+	contains := func(nodes []topology.NodeID, n topology.NodeID) bool {
+		for _, m := range nodes {
+			if m == n {
+				return true
+			}
+		}
+		return false
+	}
+	if err := g.K.Run(func(p *vtime.Proc) {
+		if err := dg.Put(p, 0, "obj", payload(5, 64<<10)); err != nil {
+			t.Fatal(err)
+		}
+		dg.WaitSettled(p)
+		before, _ := dg.Meta("obj")
+		original := append([]topology.NodeID(nil), before.Targets...)
+		victim := original[0]
+
+		dg.NodeStateChanged(victim, true)
+		if !dg.NodeDown(victim) {
+			t.Fatal("down: node still counts as reachable")
+		}
+		if meta, _ := dg.Meta("obj"); contains(meta.Targets, victim) || len(meta.Targets) != 2 {
+			t.Fatalf("down: placement %v still targets node %d", meta.Targets, victim)
+		}
+		dg.WaitSettled(p)
+		if err := dg.VerifyReplicas("obj"); err != nil {
+			t.Fatalf("down: not re-replicated: %v", err)
+		}
+
+		dg.NodeStateChanged(victim, false)
+		if dg.NodeDown(victim) {
+			t.Fatal("up: node still marked down")
+		}
+		if meta, _ := dg.Meta("obj"); fmt.Sprint(meta.Targets) != fmt.Sprint(original) {
+			t.Fatalf("up: placement %v, want the original %v back", meta.Targets, original)
+		}
+		dg.WaitSettled(p)
+		if err := dg.VerifyReplicas("obj"); err != nil {
+			t.Fatalf("up: %v", err)
+		}
+	}); err != nil {
+		t.Fatal(err)
 	}
 }

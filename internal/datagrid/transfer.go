@@ -166,14 +166,12 @@ func (dg *DataGrid) transferOnce(p *vtime.Proc, src, dst topology.NodeID,
 		ch.Close()
 		return nil, &errTransfer{src: src, dst: dst, attempt: attempt, cause: "header: " + err.Error()}
 	}
-	chunk := dg.cfg.ChunkBytes
-	window := dg.cfg.WindowBytes
 	for off := 0; off < len(data) && !failed; {
-		end := off + chunk
+		end := off + chunkBytes
 		if end > len(data) {
 			end = len(data)
 		}
-		for off-acked > window-chunk && !failed {
+		for off-acked > windowBytes-chunkBytes && !failed {
 			credit.Wait(p)
 		}
 		if failed {

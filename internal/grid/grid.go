@@ -84,9 +84,9 @@ func (g *Grid) Open(p *vtime.Proc, src, dst topology.NodeID, opts ...session.Opt
 // testbed: the session manager consults its forecasts on every Open,
 // closed channels feed its passive tap, and adaptive channels
 // subscribe to its transitions. Idempotent; returns the service.
-func (g *Grid) EnableWeather(cfg weather.Config) *weather.Service {
+func (g *Grid) EnableWeather() *weather.Service {
 	if g.wsvc == nil {
-		g.wsvc = weather.New(g.K, g.Topo, g.Session(), g.Stack, cfg)
+		g.wsvc = weather.New(g.K, g.Topo, g.Session(), g.Stack)
 		g.Session().SetWeather(g.wsvc)
 		g.wsvc.Start()
 	}

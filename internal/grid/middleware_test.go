@@ -15,52 +15,8 @@ import (
 	"padico/internal/rmi"
 	"padico/internal/soapx"
 	"padico/internal/topology"
-	"padico/internal/vlink"
 	"padico/internal/vtime"
 )
-
-// mpiPair builds a 2-node cluster with MPI over vmad/Circuit on both.
-func mpiPair(t *testing.T) (*grid.Grid, func(p *vtime.Proc) (*mpi.Comm, *mpi.Comm)) {
-	g := grid.Cluster(2)
-	return g, func(p *vtime.Proc) (*mpi.Comm, *mpi.Comm) {
-		circs, err := g.NewCircuits(p, "mpi", []topology.NodeID{0, 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return mpi.New(g.K, personality.NewVMad(g.K, circs[0])),
-			mpi.New(g.K, personality.NewVMad(g.K, circs[1]))
-	}
-}
-
-// Table 1: MPICH one-way latency 12.06 µs over Myrinet.
-func TestMPILatencyMatchesTable1(t *testing.T) {
-	g, build := mpiPair(t)
-	var oneway time.Duration
-	if err := g.K.Run(func(p *vtime.Proc) {
-		c0, c1 := build(p)
-		g.K.GoDaemon("echo", func(q *vtime.Proc) {
-			buf := make([]byte, 1)
-			for {
-				st := c1.Recv(q, mpi.AnySource, 7, buf)
-				c1.Send(q, st.Source, 8, buf[:st.Count])
-			}
-		})
-		buf := make([]byte, 1)
-		const rounds = 200
-		start := p.Now()
-		for i := 0; i < rounds; i++ {
-			c0.Send(p, 1, 7, buf)
-			c0.Recv(p, 1, 8, buf)
-		}
-		oneway = p.Now().Sub(start) / (2 * rounds)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	want := 12060 * time.Nanosecond
-	if oneway < want-2*time.Microsecond || oneway > want+2*time.Microsecond {
-		t.Fatalf("MPI one-way = %v, want ~%v (Table 1)", oneway, want)
-	}
-}
 
 func TestMPICollectivesAndWildcards(t *testing.T) {
 	g := grid.Cluster(4)
@@ -142,7 +98,10 @@ func pick(cond bool, a, b []byte) []byte {
 	return b
 }
 
-// Table 1 / Fig. 3: omniORB4 ≈ 18.4 µs; Mico's copies crush bandwidth.
+// The ORB profiles differ where the paper says they do: omniORB 3 pays
+// more per request than omniORB 4, and Mico far more than either. The
+// published figures themselves are asserted in one place, against the
+// entries padico-bench prints (internal/bench TestPaperFidelity).
 func TestORBProfilesMatchPaper(t *testing.T) {
 	lat := func(profile orb.Profile) time.Duration {
 		g := grid.Cluster(2)
@@ -181,17 +140,12 @@ func TestORBProfilesMatchPaper(t *testing.T) {
 		}
 		return oneway
 	}
-	o4 := lat(orb.OmniORB4)
-	if o4 < 16*time.Microsecond || o4 > 21*time.Microsecond {
-		t.Fatalf("omniORB4 one-way = %v, want ~18.4 µs", o4)
-	}
-	o3 := lat(orb.OmniORB3)
+	o4, o3, mico := lat(orb.OmniORB4), lat(orb.OmniORB3), lat(orb.Mico)
 	if o3 <= o4 {
 		t.Fatalf("omniORB3 (%v) should be slower than omniORB4 (%v)", o3, o4)
 	}
-	mico := lat(orb.Mico)
-	if mico < 55*time.Microsecond || mico > 75*time.Microsecond {
-		t.Fatalf("Mico one-way = %v, want ~63 µs", mico)
+	if mico <= 2*o3 {
+		t.Fatalf("Mico (%v) should be far slower than omniORB3 (%v)", mico, o3)
 	}
 }
 
@@ -268,48 +222,6 @@ func TestMPIAndCORBASimultaneously(t *testing.T) {
 		}
 	}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestJavaSocketLatencyMatchesTable1(t *testing.T) {
-	g := grid.Cluster(2)
-	var oneway time.Duration
-	if err := g.K.Run(func(p *vtime.Proc) {
-		ln, err := g.RT[1].VLink.Listen("madio", 5000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		acc := vtime.NewQueue[*vlink.VLink]("acc")
-		ln.SetAcceptHandler(func(v *vlink.VLink) { acc.Push(v) })
-		va, err := g.RT[0].VLink.ConnectWait(p, "madio", vlink.Addr{Node: 1, Port: 5000})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ja := rmi.NewJavaSocket(g.K, va)
-		jb := rmi.NewJavaSocket(g.K, acc.Pop(p))
-		g.K.GoDaemon("echo", func(q *vtime.Proc) {
-			buf := make([]byte, 1)
-			for {
-				if _, err := jb.ReadFull(q, buf); err != nil {
-					return
-				}
-				jb.Write(q, buf)
-			}
-		})
-		buf := make([]byte, 1)
-		const rounds = 100
-		start := p.Now()
-		for i := 0; i < rounds; i++ {
-			ja.Write(p, buf)
-			ja.ReadFull(p, buf)
-		}
-		oneway = p.Now().Sub(start) / (2 * rounds)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	want := 40 * time.Microsecond
-	if oneway < want-3*time.Microsecond || oneway > want+3*time.Microsecond {
-		t.Fatalf("Java socket one-way = %v, want ~%v (Table 1)", oneway, want)
 	}
 }
 

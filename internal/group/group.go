@@ -71,8 +71,6 @@ func (e *MulticastError) Error() string {
 
 // Config tunes a Group. Zero values select defaults.
 type Config struct {
-	// ChunkBytes is the multicast pipelining unit (default 256 KiB).
-	ChunkBytes int
 	// Streams overrides the per-edge WAN stripe count for tree edges
 	// (0 keeps the testbed preference; 1 disables striping).
 	Streams int
@@ -86,10 +84,10 @@ type Config struct {
 	InjectFault func(tag string, member topology.NodeID, attempt int) bool
 }
 
+// chunkBytes is the multicast pipelining unit.
+const chunkBytes = 256 << 10
+
 func (c Config) withDefaults() Config {
-	if c.ChunkBytes <= 0 {
-		c.ChunkBytes = 256 << 10
-	}
 	if c.StatusTimeout <= 0 {
 		c.StatusTimeout = 120 * time.Second
 	}
@@ -643,7 +641,7 @@ func (g *Group) MulticastSum(p *vtime.Proc, root topology.NodeID, tag string, da
 		}
 	}
 	for off := 0; off < len(data) && sendErr == nil; {
-		end := off + g.cfg.ChunkBytes
+		end := off + chunkBytes
 		if end > len(data) {
 			end = len(data)
 		}

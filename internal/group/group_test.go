@@ -13,7 +13,6 @@ import (
 	"padico/internal/selector"
 	"padico/internal/topology"
 	"padico/internal/vtime"
-	"padico/internal/weather"
 )
 
 func allNodes(g *grid.Grid) []topology.NodeID {
@@ -411,7 +410,7 @@ func TestMulticastRepeatRunBitIdentity(t *testing.T) {
 // re-provisions its edges under fresh decisions.
 func TestWeatherRebuildsDegradedTree(t *testing.T) {
 	g := grid.DegradingWAN(2) // site0 {0,1}, site1 {2,3}, site2 {4,5}
-	g.EnableWeather(weather.Config{})
+	g.EnableWeather()
 	grp, err := g.NewGroup(allNodes(g), group.Config{})
 	if err != nil {
 		t.Fatal(err)

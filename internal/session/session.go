@@ -23,9 +23,9 @@
 // and transfer counters.
 //
 // QoS is per-channel: functional options on Open (WithStreams,
-// WithCipher, WithCompression, WithLossTolerance, WithLatencySensitive)
-// override the Manager's default QoS — the deployment-wide Preferences
-// of old — for that channel only.
+// WithCipher, WithCompression, WithLatencySensitive) override the
+// Manager's default QoS — the deployment-wide Preferences of old — for
+// that channel only.
 package session
 
 import (
@@ -171,11 +171,6 @@ func WithCipher(p selector.CipherPolicy) Option { return func(c *openConfig) { c
 // WithCompression enables or disables the AdOC wrapper preference.
 func WithCompression(on bool) Option { return func(c *openConfig) { c.qos.Compress = on } }
 
-// WithLossTolerance tolerates losing the given fraction on lossy links.
-func WithLossTolerance(frac float64) Option {
-	return func(c *openConfig) { c.qos.LossTolerance = frac }
-}
-
 // WithLatencySensitive refuses adapters that trade latency for
 // bandwidth (striping, compression).
 func WithLatencySensitive() Option { return func(c *openConfig) { c.qos.LatencySensitive = true } }
@@ -193,10 +188,6 @@ func WithCollective() Option { return func(c *openConfig) { c.qos.Collective = t
 // resume handshake. Without a weather service the channel behaves like
 // a static one (framing aside).
 func WithAdaptive() Option { return func(c *openConfig) { c.adaptive = true } }
-
-// WithHysteresis overrides the re-selection hysteresis factor for this
-// channel (values below 1 are rejected by QoS validation).
-func WithHysteresis(f float64) Option { return func(c *openConfig) { c.qos.Hysteresis = f } }
 
 // Weather is what the session layer needs from a network-weather
 // service (internal/weather implements it): forecasts for the

@@ -139,7 +139,7 @@ func (s *Service) probeFailure(e *entry) {
 	s.tel.Note("weather", "probe failure", int(e.a), int64(e.b), int64(e.failures+1))
 	s.foldLoss(e, true)
 	e.failures++
-	if e.failures >= s.cfg.DownAfter {
+	if e.failures >= downAfter {
 		e.closeProbe()
 		s.setDown(e, true)
 	}
@@ -156,7 +156,7 @@ func (s *Service) probeSuccess(e *entry) {
 func (s *Service) probeLoop(p *vtime.Proc, e *entry) {
 	tick := 0
 	for {
-		p.Sleep(s.cfg.ProbeInterval)
+		p.Sleep(probeInterval)
 		if e.ch == nil {
 			if err := s.openProbe(p, e); err != nil {
 				s.probeFailure(e)
@@ -164,7 +164,7 @@ func (s *Service) probeLoop(p *vtime.Proc, e *entry) {
 			}
 		}
 		tick++
-		if tick%s.cfg.BandwidthEvery == 0 && e.haveLat {
+		if tick%bandwidthEvery == 0 && e.haveLat {
 			s.probeBandwidth(p, e)
 		} else {
 			s.probePing(p, e)
@@ -177,7 +177,7 @@ func (s *Service) probeLoop(p *vtime.Proc, e *entry) {
 // down for being slow would be exactly the misdiagnosis hysteresis
 // exists to prevent.
 func (s *Service) replyTimeout(e *entry) vtime.Duration {
-	return s.cfg.ProbeTimeout + 4*e.f.Latency
+	return probeTimeout + 4*e.f.Latency
 }
 
 // probePing measures one RTT.
@@ -208,7 +208,7 @@ func (s *Service) probePing(p *vtime.Proc, e *entry) {
 		}
 		rtt := p.Now().Sub(start)
 		s.hProbe.Observe(rtt)
-		s.foldLatency(e, rtt/2, s.cfg.Alpha)
+		s.foldLatency(e, rtt/2, activeAlpha)
 		s.probeSuccess(e)
 		return
 	}
@@ -218,7 +218,7 @@ func (s *Service) probePing(p *vtime.Proc, e *entry) {
 // the round trip minus the (already forecast) round-trip latency, so a
 // high-latency healthy WAN is not mistaken for a slow one.
 func (s *Service) probeBandwidth(p *vtime.Proc, e *entry) {
-	size := s.cfg.ProbeBytes
+	size := probeBytes
 	atomic.AddInt64(&s.stats.BandwidthProbes, 1)
 	e.seq++
 	seq := e.seq
@@ -267,7 +267,7 @@ func (s *Service) probeBandwidth(p *vtime.Proc, e *entry) {
 		if serialize <= 0 {
 			serialize = elapsed
 		}
-		s.foldBandwidth(e, float64(size)/serialize.Seconds(), s.cfg.Alpha)
+		s.foldBandwidth(e, float64(size)/serialize.Seconds(), activeAlpha)
 		s.probeSuccess(e)
 		return
 	}

@@ -41,82 +41,46 @@ import (
 	"padico/internal/vtime"
 )
 
-// Config tunes a Service. Zero values select defaults.
-type Config struct {
-	// ProbeInterval is the RTT ping cadence per monitored entry
-	// (default 250 ms of virtual time).
-	ProbeInterval time.Duration
-	// BandwidthEvery runs a bandwidth micro-transfer every N-th probe
-	// tick instead of a ping (default 4).
-	BandwidthEvery int
-	// ProbeBytes is the micro-transfer size (default 64 KiB) — small
-	// enough to stay within the probe budget, large enough to out-grow
-	// slow start on the cached probe connection.
-	ProbeBytes int
-	// ProbeTimeout bounds one ping reply (default 1 s); bandwidth
-	// probes get four times as long.
-	ProbeTimeout time.Duration
-	// DownAfter is the consecutive-failure count that declares a link
-	// down (default 2).
-	DownAfter int
-	// Alpha is the EWMA gain for active samples (default 0.5).
-	Alpha float64
-	// PassiveAlpha is the (lighter) gain for passive samples
-	// (default 0.25).
-	PassiveAlpha float64
-	// StepRatio is the relative change beyond which a sample resets
-	// the forecast outright instead of being averaged in (default 0.5):
-	// condition steps — a link degrading 16x — must be believed after
-	// one observation.
-	StepRatio float64
-	// DegradedRatio: a forecast below this fraction of the network's
+// The monitoring parameters. No caller ever tuned them (every testbed,
+// test and example ran on the defaults), so they are constants; each
+// keeps the reason for its value.
+const (
+	// probeInterval is the RTT ping cadence per monitored entry, in
+	// virtual time.
+	probeInterval = 250 * time.Millisecond
+	// bandwidthEvery runs a bandwidth micro-transfer every N-th probe
+	// tick instead of a ping.
+	bandwidthEvery = 4
+	// probeBytes is the micro-transfer size — small enough to stay
+	// within the probe budget, large enough to out-grow slow start on
+	// the cached probe connection.
+	probeBytes = 64 << 10
+	// probeTimeout bounds one ping reply; bandwidth probes get four
+	// times as long.
+	probeTimeout = time.Second
+	// downAfter is the consecutive-failure count that declares a link
+	// down.
+	downAfter = 2
+	// activeAlpha is the EWMA gain for active samples; passiveAlpha
+	// the (lighter) gain for passive ones.
+	activeAlpha  = 0.5
+	passiveAlpha = 0.25
+	// stepRatio is the relative change beyond which a sample resets
+	// the forecast outright instead of being averaged in: condition
+	// steps — a link degrading 16x — must be believed after one
+	// observation.
+	stepRatio = 0.5
+	// degradedRatio: a forecast below this fraction of the network's
 	// nameplate rate is "degraded"; crossings are published to
-	// subscribers (default 0.5).
-	DegradedRatio float64
-	// PassiveInterval is the ipstack SRTT sweep cadence (default 1 s).
-	PassiveInterval time.Duration
-	// MinObserveBytes is the smallest closed-channel transfer folded
-	// into the passive bandwidth estimate (default 256 KiB) — tiny
-	// control exchanges measure protocol latency, not bandwidth.
-	MinObserveBytes int64
-}
-
-func (c Config) withDefaults() Config {
-	if c.ProbeInterval <= 0 {
-		c.ProbeInterval = 250 * time.Millisecond
-	}
-	if c.BandwidthEvery <= 0 {
-		c.BandwidthEvery = 4
-	}
-	if c.ProbeBytes <= 0 {
-		c.ProbeBytes = 64 << 10
-	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = time.Second
-	}
-	if c.DownAfter <= 0 {
-		c.DownAfter = 2
-	}
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		c.Alpha = 0.5
-	}
-	if c.PassiveAlpha <= 0 || c.PassiveAlpha > 1 {
-		c.PassiveAlpha = 0.25
-	}
-	if c.StepRatio <= 0 {
-		c.StepRatio = 0.5
-	}
-	if c.DegradedRatio <= 0 {
-		c.DegradedRatio = 0.5
-	}
-	if c.PassiveInterval <= 0 {
-		c.PassiveInterval = time.Second
-	}
-	if c.MinObserveBytes <= 0 {
-		c.MinObserveBytes = 256 << 10
-	}
-	return c
-}
+	// subscribers.
+	degradedRatio = 0.5
+	// passiveInterval is the ipstack SRTT sweep cadence.
+	passiveInterval = time.Second
+	// minObserveBytes is the smallest closed-channel transfer folded
+	// into the passive bandwidth estimate — tiny control exchanges
+	// measure protocol latency, not bandwidth.
+	minObserveBytes = 256 << 10
+)
 
 // Stats counts monitoring activity. Counters are bumped with atomic
 // adds and read race-free through Service.Stats; with telemetry
@@ -159,7 +123,6 @@ type Service struct {
 	topo  *topology.Grid
 	mgr   *session.Manager
 	stack *ipstack.Stack // passive SRTT tap (may be nil)
-	cfg   Config
 
 	entries []*entry
 	byKey   map[string]*entry
@@ -189,9 +152,9 @@ func (s *Service) Stats() Stats {
 // New builds a weather service over a testbed's session manager. The
 // stack, when non-nil, is swept for passive TCP RTT estimates. Call
 // Start to begin monitoring.
-func New(k *vtime.Kernel, topo *topology.Grid, mgr *session.Manager, stack *ipstack.Stack, cfg Config) *Service {
+func New(k *vtime.Kernel, topo *topology.Grid, mgr *session.Manager, stack *ipstack.Stack) *Service {
 	s := &Service{
-		k: k, topo: topo, mgr: mgr, stack: stack, cfg: cfg.withDefaults(),
+		k: k, topo: topo, mgr: mgr, stack: stack,
 		byKey: make(map[string]*entry),
 	}
 	if h := telemetry.For(k); h != nil {
@@ -292,7 +255,7 @@ func (s *Service) Start() {
 // whatever traffic already flows.
 func (s *Service) sweepRTT(p *vtime.Proc) {
 	for {
-		p.Sleep(s.cfg.PassiveInterval)
+		p.Sleep(passiveInterval)
 		for _, e := range s.entries {
 			srtt, ok := s.stack.SRTT(e.a, e.b)
 			if !ok {
@@ -301,7 +264,7 @@ func (s *Service) sweepRTT(p *vtime.Proc) {
 			if !ok || srtt <= 0 {
 				continue
 			}
-			s.foldLatency(e, srtt/2, s.cfg.PassiveAlpha)
+			s.foldLatency(e, srtt/2, passiveAlpha)
 			atomic.AddInt64(&s.stats.PassiveRTT, 1)
 		}
 	}
@@ -319,7 +282,7 @@ func (s *Service) ewma(prev, sample, alpha float64, have bool) float64 {
 	if delta < 0 {
 		delta = -delta
 	}
-	if delta > prev*s.cfg.StepRatio {
+	if delta > prev*stepRatio {
 		return sample // condition step: believe it now
 	}
 	return alpha*sample + (1-alpha)*prev
@@ -338,10 +301,10 @@ func (s *Service) foldBandwidth(e *entry, bps float64, alpha float64) {
 // long-lived channel closing must not flash a healthy link degraded.
 func (s *Service) foldBandwidthLower(e *entry, bps float64) {
 	if !e.haveBW || bps >= e.f.BandwidthBps {
-		s.foldBandwidth(e, bps, s.cfg.PassiveAlpha)
+		s.foldBandwidth(e, bps, passiveAlpha)
 		return
 	}
-	a := s.cfg.PassiveAlpha
+	a := passiveAlpha
 	e.f.BandwidthBps = a*bps + (1-a)*e.f.BandwidthBps
 	s.maybePublish(e)
 }
@@ -360,14 +323,14 @@ func (s *Service) foldLoss(e *entry, lost bool) {
 	if lost {
 		sample = 1.0
 	}
-	e.f.Loss = s.cfg.Alpha*sample + (1-s.cfg.Alpha)*e.f.Loss
+	e.f.Loss = activeAlpha*sample + (1-activeAlpha)*e.f.Loss
 }
 
 // maybePublish notifies subscribers when the entry crossed the
 // degraded threshold (either direction) or its outage state flipped.
 // The up-to-date forecast itself is always visible through Forecast.
 func (s *Service) maybePublish(e *entry) {
-	degraded := e.f.Down || (e.haveBW && e.f.BandwidthBps < s.cfg.DegradedRatio*e.nw.RateBps)
+	degraded := e.f.Down || (e.haveBW && e.f.BandwidthBps < degradedRatio*e.nw.RateBps)
 	if degraded == e.degraded {
 		return
 	}
@@ -454,7 +417,7 @@ func (s *Service) lookup(a, b topology.NodeID, nwName string) (*entry, bool) {
 // measurements, step detection included; lifetime averages are lower
 // bounds and may only lower the forecast gently.
 func (s *Service) ObserveTransfer(src, dst topology.NodeID, network string, bytesOut int64, elapsed vtime.Duration, live bool) {
-	if bytesOut < s.cfg.MinObserveBytes || elapsed <= 0 {
+	if bytesOut < minObserveBytes || elapsed <= 0 {
 		return
 	}
 	e, ok := s.lookup(src, dst, network)
@@ -463,7 +426,7 @@ func (s *Service) ObserveTransfer(src, dst topology.NodeID, network string, byte
 	}
 	bps := float64(bytesOut) / elapsed.Seconds()
 	if live {
-		s.foldBandwidth(e, bps, s.cfg.PassiveAlpha)
+		s.foldBandwidth(e, bps, passiveAlpha)
 	} else {
 		s.foldBandwidthLower(e, bps)
 	}

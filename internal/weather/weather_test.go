@@ -19,7 +19,7 @@ import (
 // estimator).
 func TestForecastConvergesToLinkRate(t *testing.T) {
 	g := grid.TwoClusterWAN(1, 1)
-	svc := g.EnableWeather(weather.Config{})
+	svc := g.EnableWeather()
 	if svc.Entries() != 1 {
 		t.Fatalf("entries = %d, want 1 (one site pair, one WAN)", svc.Entries())
 	}
@@ -59,7 +59,7 @@ func TestForecastConvergesToLinkRate(t *testing.T) {
 // degraded-threshold crossing is published exactly once.
 func TestForecastTracksDegradation(t *testing.T) {
 	g := grid.DegradingWAN(1)
-	svc := g.EnableWeather(weather.Config{})
+	svc := g.EnableWeather()
 	if svc.Entries() != 3 {
 		t.Fatalf("entries = %d, want 3 site pairs", svc.Entries())
 	}
@@ -113,7 +113,7 @@ func TestOutageMarksDownAndRecovers(t *testing.T) {
 	}
 	netsim.ScheduleOutage(g.K,
 		vtime.Time(0).Add(2*time.Second), vtime.Time(0).Add(12*time.Second), core)
-	svc := g.EnableWeather(weather.Config{})
+	svc := g.EnableWeather()
 	wan := g.Topo.Networks()[4]
 	if err := g.K.Run(func(p *vtime.Proc) {
 		// Deep enough for a probe timeout (bandwidth probes wait 4x)
@@ -138,7 +138,7 @@ func TestOutageMarksDownAndRecovers(t *testing.T) {
 func TestWeatherIsDeterministic(t *testing.T) {
 	run := func() (selector.Forecast, weather.Stats) {
 		g := grid.DegradingWAN(1)
-		svc := g.EnableWeather(weather.Config{})
+		svc := g.EnableWeather()
 		var wan *topology.Network
 		for _, nw := range g.Topo.Networks() {
 			if nw.Name == "vthd" {
