@@ -24,6 +24,10 @@ type MadIOPort struct {
 	madRank  func(circuitRank int) int // circuit rank -> madeleine rank
 	circRank func(madRank int) int
 	closed   bool
+	// Scratch for every message: SendVec and Deliver copy what they keep.
+	meta []byte
+	vec  []iovec.Seg
+	segs [][]byte
 }
 
 // Close releases the port's MadIO logical channel — logical ids are a
@@ -53,13 +57,15 @@ func NewMadIOPort(mio *netaccess.MadIO, logical uint16, circ *Circuit,
 		plane := Plane(hdr[0])
 		nsegs := int(binary.BigEndian.Uint32(hdr[1:]))
 		lens := in.Unpack(4*nsegs, madapi.ReceiveExpress)
-		segs := make([][]byte, 0, nsegs)
+		segs := p.segs[:0]
 		for i := 0; i < nsegs; i++ {
 			n := int(binary.BigEndian.Uint32(lens[4*i:]))
 			segs = append(segs, in.Unpack(n, madapi.ReceiveCheaper))
 		}
 		in.EndUnpacking()
 		circ.Deliver(circRank(src), plane, segs)
+		clear(segs)
+		p.segs = segs
 	})
 	return p
 }
@@ -83,17 +89,23 @@ func (l *madioLink) Close() { l.p.Close() }
 // segment count and all segment lengths as express segments of the same
 // hardware message.
 func (l *madioLink) Send(plane Plane, segs [][]byte) {
-	meta := make([]byte, 5+4*len(segs))
-	hdr, lens := meta[:5:5], meta[5:]
+	p := l.p
+	n := 5 + 4*len(segs)
+	if cap(p.meta) < n {
+		p.meta = make([]byte, n)
+	}
+	meta := p.meta[:n]
+	hdr, lens := meta[:5], meta[5:]
 	hdr[0] = byte(plane)
 	binary.BigEndian.PutUint32(hdr[1:], uint32(len(segs)))
-	out := make([][]byte, 0, 2+len(segs))
-	out = append(out, hdr, lens)
+	vec := p.vec[:0]
 	for i, s := range segs {
 		binary.BigEndian.PutUint32(lens[4*i:], uint32(len(s)))
-		out = append(out, s)
+		vec = append(vec, iovec.Seg{B: s})
 	}
-	l.p.mio.Send(l.p.madRank(l.dst), l.p.logical, out...)
+	p.mio.SendVec(p.madRank(l.dst), p.logical, [][]byte{hdr, lens}, iovec.Vec{Segs: vec})
+	clear(vec)
+	p.vec = vec
 }
 
 // ---------------------------------------------------------------------

@@ -43,12 +43,6 @@ type LinkAdapter interface {
 	Send(plane Plane, segs [][]byte)
 }
 
-// incoming is one received message.
-type incoming struct {
-	src  int
-	segs [][]byte
-}
-
 // Circuit is one instance of the parallel abstract interface.
 type Circuit struct {
 	k     *vtime.Kernel
@@ -56,8 +50,9 @@ type Circuit struct {
 	self  int
 	group []topology.NodeID
 	links map[int]LinkAdapter
-	rx    *vtime.Queue[*incoming]
-	coll  *vtime.Queue[*incoming]
+	rx    *vtime.Queue[*inMessage]
+	coll  *vtime.Queue[*inMessage]
+	pool  []*transit // spent transit descriptors
 
 	MsgsSent int64
 	MsgsRecv int64
@@ -69,8 +64,8 @@ func New(k *vtime.Kernel, name string, self int, group []topology.NodeID) *Circu
 	return &Circuit{
 		k: k, name: name, self: self, group: group,
 		links: make(map[int]LinkAdapter),
-		rx:    vtime.NewQueue[*incoming](fmt.Sprintf("circuit:%s:%d:rx", name, self)),
-		coll:  vtime.NewQueue[*incoming](fmt.Sprintf("circuit:%s:%d:coll", name, self)),
+		rx:    vtime.NewQueue[*inMessage](fmt.Sprintf("circuit:%s:%d:rx", name, self)),
+		coll:  vtime.NewQueue[*inMessage](fmt.Sprintf("circuit:%s:%d:coll", name, self)),
 	}
 }
 
@@ -82,9 +77,6 @@ func (c *Circuit) Self() int { return c.self }
 
 // Size implements madapi.Channel.
 func (c *Circuit) Size() int { return len(c.group) }
-
-// Group returns the member nodes, indexed by rank.
-func (c *Circuit) Group() []topology.NodeID { return c.group }
 
 // SetLink installs the adapter used to reach rank dst.
 func (c *Circuit) SetLink(dst int, a LinkAdapter) { c.links[dst] = a }
@@ -114,21 +106,14 @@ func (c *Circuit) Close() {
 func (c *Circuit) SetRxNotify(fn func()) { c.rx.OnPush = fn }
 
 // Deliver is called by adapters when a message arrives (kernel
-// context). The receive-side abstraction cost is charged here.
+// context). The receive-side abstraction cost is charged here. The
+// adapter may reuse the segs slice, not the segments, once it returns.
 func (c *Circuit) Deliver(src int, plane Plane, segs [][]byte) {
-	n := 0
-	for _, s := range segs {
-		n += len(s)
-	}
-	cost := model.CircuitCost + model.CircuitPerByte.Cost(n)
-	c.k.Schedule(cost, func() {
-		c.MsgsRecv++
-		if plane == PlaneColl {
-			c.coll.Push(&incoming{src: src, segs: segs})
-			return
-		}
-		c.rx.Push(&incoming{src: src, segs: segs})
-	})
+	in := &inMessage{src: src}
+	in.segs = append(in.first[:0], segs...)
+	t := c.transit()
+	t.plane, t.in = plane, in
+	c.k.Schedule(model.CircuitCost+model.CircuitPerByte.Cost(size(segs)), t.run)
 }
 
 // send transmits on a plane, charging the send-side abstraction cost.
@@ -137,13 +122,57 @@ func (c *Circuit) send(dst int, plane Plane, segs [][]byte) {
 	if !ok {
 		panic(fmt.Sprintf("circuit %s: no link from rank %d to rank %d", c.name, c.self, dst))
 	}
+	c.MsgsSent++
+	t := c.transit()
+	t.link, t.plane, t.segs = link, plane, segs
+	c.k.Schedule(model.CircuitCost+model.CircuitPerByte.Cost(size(segs)), t.run)
+}
+
+func size(segs [][]byte) int {
 	n := 0
 	for _, s := range segs {
 		n += len(s)
 	}
-	c.MsgsSent++
-	cost := model.CircuitCost + model.CircuitPerByte.Cost(n)
-	c.k.Schedule(cost, func() { link.Send(plane, segs) })
+	return n
+}
+
+// transit carries one message across the size-dependent abstraction
+// cost: to the link (link set) or to a queue (in set). The circuit owns
+// it and takes it back when the cost has elapsed.
+type transit struct {
+	c     *Circuit
+	link  LinkAdapter
+	plane Plane
+	segs  [][]byte
+	in    *inMessage
+	run   func() // fire, bound once
+}
+
+func (c *Circuit) transit() *transit {
+	if n := len(c.pool); n > 0 {
+		t := c.pool[n-1]
+		c.pool = c.pool[:n-1]
+		return t
+	}
+	t := &transit{c: c}
+	t.run = t.fire
+	return t
+}
+
+func (t *transit) fire() {
+	c, link, plane, segs, in := t.c, t.link, t.plane, t.segs, t.in
+	t.link, t.segs, t.in = nil, nil, nil
+	c.pool = append(c.pool, t)
+	switch {
+	case in == nil:
+		link.Send(plane, segs)
+	case plane == PlaneColl:
+		c.MsgsRecv++
+		c.coll.Push(in)
+	default:
+		c.MsgsRecv++
+		c.rx.Push(in)
+	}
 }
 
 // ---------------------------------------------------------------------
@@ -153,14 +182,13 @@ var _ madapi.Channel = (*Circuit)(nil)
 
 // BeginPacking implements madapi.Channel.
 func (c *Circuit) BeginPacking(dst int) madapi.OutMessage {
-	return &outMessage{c: c, dst: dst}
+	m := &outMessage{c: c, dst: dst}
+	m.segs = m.first[:0]
+	return m
 }
 
 // BeginUnpacking implements madapi.Channel.
-func (c *Circuit) BeginUnpacking(p *vtime.Proc) madapi.InMessage {
-	in := c.rx.Pop(p)
-	return &inMessage{msg: in}
-}
+func (c *Circuit) BeginUnpacking(p *vtime.Proc) madapi.InMessage { return c.rx.Pop(p) }
 
 // TryBeginUnpacking implements madapi.Channel.
 func (c *Circuit) TryBeginUnpacking() (madapi.InMessage, bool) {
@@ -168,14 +196,19 @@ func (c *Circuit) TryBeginUnpacking() (madapi.InMessage, bool) {
 	if !ok {
 		return nil, false
 	}
-	return &inMessage{msg: in}, true
+	return in, true
 }
 
+// outMessage is one message being packed. Like Madeleine's, each
+// message has its own, and a short one lives in it whole.
 type outMessage struct {
-	c     *Circuit
-	dst   int
-	segs  [][]byte
-	ended bool
+	c      *Circuit
+	dst    int
+	segs   [][]byte
+	first  [4][]byte
+	used   int
+	inline [96]byte // SendSafer copies, while they fit
+	ended  bool
 }
 
 // Pack implements madapi.OutMessage.
@@ -184,7 +217,13 @@ func (m *outMessage) Pack(data []byte, mode madapi.PackMode) {
 		panic("circuit: Pack after EndPacking")
 	}
 	if mode == madapi.SendSafer {
-		data = append([]byte(nil), data...)
+		if end := m.used + len(data); end <= len(m.inline) {
+			b := m.inline[m.used:end:end]
+			copy(b, data)
+			data, m.used = b, end
+		} else {
+			data = append([]byte(nil), data...)
+		}
 	}
 	m.segs = append(m.segs, data)
 }
@@ -198,23 +237,26 @@ func (m *outMessage) EndPacking() {
 	m.c.send(m.dst, PlaneData, m.segs)
 }
 
+// inMessage is one received message, and then its receiver's handle.
 type inMessage struct {
-	msg     *incoming
+	src     int
+	segs    [][]byte
+	first   [4][]byte
 	next    int
 	cheaper bool
 }
 
 // Src implements madapi.InMessage.
-func (m *inMessage) Src() int { return m.msg.src }
+func (m *inMessage) Src() int { return m.src }
 
 // NextSegLen returns the size of the next segment to unpack; consumers
 // with self-describing formats (the FastMessage personality) use it.
-func (m *inMessage) NextSegLen() int { return len(m.msg.segs[m.next]) }
+func (m *inMessage) NextSegLen() int { return len(m.segs[m.next]) }
 
 // NumSegs returns how many segments the message was packed with;
 // paradigm-agnostic consumers (the session layer) use it to unpack a
 // message whose shape they did not dictate.
-func (m *inMessage) NumSegs() int { return len(m.msg.segs) }
+func (m *inMessage) NumSegs() int { return len(m.segs) }
 
 // Unpack implements madapi.InMessage.
 func (m *inMessage) Unpack(n int, mode madapi.UnpackMode) []byte {
@@ -224,10 +266,10 @@ func (m *inMessage) Unpack(n int, mode madapi.UnpackMode) []byte {
 	if mode == madapi.ReceiveCheaper {
 		m.cheaper = true
 	}
-	if m.next >= len(m.msg.segs) {
+	if m.next >= len(m.segs) {
 		panic("circuit: Unpack beyond packed segments")
 	}
-	seg := m.msg.segs[m.next]
+	seg := m.segs[m.next]
 	if len(seg) != n {
 		panic(fmt.Sprintf("circuit: Unpack size %d != packed %d", n, len(seg)))
 	}
@@ -237,13 +279,13 @@ func (m *inMessage) Unpack(n int, mode madapi.UnpackMode) []byte {
 
 // EndUnpacking implements madapi.InMessage.
 func (m *inMessage) EndUnpacking() {
-	if m.next != len(m.msg.segs) {
+	if m.next != len(m.segs) {
 		panic("circuit: EndUnpacking with segments left")
 	}
 }
 
 // Discard implements madapi.InMessage.
-func (m *inMessage) Discard() { m.next = len(m.msg.segs) }
+func (m *inMessage) Discard() { m.next = len(m.segs) }
 
 // ---------------------------------------------------------------------
 // Collectives (extension; see package comment).
@@ -251,7 +293,7 @@ func (m *inMessage) Discard() { m.next = len(m.msg.segs) }
 // collRecv blocks for the next control-plane message from src with the
 // given 1-byte tag (messages from other sources queue).
 func (c *Circuit) collRecv(p *vtime.Proc, src int, tag byte) []byte {
-	var stash []*incoming
+	var stash []*inMessage
 	defer func() {
 		for _, s := range stash {
 			c.coll.Push(s)

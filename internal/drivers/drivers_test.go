@@ -133,6 +133,34 @@ func TestGMScatterGatherSend(t *testing.T) {
 	}
 }
 
+// A message whose port closes while it is on the wire is dropped by the
+// receiving NIC; the pooled buffers it carries go back with its last
+// packet, whether the port closed before the first packet or between two.
+func TestGMClosedPortReleasesBuffers(t *testing.T) {
+	for _, closeAfter := range []time.Duration{0, 20 * time.Microsecond} {
+		k := vtime.NewKernel()
+		xb := myrinet(k)
+		n0 := gm.OpenNIC(k, xb, 0)
+		n1 := gm.OpenNIC(k, xb, 1)
+		p0, _ := n0.OpenPort(0)
+		p1, _ := n1.OpenPort(0)
+		p1.SetHandler(func(gm.RecvEvent) { t.Error("message delivered to a closed port") })
+		base := iovec.Outstanding()
+		if err := k.Run(func(p *vtime.Proc) {
+			head, body := iovec.Get(64), iovec.Get(3*model.MyrinetPacket)
+			p0.Send(1, 0, iovec.Vec{Segs: []iovec.Seg{{B: head.Bytes(), Owner: head}, {B: body.Bytes(), Owner: body}}})
+			p.Sleep(closeAfter)
+			p1.Close()
+			p.Sleep(time.Millisecond)
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if got := iovec.Outstanding(); got != base {
+			t.Errorf("port closed after %v: %d buffers outstanding, want %d", closeAfter, got, base)
+		}
+	}
+}
+
 // Property: GM delivers any mix of message sizes intact and in order.
 func TestQuickGMIntegrity(t *testing.T) {
 	f := func(sizes []uint16, seed int64) bool {

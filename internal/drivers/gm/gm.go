@@ -56,9 +56,12 @@ type NIC struct {
 // NICs DMA straight between the two hosts' pinned memory, so packets
 // carry wire sizes only and the gather list crosses by reference; the
 // receiving NIC counts arrived bytes in the same descriptor (one
-// receiver per message, one kernel for both NICs).
+// receiver per message, one kernel for both NICs). The sending port
+// owns it; the receiving NIC gives it back once the message is handled
+// or dropped.
 type message struct {
-	srcPort, dstPort int
+	port             *Port // owner, and the sender
+	dstAddr, dstPort int
 	msg              iovec.Vec
 	wire             int // framed length: what the packets add up to
 	got              int // wire bytes arrived so far
@@ -83,11 +86,18 @@ func (n *NIC) Addr() int { return n.addr }
 
 func (n *NIC) deliver(pkt *netsim.Packet) {
 	m := pkt.Meta.(*message)
+	chunk := pkt.Wire - pktHeaderWire
 	p, ok := n.ports[m.dstPort]
 	if !ok {
-		return // no such port: hardware drops silently
+		// No such port: the hardware drops the packet silently, and
+		// the message's buffer references go with its last packet.
+		if m.got += chunk; m.got == m.wire {
+			m.msg.Release()
+			m.free()
+		}
+		return
 	}
-	p.packet(pkt.Src, m, pkt.Wire-pktHeaderWire)
+	p.packet(m, chunk)
 }
 
 // Port is one hardware communication channel.
@@ -95,6 +105,9 @@ type Port struct {
 	nic     *NIC
 	id      int
 	handler Handler
+	inject  *vtime.DelayLine[*message] // host send cost, then the wire
+	recv    *vtime.DelayLine[*message] // host receive cost, then the handler
+	pool    []*message                 // this port's spent messages
 }
 
 // OpenPort opens hardware port id (0 <= id < MyrinetHWChannels).
@@ -106,12 +119,11 @@ func (n *NIC) OpenPort(id int) (*Port, error) {
 		return nil, ErrPortBusy
 	}
 	p := &Port{nic: n, id: id}
+	p.inject = vtime.NewDelayLine(n.k, model.GMHostCost, p.injectPackets)
+	p.recv = vtime.NewDelayLine(n.k, model.GMHostCost, p.handle)
 	n.ports[id] = p
 	return p, nil
 }
-
-// ID returns the port number.
-func (p *Port) ID() int { return p.id }
 
 // SetHandler installs the receive callback.
 func (p *Port) SetHandler(h Handler) { p.handler = h }
@@ -131,35 +143,55 @@ func (p *Port) Close() { delete(p.nic.ports, p.id) }
 // therefore stay untouched until the receiver is done with them, and
 // msg's buffer references pass to the receiver.
 func (p *Port) Send(dstAddr, dstPort int, msg iovec.Vec) {
-	m := &message{srcPort: p.id, dstPort: dstPort, msg: msg, wire: 4 + 4*len(msg.Segs) + msg.Len()}
+	var m *message
+	if n := len(p.pool); n > 0 {
+		m, p.pool = p.pool[n-1], p.pool[:n-1]
+	} else {
+		m = &message{port: p}
+	}
+	m.dstAddr, m.dstPort, m.msg, m.got, m.wire = dstAddr, dstPort, msg, 0, 4+4*len(msg.Segs)+msg.Len()
 	if n := (m.wire + model.MyrinetPacket - 1) / model.MyrinetPacket; n == 1 {
 		m.pkts = m.one[:]
+	} else if cap(m.pkts) >= n {
+		m.pkts = m.pkts[:n]
 	} else {
 		m.pkts = make([]netsim.Packet, n)
 	}
 	p.nic.MsgsSent++
 	// Host injection cost, then packets serialize on the crossbar.
-	p.nic.k.Schedule(model.GMHostCost, func() {
-		for i := range m.pkts {
-			chunk := min(model.MyrinetPacket, m.wire-i*model.MyrinetPacket)
-			m.pkts[i] = netsim.Packet{Src: p.nic.addr, Dst: dstAddr, Wire: chunk + pktHeaderWire, Meta: m}
-			p.nic.xb.Send(&m.pkts[i])
-		}
-	})
+	p.inject.Push(m)
+}
+
+func (p *Port) injectPackets(m *message) {
+	for i := range m.pkts {
+		chunk := min(model.MyrinetPacket, m.wire-i*model.MyrinetPacket)
+		m.pkts[i] = netsim.Packet{Src: p.nic.addr, Dst: m.dstAddr, Wire: chunk + pktHeaderWire, Meta: m}
+		p.nic.xb.Send(&m.pkts[i])
+	}
 }
 
 // packet counts one arrived packet and, when the message is complete,
 // schedules the receive event after the receive-side host cost.
-func (p *Port) packet(src int, m *message, chunk int) {
+func (p *Port) packet(m *message, chunk int) {
 	m.got += chunk
 	if m.got < m.wire {
 		return
 	}
 	p.nic.MsgsRecv++
-	p.nic.k.Schedule(model.GMHostCost, func() {
-		if p.handler == nil {
-			panic(fmt.Sprintf("gm: message arrived on port %d/%d with no handler", p.nic.addr, p.id))
-		}
-		p.handler(RecvEvent{SrcAddr: src, SrcPort: m.srcPort, Msg: m.msg})
-	})
+	p.recv.Push(m)
+}
+
+// handle runs the receive event: the handler takes msg over.
+func (p *Port) handle(m *message) {
+	if p.handler == nil {
+		panic(fmt.Sprintf("gm: message arrived on port %d/%d with no handler", p.nic.addr, p.id))
+	}
+	ev := RecvEvent{SrcAddr: m.port.nic.addr, SrcPort: m.port.id, Msg: m.msg}
+	m.free()
+	p.handler(ev)
+}
+
+func (m *message) free() {
+	m.msg = iovec.Vec{}
+	m.port.pool = append(m.port.pool, m)
 }

@@ -21,9 +21,12 @@ import (
 // by the cheapest call the layer has, a one-byte acknowledgement comes
 // back. budget is the most the rung may allocate per payload byte: the
 // copies it is allowed to make, plus a tenth for descriptors and events.
+// allocs is the most heap objects one 64 B round trip may cost, the
+// rung's own calls (iovec.Make, variadic arguments) included.
 type rung struct {
 	name   string
 	budget float64
+	allocs float64
 	open   func(tb testing.TB, p *vtime.Proc, g *grid.Grid) func(p *vtime.Proc, msg []byte)
 }
 
@@ -62,7 +65,7 @@ func echoAcks(g *grid.Grid, ch madapi.Channel, n int) {
 
 func sanRungs(size int) []rung {
 	return []rung{
-		{"gm", 0.1, func(tb testing.TB, p *vtime.Proc, g *grid.Grid) func(*vtime.Proc, []byte) {
+		{"gm", 0.1, 2, func(tb testing.TB, p *vtime.Proc, g *grid.Grid) func(*vtime.Proc, []byte) {
 			n0, n1 := gmPair(g.K)
 			p0, _ := n0.OpenPort(0)
 			p1, _ := n1.OpenPort(0)
@@ -74,7 +77,7 @@ func sanRungs(size int) []rung {
 				acks.Pop(p)
 			}
 		}},
-		{"madeleine", 0.1, func(tb testing.TB, p *vtime.Proc, g *grid.Grid) func(*vtime.Proc, []byte) {
+		{"madeleine", 0.1, 4, func(tb testing.TB, p *vtime.Proc, g *grid.Grid) func(*vtime.Proc, []byte) {
 			n0, n1 := gmPair(g.K)
 			var chs [2]*madeleine.Channel
 			for r, nic := range []*gm.NIC{n0, n1} {
@@ -90,7 +93,7 @@ func sanRungs(size int) []rung {
 				unpackFrom(chs[0], p, len(ack))
 			}
 		}},
-		{"madio", 0.1, func(tb testing.TB, p *vtime.Proc, g *grid.Grid) func(*vtime.Proc, []byte) {
+		{"madio", 0.1, 4, func(tb testing.TB, p *vtime.Proc, g *grid.Grid) func(*vtime.Proc, []byte) {
 			const logical = 900
 			myri := g.Topo.Networks()[0]
 			m0, m1 := g.RT[0].MadIO[myri], g.RT[1].MadIO[myri]
@@ -110,7 +113,7 @@ func sanRungs(size int) []rung {
 				acks.Pop(p)
 			}
 		}},
-		{"circuit", 0.1, func(tb testing.TB, p *vtime.Proc, g *grid.Grid) func(*vtime.Proc, []byte) {
+		{"circuit", 0.1, 8, func(tb testing.TB, p *vtime.Proc, g *grid.Grid) func(*vtime.Proc, []byte) {
 			circs, err := g.NewCircuits(p, "budget", pair)
 			if err != nil {
 				tb.Fatal(err)
@@ -122,7 +125,7 @@ func sanRungs(size int) []rung {
 			}
 		}},
 		// Send's contract ends the borrow: one copy, into the message.
-		{"session", 1.1, func(tb testing.TB, p *vtime.Proc, g *grid.Grid) func(*vtime.Proc, []byte) {
+		{"session", 1.1, 18, func(tb testing.TB, p *vtime.Proc, g *grid.Grid) func(*vtime.Proc, []byte) {
 			ch, err := g.Open(p, 0, 1)
 			if err != nil {
 				tb.Fatal(err)
@@ -183,6 +186,35 @@ func TestSANCopyBudget(t *testing.T) {
 	}
 }
 
+// The small-message budget of the SAN path: below the session layer a
+// 64 B round trip allocates one handle per message end — Madeleine's and
+// Circuit's out/in messages, each message's own so that a stale one
+// still panics — and nothing else. GM messages, Circuit transits, the
+// events that carry them and the SendSafer copies of short segments are
+// recycled by the layer that ends their life. gm's two are the rung's
+// own iovec.Make calls; session's ten above circuit's eight are its own
+// per-message slices and the rung's variadic arguments.
+func TestSANMessageAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	msg := make([]byte, 64)
+	for _, r := range sanRungs(len(msg)) {
+		g := grid.Cluster(2)
+		var allocs float64
+		if err := g.K.Run(func(p *vtime.Proc) {
+			roundTrip := r.open(t, p, g)
+			allocs = testing.AllocsPerRun(200, func() { roundTrip(p, msg) })
+		}); err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
+		t.Logf("%-9s %g allocations per round trip (ceiling %g)", r.name, allocs, r.allocs)
+		if allocs > r.allocs {
+			t.Errorf("%s allocates %g objects per 64 B round trip, ceiling %g", r.name, allocs, r.allocs)
+		}
+	}
+}
+
 // benchmarkRung times round trips through one rung at 64 B and 1 MiB
 // (host clock; run with -benchmem for the allocation columns).
 func benchmarkRung(b *testing.B, name string) {
@@ -213,5 +245,10 @@ func benchmarkRung(b *testing.B, name string) {
 	}
 }
 
-func BenchmarkGMMessage(b *testing.B)    { benchmarkRung(b, "gm") }
-func BenchmarkMadIOMessage(b *testing.B) { benchmarkRung(b, "madio") }
+func BenchmarkGMMessage(b *testing.B)      { benchmarkRung(b, "gm") }
+func BenchmarkMadIOMessage(b *testing.B)   { benchmarkRung(b, "madio") }
+func BenchmarkCircuitMessage(b *testing.B) { benchmarkRung(b, "circuit") }
+func BenchmarkSessionMessage(b *testing.B) { benchmarkRung(b, "session") }
+
+// raceEnabled is set in -race builds (race_test.go).
+var raceEnabled bool

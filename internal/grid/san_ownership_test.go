@@ -7,9 +7,11 @@ import (
 	"testing"
 	"time"
 
+	"padico/internal/drivers/gm"
 	"padico/internal/grid"
 	"padico/internal/iovec"
 	"padico/internal/madapi"
+	"padico/internal/madeleine"
 	"padico/internal/mpi"
 	"padico/internal/orb"
 	"padico/internal/personality"
@@ -222,4 +224,78 @@ func TestSANDoorsOwnTheirMessages(t *testing.T) {
 			}
 		})
 	}
+}
+
+// A message handle outlives its message only as a tombstone: once a
+// later message is being packed and unpacked on the same channel, the
+// earlier one's handles still refuse Pack, a second EndPacking and
+// Unpack, and the later message arrives with its own segments — a
+// stale handle can never pack into or read from another message.
+func TestStaleHandlesPanicAfterReuse(t *testing.T) {
+	chans := []struct {
+		name string
+		open func(t *testing.T, p *vtime.Proc, g *grid.Grid) (a, b madapi.Channel)
+	}{
+		{"madeleine", func(t *testing.T, p *vtime.Proc, g *grid.Grid) (madapi.Channel, madapi.Channel) {
+			n0, n1 := gmPair(g.K)
+			var chs [2]madapi.Channel
+			for r, nic := range []*gm.NIC{n0, n1} {
+				ch, err := madeleine.New(g.K, madeleine.NewGM(nic, []int{0, 1}), r, 2).Open(0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				chs[r] = ch
+			}
+			return chs[0], chs[1]
+		}},
+		{"circuit", func(t *testing.T, p *vtime.Proc, g *grid.Grid) (madapi.Channel, madapi.Channel) {
+			circs, err := g.NewCircuits(p, "stale", pair)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return circs[0], circs[1]
+		}},
+	}
+	for _, c := range chans {
+		g := grid.Cluster(2)
+		if err := g.K.Run(func(p *vtime.Proc) {
+			a, b := c.open(t, p, g)
+			for round := 0; round < 3; round++ { // later rounds run on warm free lists
+				out1 := a.BeginPacking(1)
+				out1.Pack([]byte("first"), madapi.SendSafer)
+				out1.EndPacking()
+				in1 := b.BeginUnpacking(p)
+				in1.Unpack(5, madapi.ReceiveCheaper)
+				in1.EndUnpacking()
+
+				out2 := a.BeginPacking(1)
+				out2.Pack([]byte("second"), madapi.SendSafer)
+				mustPanic(t, c.name+": Pack after EndPacking", func() { out1.Pack([]byte("stale!"), madapi.SendSafer) })
+				mustPanic(t, c.name+": EndPacking twice", func() { out1.EndPacking() })
+				out2.EndPacking()
+				in2 := b.BeginUnpacking(p)
+				mustPanic(t, c.name+": Unpack after EndUnpacking", func() { in1.Unpack(6, madapi.ReceiveCheaper) })
+				if got := in2.Unpack(6, madapi.ReceiveCheaper); string(got) != "second" {
+					t.Errorf("%s: later message reads %q, want %q", c.name, got, "second")
+				}
+				in2.EndUnpacking()
+				p.Sleep(time.Millisecond)
+				if _, ok := b.TryBeginUnpacking(); ok {
+					t.Errorf("%s: a stale handle sent a message", c.name)
+				}
+			}
+		}); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+	}
+}
+
+func mustPanic(t *testing.T, what string, fn func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s did not panic", what)
+		}
+	}()
+	fn()
 }

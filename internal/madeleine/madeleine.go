@@ -74,8 +74,13 @@ func (a *Adapter) Open(id int) (*Channel, error) {
 	}
 	ch := &Channel{
 		a: a, id: id,
-		rx: vtime.NewQueue[*incoming](fmt.Sprintf("mad:%s:%d:rx", a.backend.Name(), id)),
+		rx: vtime.NewQueue[*inMessage](fmt.Sprintf("mad:%s:%d:rx", a.backend.Name(), id)),
 	}
+	ch.out = vtime.NewDelayLine(a.k, model.MadeleineCost, func(m *outMessage) { ch.bc.Send(m.dst, m.msg) })
+	ch.in = vtime.NewDelayLine(a.k, model.MadeleineCost, func(m *inMessage) {
+		ch.MsgsRecv++
+		ch.rx.Push(m)
+	})
 	bc, err := a.backend.OpenChannel(id, ch.deliver)
 	if err != nil {
 		return nil, err
@@ -85,18 +90,14 @@ func (a *Adapter) Open(id int) (*Channel, error) {
 	return ch, nil
 }
 
-// incoming is one received message.
-type incoming struct {
-	src  int
-	segs []iovec.Seg
-}
-
 // Channel is one Madeleine channel. It implements madapi.Channel.
 type Channel struct {
-	a  *Adapter
-	id int
-	bc BackendChannel
-	rx *vtime.Queue[*incoming]
+	a   *Adapter
+	id  int
+	bc  BackendChannel
+	rx  *vtime.Queue[*inMessage]
+	out *vtime.DelayLine[*outMessage] // send-side cost, then the backend
+	in  *vtime.DelayLine[*inMessage]  // receive-side cost, then rx
 
 	MsgsSent int64
 	MsgsRecv int64
@@ -110,23 +111,14 @@ func (ch *Channel) Self() int { return ch.a.self }
 // Size implements madapi.Channel.
 func (ch *Channel) Size() int { return ch.a.size }
 
-// ID returns the hardware channel id.
-func (ch *Channel) ID() int { return ch.id }
-
 // SetRxNotify installs a callback fired in kernel context whenever a
 // message is queued (used by the NetAccess core poll loop).
 func (ch *Channel) SetRxNotify(fn func()) { ch.rx.OnPush = fn }
 
-// Pending returns the number of undelivered messages.
-func (ch *Channel) Pending() int { return ch.rx.Len() }
-
 // deliver runs in kernel context when the backend completes a message;
 // the receive-side per-message cost is charged here.
 func (ch *Channel) deliver(src int, msg iovec.Vec) {
-	ch.a.k.Schedule(model.MadeleineCost, func() {
-		ch.MsgsRecv++
-		ch.rx.Push(&incoming{src: src, segs: msg.Segs})
-	})
+	ch.in.Push(&inMessage{src: src, segs: msg.Segs})
 }
 
 // BeginPacking implements madapi.Channel.
@@ -140,10 +132,7 @@ func (ch *Channel) BeginPacking(dst int) madapi.OutMessage {
 }
 
 // BeginUnpacking implements madapi.Channel.
-func (ch *Channel) BeginUnpacking(p *vtime.Proc) madapi.InMessage {
-	in := ch.rx.Pop(p)
-	return &inMessage{ch: ch, msg: in}
-}
+func (ch *Channel) BeginUnpacking(p *vtime.Proc) madapi.InMessage { return ch.rx.Pop(p) }
 
 // TryBeginUnpacking implements madapi.Channel.
 func (ch *Channel) TryBeginUnpacking() (madapi.InMessage, bool) {
@@ -151,18 +140,21 @@ func (ch *Channel) TryBeginUnpacking() (madapi.InMessage, bool) {
 	if !ok {
 		return nil, false
 	}
-	return &inMessage{ch: ch, msg: in}, true
+	return in, true
 }
 
 // outMessage accumulates segments until EndPacking. The vector it
 // builds is the message: it travels to the receiver's Unpack by
-// reference, never flattened.
+// reference, never flattened. Each message has its own, never reused,
+// so a stale handle panics; a short message lives in it whole.
 type outMessage struct {
-	ch    *Channel
-	dst   int
-	msg   iovec.Vec
-	ended bool
-	first [4]iovec.Seg // msg's storage while the message has few segments
+	ch     *Channel
+	dst    int
+	msg    iovec.Vec
+	first  [5]iovec.Seg // msg's storage while the message has few segments
+	used   int
+	inline [24]byte // SendSafer copies, while they fit
+	ended  bool
 }
 
 var _ madapi.SegPacker = (*outMessage)(nil)
@@ -170,8 +162,14 @@ var _ madapi.SegPacker = (*outMessage)(nil)
 // Pack implements madapi.OutMessage. SendSafer copies the buffer so the
 // caller may reuse it; the other modes lend it to the receiver.
 func (m *outMessage) Pack(data []byte, mode madapi.PackMode) {
-	if mode == madapi.SendSafer {
-		data = append([]byte(nil), data...)
+	if mode == madapi.SendSafer && !m.ended { // once ended, PackSeg panics
+		if end := m.used + len(data); end <= len(m.inline) {
+			b := m.inline[m.used:end:end]
+			copy(b, data)
+			data, m.used = b, end
+		} else {
+			data = append([]byte(nil), data...)
+		}
 	}
 	m.PackSeg(iovec.Seg{B: data})
 }
@@ -192,14 +190,14 @@ func (m *outMessage) EndPacking() {
 	}
 	m.ended = true
 	m.ch.MsgsSent++
-	ch := m.ch
-	ch.a.k.Schedule(model.MadeleineCost, func() { ch.bc.Send(m.dst, m.msg) })
+	m.ch.out.Push(m)
 }
 
-// inMessage walks the received segment vector.
+// inMessage is one received message, and then its receiver's handle:
+// like outMessage, one per message.
 type inMessage struct {
-	ch      *Channel
-	msg     *incoming
+	src     int
+	segs    []iovec.Seg
 	next    int
 	cheaper bool
 	ended   bool
@@ -208,7 +206,7 @@ type inMessage struct {
 var _ madapi.SegUnpacker = (*inMessage)(nil)
 
 // Src implements madapi.InMessage.
-func (m *inMessage) Src() int { return m.msg.src }
+func (m *inMessage) Src() int { return m.src }
 
 // Unpack implements madapi.InMessage. Segment sizes must match the
 // packing exactly; ReceiveExpress after ReceiveCheaper violates
@@ -230,7 +228,7 @@ func (m *inMessage) UnpackSeg(n int, mode madapi.UnpackMode) iovec.Seg {
 	if mode == madapi.ReceiveCheaper {
 		m.cheaper = true
 	}
-	segs := m.msg.segs
+	segs := m.segs
 	if m.next >= len(segs) {
 		panic(fmt.Sprintf("madeleine: Unpack #%d beyond %d packed segments", m.next, len(segs)))
 	}
@@ -244,7 +242,7 @@ func (m *inMessage) UnpackSeg(n int, mode madapi.UnpackMode) iovec.Seg {
 
 // EndUnpacking implements madapi.InMessage.
 func (m *inMessage) EndUnpacking() {
-	if n := len(m.msg.segs); m.next != n {
+	if n := len(m.segs); m.next != n {
 		panic(fmt.Sprintf("madeleine: EndUnpacking with %d of %d segments unpacked", m.next, n))
 	}
 	m.ended = true
@@ -253,7 +251,7 @@ func (m *inMessage) EndUnpacking() {
 // Discard implements madapi.InMessage: the segments nobody will read
 // give their buffer references back.
 func (m *inMessage) Discard() {
-	iovec.Vec{Segs: m.msg.segs[m.next:]}.Release()
-	m.next = len(m.msg.segs)
+	iovec.Vec{Segs: m.segs[m.next:]}.Release()
+	m.next = len(m.segs)
 	m.ended = true
 }

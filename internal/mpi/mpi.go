@@ -18,6 +18,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"padico/internal/madapi"
 	"padico/internal/model"
@@ -40,9 +41,18 @@ type Status struct {
 	Count  int
 }
 
-// Request is a nonblocking operation handle.
+// Request is a nonblocking operation handle. A returned Request is the
+// caller's for good; the blocking Send and Recv, whose callers never see
+// one, give theirs back to the communicator for its next operation.
 type Request struct {
-	f *vtime.Future[Status]
+	f        vtime.Future[Status]
+	c        *Comm
+	src, tag int    // a receive's match
+	buf      []byte // a receive's destination
+	dst      int    // a send, held over its middleware cost
+	data     []byte
+	hdr      [8]byte
+	send     func() // transmit, bound once
 }
 
 // Test polls for completion.
@@ -61,13 +71,6 @@ type envelope struct {
 	data []byte
 }
 
-// pending is one posted receive.
-type pending struct {
-	src, tag int
-	buf      []byte
-	req      *Request
-}
-
 // Comm is a communicator: one madapi channel = one context.
 type Comm struct {
 	k    *vtime.Kernel
@@ -75,8 +78,9 @@ type Comm struct {
 	rank int
 	size int
 
-	posted     []*pending
-	unexpected []*envelope
+	posted     []*Request // receives, in posting order
+	unexpected []envelope
+	pool       []*Request // spent requests of the blocking calls
 
 	MsgsSent int64
 	MsgsRecv int64
@@ -116,30 +120,50 @@ func (c *Comm) progress(p *vtime.Proc) {
 		p.Consume(model.MPICost + model.MPIPerByte.Cost(n))
 		c.MsgsRecv++
 		c.BytesIn += int64(n)
-		c.match(&envelope{src: in.Src(), tag: tag, data: data})
+		c.match(envelope{src: in.Src(), tag: tag, data: data})
 	}
 }
 
 // match delivers an envelope to the first matching posted receive, or
 // queues it as unexpected.
-func (c *Comm) match(env *envelope) {
-	for i, pr := range c.posted {
-		if (pr.src == AnySource || pr.src == env.src) && (pr.tag == AnyTag || pr.tag == env.tag) {
-			c.posted = append(c.posted[:i], c.posted[i+1:]...)
-			complete(pr, env)
+func (c *Comm) match(env envelope) {
+	for i, r := range c.posted {
+		if (r.src == AnySource || r.src == env.src) && (r.tag == AnyTag || r.tag == env.tag) {
+			c.posted = slices.Delete(c.posted, i, i+1)
+			complete(r, env)
 			return
 		}
 	}
 	c.unexpected = append(c.unexpected, env)
 }
 
-func complete(pr *pending, env *envelope) {
-	n := copy(pr.buf, env.data)
-	if len(env.data) > len(pr.buf) {
+func complete(r *Request, env envelope) {
+	n := copy(r.buf, env.data)
+	if len(env.data) > len(r.buf) {
 		panic(fmt.Sprintf("mpi: truncation: message of %d bytes into %d-byte buffer",
-			len(env.data), len(pr.buf)))
+			len(env.data), len(r.buf)))
 	}
-	pr.req.f.Complete(Status{Source: env.src, Tag: env.tag, Count: n}, nil)
+	r.buf = nil
+	r.f.Complete(Status{Source: env.src, Tag: env.tag, Count: n}, nil)
+}
+
+func (c *Comm) request(name string) *Request {
+	var r *Request
+	if n := len(c.pool); n > 0 {
+		r, c.pool = c.pool[n-1], c.pool[:n-1]
+	} else {
+		r = &Request{c: c}
+		r.send = r.transmit
+	}
+	r.f.Reset(name)
+	return r
+}
+
+// wait blocks for r, which no caller holds, and takes it back.
+func (c *Comm) wait(p *vtime.Proc, r *Request) Status {
+	st := r.Wait(p)
+	c.pool = append(c.pool, r)
+	return st
 }
 
 // Isend starts a nonblocking send. Completion means the message was
@@ -148,49 +172,54 @@ func (c *Comm) Isend(dst, tag int, data []byte) *Request {
 	if dst < 0 || dst >= c.size {
 		panic(fmt.Sprintf("mpi: rank %d out of range", dst))
 	}
-	req := &Request{f: vtime.NewFuture[Status]("mpi:isend")}
-	hdr := make([]byte, 8)
-	binary.BigEndian.PutUint32(hdr, uint32(int32(tag)))
-	binary.BigEndian.PutUint32(hdr[4:], uint32(len(data)))
+	r := c.request("mpi:isend")
+	r.dst, r.tag, r.data = dst, tag, data
+	binary.BigEndian.PutUint32(r.hdr[:], uint32(int32(tag)))
+	binary.BigEndian.PutUint32(r.hdr[4:], uint32(len(data)))
 	c.MsgsSent++
 	c.BytesOut += int64(len(data))
-	cost := model.MPICost + model.MPIPerByte.Cost(len(data))
-	c.k.Schedule(cost, func() {
-		out := c.ch.BeginPacking(dst)
-		out.Pack(hdr, madapi.SendSafer)
-		if len(data) > 0 {
-			out.Pack(data, madapi.SendSafer)
-		}
-		out.EndPacking()
-		req.f.Complete(Status{Source: c.rank, Tag: tag, Count: len(data)}, nil)
-	})
-	return req
+	c.k.Schedule(model.MPICost+model.MPIPerByte.Cost(len(data)), r.send)
+	return r
+}
+
+// transmit packs a send once its middleware cost has elapsed; SendSafer
+// frees the request's header and the caller's data at once.
+func (r *Request) transmit() {
+	c, data := r.c, r.data
+	r.data = nil
+	out := c.ch.BeginPacking(r.dst)
+	out.Pack(r.hdr[:], madapi.SendSafer)
+	if len(data) > 0 {
+		out.Pack(data, madapi.SendSafer)
+	}
+	out.EndPacking()
+	r.f.Complete(Status{Source: c.rank, Tag: r.tag, Count: len(data)}, nil)
 }
 
 // Send is the blocking send.
 func (c *Comm) Send(p *vtime.Proc, dst, tag int, data []byte) {
-	c.Isend(dst, tag, data).Wait(p)
+	c.wait(p, c.Isend(dst, tag, data))
 }
 
 // Irecv posts a nonblocking receive into buf.
 func (c *Comm) Irecv(src, tag int, buf []byte) *Request {
-	req := &Request{f: vtime.NewFuture[Status]("mpi:irecv")}
-	pr := &pending{src: src, tag: tag, buf: buf, req: req}
+	r := c.request("mpi:irecv")
+	r.src, r.tag, r.buf = src, tag, buf
 	// Check the unexpected queue first (FIFO per matching order).
 	for i, env := range c.unexpected {
 		if (src == AnySource || src == env.src) && (tag == AnyTag || tag == env.tag) {
-			c.unexpected = append(c.unexpected[:i], c.unexpected[i+1:]...)
-			complete(pr, env)
-			return req
+			c.unexpected = slices.Delete(c.unexpected, i, i+1)
+			complete(r, env)
+			return r
 		}
 	}
-	c.posted = append(c.posted, pr)
-	return req
+	c.posted = append(c.posted, r)
+	return r
 }
 
 // Recv is the blocking receive; it returns the completion status.
 func (c *Comm) Recv(p *vtime.Proc, src, tag int, buf []byte) Status {
-	return c.Irecv(src, tag, buf).Wait(p)
+	return c.wait(p, c.Irecv(src, tag, buf))
 }
 
 // Sendrecv exchanges messages with two peers in one step.

@@ -155,6 +155,8 @@ type MadIO struct {
 	// for them (a peer's sends in flight across a close — routine
 	// during failure recovery) are dropped, not a protocol violation.
 	released map[uint16]bool
+	send     *vtime.DelayLine[packed] // the multiplexing cost, then EndPacking
+	hdr      [2]byte                  // scratch: every Pack copies it
 
 	MsgsSent    int64
 	MsgsRecv    int64
@@ -172,6 +174,11 @@ func NewMadIO(na *NetAccess, ch madapi.Channel, name string, combining bool) *Ma
 		pendingOK: make(map[int]bool),
 		released:  make(map[uint16]bool),
 	}
+	cost := model.MadIOCombinedCost
+	if !combining {
+		cost = model.MadIOSeparateCost
+	}
+	m.send = vtime.NewDelayLine(na.k, cost, endPacking)
 	type notifiable interface{ SetRxNotify(func()) }
 	if n, ok := ch.(notifiable); ok {
 		n.SetRxNotify(na.kick)
@@ -185,9 +192,6 @@ func (m *MadIO) Name() string { return "madio:" + m.name }
 
 // Parallel implements Source.
 func (m *MadIO) Parallel() bool { return true }
-
-// Channel returns the underlying Madeleine channel (rank addressing).
-func (m *MadIO) Channel() madapi.Channel { return m.ch }
 
 // Register binds a logical channel id to a handler. Ids are allocated
 // by convention by the layers above (VLink, Circuit, middleware).
@@ -215,37 +219,54 @@ func (m *MadIO) Unregister(logical uint16) {
 // unmodified until the receiver is done with the message. A caller
 // whose own contract ends the borrow earlier copies first.
 func (m *MadIO) Send(dst int, logical uint16, segs ...[]byte) {
-	m.SendVec(dst, logical, iovec.Make(segs...))
+	msg := m.begin(dst, logical)
+	for _, s := range segs {
+		msg.body.Pack(s, madapi.SendLater)
+	}
+	m.send.Push(msg)
 }
 
-// SendVec is Send for segments that may sit in pooled buffers: v's
-// references pass to the message (madapi.SegPacker), and the receiving
-// handler takes them over with madapi.SegUnpacker.
-func (m *MadIO) SendVec(dst int, logical uint16, v iovec.Vec) {
-	m.MsgsSent++
-	var hdr [2]byte
-	binary.BigEndian.PutUint16(hdr[:], logical)
-	cost := model.MadIOCombinedCost
-	if !m.combining {
-		cost = model.MadIOSeparateCost
+// SendVec is Send with a protocol header and buffer references: hdr's
+// segments lead and are copied (madapi.SendSafer), so the caller may
+// reuse them at once; v's pooled segments pass their references to the
+// message (madapi.SegPacker), and the receiving handler takes them over
+// with madapi.SegUnpacker.
+func (m *MadIO) SendVec(dst int, logical uint16, hdr [][]byte, v iovec.Vec) {
+	msg := m.begin(dst, logical)
+	for _, h := range hdr {
+		msg.body.Pack(h, madapi.SendSafer)
 	}
-	m.na.k.Schedule(cost, func() {
-		out := m.ch.BeginPacking(dst)
-		out.Pack(hdr[:], madapi.SendSafer)
-		if !m.combining {
-			// Ablation: header as its own hardware message, then the payload.
-			out.EndPacking()
-			out = m.ch.BeginPacking(dst)
+	for _, s := range v.Segs {
+		if s.Owner == nil {
+			msg.body.Pack(s.B, madapi.SendLater)
+		} else {
+			msg.body.(madapi.SegPacker).PackSeg(s)
 		}
-		for _, s := range v.Segs {
-			if s.Owner == nil {
-				out.Pack(s.B, madapi.SendLater)
-			} else {
-				out.(madapi.SegPacker).PackSeg(s)
-			}
-		}
-		out.EndPacking()
-	})
+	}
+	m.send.Push(msg)
+}
+
+// packed is a message packed at the call and ended once the
+// multiplexing cost has elapsed; hdr is the ablation's separate header
+// message, nil with combining.
+type packed struct{ hdr, body madapi.OutMessage }
+
+func (m *MadIO) begin(dst int, logical uint16) packed {
+	m.MsgsSent++
+	binary.BigEndian.PutUint16(m.hdr[:], logical)
+	out := m.ch.BeginPacking(dst)
+	out.Pack(m.hdr[:], madapi.SendSafer)
+	if m.combining {
+		return packed{body: out}
+	}
+	return packed{hdr: out, body: m.ch.BeginPacking(dst)}
+}
+
+func endPacking(msg packed) {
+	if msg.hdr != nil {
+		msg.hdr.EndPacking()
+	}
+	msg.body.EndPacking()
 }
 
 // DispatchOne implements Source: demultiplex one hardware message.

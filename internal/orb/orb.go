@@ -185,7 +185,7 @@ type ORB struct {
 	driver   string
 	port     int
 	servants map[string]Servant
-	conns    map[string]*clientConn
+	conns    map[vlink.Addr]*clientConn
 
 	Requests int64
 	Served   int64
@@ -197,7 +197,7 @@ func New(k *vtime.Kernel, ep *vlink.Endpoint, profile Profile, driver string, po
 	return &ORB{
 		k: k, ep: ep, profile: profile, driver: driver, port: port,
 		servants: make(map[string]Servant),
-		conns:    make(map[string]*clientConn),
+		conns:    make(map[vlink.Addr]*clientConn),
 	}
 }
 
@@ -342,16 +342,16 @@ type replyMsg struct {
 }
 
 func (o *ORB) connTo(p *vtime.Proc, node topology.NodeID, port int) (*clientConn, error) {
-	keyStr := fmt.Sprintf("%d:%d", node, port)
-	if cc, ok := o.conns[keyStr]; ok {
+	addr := vlink.Addr{Node: node, Port: port}
+	if cc, ok := o.conns[addr]; ok {
 		return cc, nil
 	}
-	v, err := o.ep.ConnectWait(p, o.driver, vlink.Addr{Node: node, Port: port})
+	v, err := o.ep.ConnectWait(p, o.driver, addr)
 	if err != nil {
 		return nil, err
 	}
 	cc := &clientConn{v: v, waiters: make(map[uint32]*vtime.Future[replyMsg])}
-	o.conns[keyStr] = cc
+	o.conns[addr] = cc
 	fr := &framer{}
 	buf := make([]byte, 64<<10)
 	var pump func(n int, err error)
@@ -382,7 +382,7 @@ func (r *ObjectRef) Invoke(p *vtime.Proc, op string, args *Encoder) (*Decoder, e
 		return nil, err
 	}
 	o.Requests++
-	target := NewEncoder()
+	target := &Encoder{buf: make([]byte, 0, 8+len(r.key)+len(op))}
 	target.PutString(r.key)
 	target.PutString(op)
 	// The marshalled arguments ride behind the target as a second
@@ -416,14 +416,23 @@ func (r *ObjectRef) Invoke(p *vtime.Proc, op string, args *Encoder) (*Decoder, e
 
 // message builds one message as a gather vector: the header, then the
 // body parts by reference — nothing is concatenated on the way to the
-// driver. The parts are lent until the write completes.
+// driver. The parts are lent until the write completes. Header and
+// segment list share one allocation.
 func message(kind msgKind, reqID uint32, parts ...[]byte) iovec.Vec {
-	hdr := make([]byte, msgHdrLen)
-	v := iovec.Make(append([][]byte{hdr}, parts...)...)
-	hdr[0] = byte(kind)
-	binary.BigEndian.PutUint32(hdr[1:], reqID)
-	binary.BigEndian.PutUint32(hdr[5:], uint32(v.Len()-msgHdrLen))
+	f := &frame{}
+	f.hdr[0] = byte(kind)
+	binary.BigEndian.PutUint32(f.hdr[1:], reqID)
+	v := iovec.Vec{Segs: append(f.segs[:0], iovec.Seg{B: f.hdr[:]})}
+	for _, b := range parts {
+		v.Segs = append(v.Segs, iovec.Seg{B: b})
+	}
+	binary.BigEndian.PutUint32(f.hdr[5:], uint32(v.Len()-msgHdrLen))
 	return v
+}
+
+type frame struct {
+	hdr  [msgHdrLen]byte
+	segs [3]iovec.Seg // a request's header, target and arguments
 }
 
 // framer reassembles messages from stream chunks: the header first,

@@ -273,7 +273,7 @@ func (d *MadIODriver) Dial(addr Addr, cb func(Conn, error)) {
 	hdr[0] = madConnect
 	binary.BigEndian.PutUint32(hdr[1:], cid)
 	binary.BigEndian.PutUint32(hdr[5:], uint32(addr.Port))
-	d.mio.Send(rank, d.logical, hdr[:])
+	d.mio.SendVec(rank, d.logical, [][]byte{hdr[:]}, iovec.Vec{})
 }
 
 // onMessage demultiplexes one MadIO message for this driver.
@@ -290,12 +290,12 @@ func (d *MadIODriver) onMessage(p *vtime.Proc, src int, in madapi.InMessage) {
 		binary.BigEndian.PutUint32(reply[1:], cid)
 		if !ok || l.accept == nil {
 			reply[0] = madRefuse
-			d.mio.Send(src, d.logical, reply[:])
+			d.mio.SendVec(src, d.logical, [][]byte{reply[:]}, iovec.Vec{})
 			return
 		}
 		c := d.newConn(connKeyOf(src, cid), src)
 		reply[0] = madAccept
-		d.mio.Send(src, d.logical, reply[:])
+		d.mio.SendVec(src, d.logical, [][]byte{reply[:]}, iovec.Vec{})
 		l.accept(c)
 	case madAccept:
 		in.EndUnpacking()
@@ -359,6 +359,7 @@ type madConn struct {
 	rbuf   []byte
 	rcb    func(int, error)
 	closed bool
+	hdr    [10]byte // a data message's header, built here for SendVec to copy
 }
 
 // Kernel lets VLink charge costs on the right kernel.
@@ -449,7 +450,7 @@ func (c *madConn) Fail(err error) {
 // are far faster than any producer here, so the driver accepts
 // immediately (no flow control, as on a well-provisioned SAN).
 func (c *madConn) PostWrite(data []byte, cb func(int, error)) {
-	c.PostWritev(iovec.Make(data), cb)
+	c.PostWritev(iovec.Vec{Segs: []iovec.Seg{{B: data}}}, cb)
 }
 
 // PostWritev implements VecConn. The caller's borrow ends when cb
@@ -464,12 +465,12 @@ func (c *madConn) PostWritev(v iovec.Vec, cb func(int, error)) {
 	}
 	buf := v.Flatten()
 	n := len(buf.Bytes())
-	hdr := make([]byte, 10)
+	hdr := c.hdr[:] // MadIO copies it
 	hdr[0] = madData
 	binary.BigEndian.PutUint32(hdr[1:], c.cid())
 	binary.BigEndian.PutUint32(hdr[5:], uint32(n))
 	hdr[9] = c.isDialer()
-	c.d.mio.SendVec(c.peer, c.d.logical, iovec.Vec{Segs: []iovec.Seg{{B: hdr}, {B: buf.Bytes(), Owner: buf}}})
+	c.d.mio.SendVec(c.peer, c.d.logical, [][]byte{hdr}, iovec.Owned(buf))
 	cb(n, nil)
 }
 
@@ -482,7 +483,7 @@ func (c *madConn) Close() {
 	hdr[0] = madClose
 	binary.BigEndian.PutUint32(hdr[1:], c.cid())
 	hdr[9] = c.isDialer()
-	c.d.mio.Send(c.peer, c.d.logical, hdr[:])
+	c.d.mio.SendVec(c.peer, c.d.logical, [][]byte{hdr[:]}, iovec.Vec{})
 	c.shut()
 }
 

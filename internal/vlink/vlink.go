@@ -40,12 +40,94 @@ type Addr struct {
 func (a Addr) String() string { return fmt.Sprintf("vlink://%d:%d", a.Node, a.Port) }
 
 // Op is an asynchronous operation descriptor. N carries the byte count
-// for read/write operations.
+// for read/write operations. A returned Op is the caller's for good; the
+// synchronous conveniences (Read, Write, WriteVec), whose callers never
+// see one, give theirs back to the link for its next operation.
 type Op struct {
-	f *vtime.Future[int]
+	f    vtime.Future[int]
+	v    *VLink
+	kind opKind
+	buf  []byte     // PostWrite's data
+	vec  iovec.Vec  // PostWritev's vector
+	flat *iovec.Buf // vec flattened for a driver without vectors
+	n    int        // a read's result, held over the abstraction cost
+	err  error
+	step func()           // advance, bound once
+	done func(int, error) // driverDone, bound once
 }
 
-func newOp(name string) *Op { return &Op{f: vtime.NewFuture[int](name)} }
+type opKind byte
+
+const (
+	opRead opKind = iota
+	opWrite
+	opWritev
+)
+
+func newOp(name string) *Op {
+	op := &Op{}
+	op.f.Reset(name)
+	return op
+}
+
+func (v *VLink) op(kind opKind, name string) *Op {
+	var op *Op
+	if n := len(v.pool); n > 0 {
+		op, v.pool = v.pool[n-1], v.pool[:n-1]
+	} else {
+		op = &Op{v: v}
+		op.step, op.done = op.advance, op.driverDone
+	}
+	op.kind = kind
+	op.f.Reset(name)
+	return op
+}
+
+// wait blocks for op, which no caller holds, and takes it back.
+func (v *VLink) wait(p *vtime.Proc, op *Op) (int, error) {
+	n, err := op.f.Wait(p)
+	op.buf, op.vec, op.err = nil, iovec.Vec{}, nil
+	v.pool = append(v.pool, op)
+	return n, err
+}
+
+// advance runs once the abstraction cost has elapsed.
+func (op *Op) advance() {
+	v := op.v
+	switch op.kind {
+	case opRead:
+		op.f.Complete(op.n, op.err)
+	case opWrite:
+		v.c.PostWrite(op.buf, op.done)
+	case opWritev:
+		if vc, ok := v.c.(VecConn); ok {
+			vc.PostWritev(op.vec, op.done)
+			return
+		}
+		// Driver without vector support: flatten once into a pooled
+		// buffer for the duration of the inner write.
+		op.flat = op.vec.Flatten()
+		v.c.PostWrite(op.flat.Bytes(), op.done)
+	}
+}
+
+// driverDone is the driver's completion; a read's cost runs after it.
+func (op *Op) driverDone(n int, err error) {
+	v := op.v
+	if op.kind == opRead {
+		v.BytesIn += int64(n)
+		op.n, op.err = n, err
+		// Abstraction-layer cost: per op + per byte.
+		kernelOf(v).Schedule(model.VLinkCost+model.VLinkPerByte.Cost(n), op.step)
+		return
+	}
+	if op.flat != nil {
+		op.flat.Release()
+		op.flat = nil
+	}
+	v.BytesOut += int64(n)
+	op.f.Complete(n, err)
+}
 
 // Done reports completion (poll interface).
 func (o *Op) Done() bool { return o.f.Done() }
@@ -273,6 +355,7 @@ func (vl *VListener) Close() { vl.dl.Close() }
 type VLink struct {
 	c      Conn
 	closed bool
+	pool   []*Op // spent descriptors of the synchronous conveniences
 
 	Reads, Writes int64
 	BytesIn       int64
@@ -286,37 +369,26 @@ func (v *VLink) Peer() topology.NodeID { return v.c.Peer() }
 
 // PostRead posts an asynchronous read into buf.
 func (v *VLink) PostRead(buf []byte) *Op {
-	op := newOp("vlink:read")
+	op := v.op(opRead, "vlink:read")
 	if v.closed {
 		op.complete(0, ErrClosed)
 		return op
 	}
 	v.Reads++
-	v.c.PostRead(buf, func(n int, err error) {
-		v.BytesIn += int64(n)
-		// Abstraction-layer cost: per op + per byte.
-		cost := model.VLinkCost + model.VLinkPerByte.Cost(n)
-		kernelOf(v).Schedule(cost, func() { op.complete(n, err) })
-	})
+	v.c.PostRead(buf, op.done)
 	return op
 }
 
 // PostWrite posts an asynchronous write of data.
 func (v *VLink) PostWrite(data []byte) *Op {
-	op := newOp("vlink:write")
+	op := v.op(opWrite, "vlink:write")
 	if v.closed {
 		op.complete(0, ErrClosed)
 		return op
 	}
 	v.Writes++
-	n0 := len(data)
-	cost := model.VLinkCost + model.VLinkPerByte.Cost(n0)
-	kernelOf(v).Schedule(cost, func() {
-		v.c.PostWrite(data, func(n int, err error) {
-			v.BytesOut += int64(n)
-			op.complete(n, err)
-		})
-	})
+	op.buf = data
+	kernelOf(v).Schedule(model.VLinkCost+model.VLinkPerByte.Cost(len(data)), op.step)
 	return op
 }
 
@@ -325,31 +397,14 @@ func (v *VLink) PostWrite(data []byte) *Op {
 // flattened vector, without materializing it when the driver stack
 // supports vectors. The vector is borrowed until the Op completes.
 func (v *VLink) PostWritev(vec iovec.Vec) *Op {
-	op := newOp("vlink:writev")
+	op := v.op(opWritev, "vlink:writev")
 	if v.closed {
 		op.complete(0, ErrClosed)
 		return op
 	}
 	v.Writes++
-	n0 := vec.Len()
-	cost := model.VLinkCost + model.VLinkPerByte.Cost(n0)
-	kernelOf(v).Schedule(cost, func() {
-		done := func(n int, err error) {
-			v.BytesOut += int64(n)
-			op.complete(n, err)
-		}
-		if vc, ok := v.c.(VecConn); ok {
-			vc.PostWritev(vec, done)
-			return
-		}
-		// Driver without vector support: flatten once into a pooled
-		// buffer for the duration of the inner write.
-		buf := vec.Flatten()
-		v.c.PostWrite(buf.Bytes(), func(n int, err error) {
-			buf.Release()
-			done(n, err)
-		})
-	})
+	op.vec = vec
+	kernelOf(v).Schedule(model.VLinkCost+model.VLinkPerByte.Cost(vec.Len()), op.step)
 	return op
 }
 
@@ -365,7 +420,7 @@ func (v *VLink) WriteVec(p *vtime.Proc, vec iovec.Vec) (int, error) {
 		if total > 0 {
 			part, retained = vec.Slice(total, size-total), true
 		}
-		n, err := v.PostWritev(part).Wait(p)
+		n, err := v.wait(p, v.PostWritev(part))
 		if retained {
 			part.Release()
 		}
@@ -406,7 +461,7 @@ func (v *VLink) Fail() {
 
 // Read blocks p for the next chunk of stream data.
 func (v *VLink) Read(p *vtime.Proc, buf []byte) (int, error) {
-	return v.PostRead(buf).Wait(p)
+	return v.wait(p, v.PostRead(buf))
 }
 
 // ReadFull blocks p until len(buf) bytes arrived (or EOF).
@@ -429,7 +484,7 @@ func (v *VLink) ReadFull(p *vtime.Proc, buf []byte) (int, error) {
 func (v *VLink) Write(p *vtime.Proc, data []byte) (int, error) {
 	total := 0
 	for total < len(data) {
-		n, err := v.PostWrite(data[total:]).Wait(p)
+		n, err := v.wait(p, v.PostWrite(data[total:]))
 		total += n
 		if err != nil {
 			return total, err

@@ -500,3 +500,40 @@ func TestScheduleMatchesAfter(t *testing.T) {
 		}
 	}
 }
+
+// A Future handed out again after Reset is a new one-shot: completing
+// it once more is legal, completing it twice still panics, and a Reset
+// with a Proc parked on it is refused.
+func TestFutureResetKeepsCompleteOnce(t *testing.T) {
+	k := NewKernel()
+	if err := k.Run(func(p *Proc) {
+		f := NewFuture[int]("f")
+		f.Complete(1, nil)
+		f.Reset("f")
+		if f.Done() {
+			t.Fatal("Reset left the Future done")
+		}
+		k.Schedule(time.Microsecond, func() { f.Complete(2, nil) })
+		if v, _ := f.Wait(p); v != 2 {
+			t.Fatalf("reset Future resolved to %d, want 2", v)
+		}
+		mustPanic(t, "second Complete after Reset", func() { f.Complete(3, nil) })
+		f.Reset("f")
+		k.Go("waiter", func(q *Proc) { f.Wait(q) })
+		p.Yield()
+		mustPanic(t, "Reset with a waiter", func() { f.Reset("f") })
+		f.Complete(4, nil)
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func mustPanic(t *testing.T, what string, fn func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s did not panic", what)
+		}
+	}()
+	fn()
+}

@@ -266,6 +266,8 @@ func TestSteadyStateAllocatesNothing(t *testing.T) {
 		signal := c.Signal
 		noop := func() {}
 		in, out := NewQueue[int]("in"), NewQueue[int]("out")
+		f := NewFuture[int]("f")
+		complete := func() { f.Complete(1, nil) }
 		k.GoDaemon("echo", func(q *Proc) {
 			for {
 				out.Push(in.Pop(q))
@@ -285,6 +287,13 @@ func TestSteadyStateAllocatesNothing(t *testing.T) {
 			{"Queue.Push+Pop", func() {
 				in.Push(1)
 				out.Pop(p)
+			}},
+			// A Future its owner hands out again: completed by an event,
+			// waited on (the waiter takes Cond's inline slot), reset.
+			{"Future.Complete+Wait+Reset", func() {
+				k.Schedule(time.Microsecond, complete)
+				f.Wait(p)
+				f.Reset("f")
 			}},
 		}
 		for _, tc := range cases {

@@ -17,6 +17,8 @@ import "slices"
 // capacity, so a busy cond (credit windows, socket readiness) would
 // reallocate on nearly every Wait. With the head index the backing is
 // reused once drained. Wakeup order is unchanged (FIFO).
+// The first waiter's slot is inline, so a Future's one waiter costs no
+// heap array; a Cond must therefore not be copied once waited on.
 type Cond struct {
 	// kind + name is the park reason shown in deadlock diagnostics.
 	// Queue, WaitGroup, Semaphore and Future embed a Cond by value and
@@ -25,6 +27,7 @@ type Cond struct {
 	kind, name string
 	waiters    []*Proc
 	head       int
+	one        [1]*Proc // waiters' backing until a second waiter arrives
 }
 
 // NewCond returns a condition variable; name appears in deadlock
@@ -35,8 +38,15 @@ func NewCond(name string) *Cond { return &Cond{kind: "cond:", name: name} }
 // (a Signal may race with another waiter's predicate), so always re-check
 // the condition in a loop.
 func (c *Cond) Wait(p *Proc) {
-	c.waiters = append(c.waiters, p)
+	c.enqueue(p)
 	p.park(c.kind, c.name)
+}
+
+func (c *Cond) enqueue(p *Proc) {
+	if c.waiters == nil {
+		c.waiters = c.one[:0]
+	}
+	c.waiters = append(c.waiters, p)
 }
 
 // WaitTimeout parks p until a signal or until d elapses; it reports
@@ -55,7 +65,7 @@ func (c *Cond) WaitTimeout(p *Proc, d Duration) bool {
 			}
 		}
 	})
-	c.waiters = append(c.waiters, p)
+	c.enqueue(p)
 	p.park(c.kind, c.name)
 	timer.Stop()
 	return !timedOut
@@ -262,6 +272,18 @@ func (f *Future[T]) Complete(v T, err error) {
 	}
 }
 
+// Reset makes f (or a zero Future) a fresh, incomplete Future named
+// name, for the layer owning it to hand out again once every reader of
+// the previous value is done. Resetting a Future with waiters panics.
+func (f *Future[T]) Reset(name string) {
+	if f.cond.Waiting() > 0 {
+		panic("vtime: Reset of a Future with waiters")
+	}
+	var zero T
+	f.done, f.val, f.err, f.Handler = false, zero, nil, nil
+	f.cond.kind, f.cond.name = "cond:future:", name
+}
+
 // Done reports whether the future is resolved (poll interface).
 func (f *Future[T]) Done() bool { return f.done }
 
@@ -279,4 +301,31 @@ func (f *Future[T]) Value() (T, error) {
 		panic("vtime: Value on incomplete Future")
 	}
 	return f.val, f.err
+}
+
+// DelayLine is Schedule(d, func() { sink(v) }) without a closure per
+// value: the delay is constant, so the events fire in push order and
+// every push can schedule one pre-bound handler that pops a FIFO — same
+// events, same (time, sequence) keys, no allocation in steady state.
+type DelayLine[T any] struct {
+	k    *Kernel
+	d    Duration
+	q    Queue[T]
+	fire func()
+}
+
+// NewDelayLine returns a line of latency d feeding sink (kernel context).
+func NewDelayLine[T any](k *Kernel, d Duration, sink func(T)) *DelayLine[T] {
+	l := &DelayLine[T]{k: k, d: d}
+	l.fire = func() {
+		v, _ := l.q.TryPop()
+		sink(v)
+	}
+	return l
+}
+
+// Push schedules sink(v) d from now.
+func (l *DelayLine[T]) Push(v T) {
+	l.q.items = append(l.q.items, v)
+	l.k.Schedule(l.d, l.fire)
 }
