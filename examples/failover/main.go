@@ -11,48 +11,63 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"os"
 	"time"
 
 	"padico/internal/datagrid"
-	"padico/internal/faults"
 	"padico/internal/grid"
+	"padico/internal/scenario"
 	"padico/internal/topology"
 	"padico/internal/vtime"
 )
 
-func main() {
-	g := grid.MultiSiteLoss(3, 2, 0.01) // site0 {0,1}, site1 {2,3}, site2 {4,5}
-	hub := g.Telemetry()
-	dg := g.NewDataGrid(datagrid.Config{
-		Replicas:       2,
-		Streams:        4,
-		RepairInterval: 500 * time.Millisecond,
-	})
-	inj := faults.NewInjector(g)
+// Virtual-time budgets after the crash: a detector or repair loop that
+// regresses fails the run instead of sleeping forever.
+const (
+	detectWithin = 5 * time.Second
+	repairWithin = 30 * time.Second
+)
 
+func main() {
+	if err := run(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+func run() error {
+	// The flight recorder needs the telemetry hub but not span tracing:
+	// attach the hub to the testbed before the harness builds the layers
+	// that discover it.
+	tb := grid.MultiSiteLoss(3, 2, 0.01) // site0 {0,1}, site1 {2,3}, site2 {4,5}
+	hub := tb.Telemetry()
 	// The failure detector is the bridge between the fault layer's
 	// ground truth and the datagrid's view: a detected crash marks the
 	// node down and shrinks the ring (DataGrid.NodeStateChanged does both
 	// halves), which reroutes every placement the victim was part of
 	// through the repair loop.
-	var detectedAt vtime.Time
-	faults.NewDetector(inj, 500*time.Millisecond, func(n topology.NodeID, down bool) {
-		if down && detectedAt == 0 {
-			detectedAt = g.K.Now()
-		}
-		dg.NodeStateChanged(n, down)
-	}).Start()
-
-	if err := g.K.Run(func(p *vtime.Proc) {
-		// Ingest a replicated working set.
-		data := make([]byte, 8<<20)
-		rand.New(rand.NewSource(9)).Read(data)
-		for i := 0; i < 4; i++ {
-			if err := dg.Put(p, topology.NodeID(i), fmt.Sprintf("obj-%d", i), data); err != nil {
-				panic(err)
-			}
+	env, err := scenario.New(scenario.Spec{
+		Name:    "failover",
+		Testbed: tb,
+		DataGrid: &datagrid.Config{
+			Replicas:       2,
+			Streams:        4,
+			RepairInterval: 500 * time.Millisecond,
+		},
+		DetectEvery: 500 * time.Millisecond,
+	}, scenario.Observers{})
+	if err != nil {
+		return err
+	}
+	dg := env.DG
+	set := scenario.Set{Prefix: "obj", N: 4, Clients: 4, Data: make([]byte, 8<<20)}
+	rand.New(rand.NewSource(9)).Read(set.Data)
+	return env.Run(func(p *vtime.Proc) error {
+		if err := env.Put(p, set, 0); err != nil {
+			return err
 		}
 		dg.WaitSettled(p)
 		fmt.Println("4x8 MiB ingested, replica factor 2 across three sites")
@@ -62,8 +77,8 @@ func main() {
 		// victim first and only then the WAN replica.
 		victim := dg.Holders("obj-0")[0]
 		var client topology.NodeID
-		for _, n := range g.Topo.Nodes() {
-			if n.Site == g.Topo.Node(victim).Site && n.ID != victim {
+		for _, n := range env.G.Topo.Nodes() {
+			if n.Site == env.G.Topo.Node(victim).Site && n.ID != victim {
 				client = n.ID
 			}
 		}
@@ -71,13 +86,13 @@ func main() {
 
 		crashAt := p.Now().Add(5 * time.Millisecond)
 		preCrash := dg.Stats()
-		inj.ScheduleCrash(crashAt, victim)
+		env.Injector().ScheduleCrash(crashAt, victim)
 		got, err := dg.Get(p, client, "obj-0")
 		if err != nil {
-			panic(fmt.Sprintf("GET did not survive the crash: %v", err))
+			return fmt.Errorf("GET did not survive the crash: %w", err)
 		}
-		if len(got) != len(data) {
-			panic("short read")
+		if len(got) != len(set.Data) {
+			return errors.New("short read")
 		}
 		fmt.Printf("GET survived: SAN source died mid-transfer, switched to the WAN replica, done %v after the crash\n",
 			p.Now().Sub(crashAt))
@@ -85,22 +100,22 @@ func main() {
 
 		// Let the detector notice and the repair loop re-replicate
 		// everything the dead node held.
-		for detectedAt == 0 {
+		for env.DetectedAt == 0 {
+			if p.Now().Sub(crashAt) > detectWithin {
+				return fmt.Errorf("detector did not flag node %d within %v of the crash", victim, detectWithin)
+			}
 			p.Sleep(100 * time.Millisecond)
 		}
 		fmt.Printf("detector flagged node %d %v after the crash; ring shrunk to %d members\n",
-			victim, detectedAt.Sub(crashAt), dg.Ring().Size())
+			victim, env.DetectedAt.Sub(crashAt), dg.Ring().Size())
 		for {
 			p.Sleep(250 * time.Millisecond)
 			dg.WaitSettled(p)
-			healed := true
-			for i := 0; i < 4; i++ {
-				if dg.VerifyReplicas(fmt.Sprintf("obj-%d", i)) != nil {
-					healed = false
-				}
-			}
-			if healed {
+			if env.Verify(set) == nil {
 				break
+			}
+			if p.Now().Sub(crashAt) > repairWithin {
+				return fmt.Errorf("replication not restored within %v of the crash", repairWithin)
 			}
 		}
 		st := dg.Stats()
@@ -108,10 +123,9 @@ func main() {
 			p.Now().Sub(crashAt), st.Repairs-preCrash.Repairs,
 			float64(st.BytesMoved-preCrash.BytesMoved)/1e6)
 		if lost := dg.LostObjects(); len(lost) != 0 {
-			panic(fmt.Sprintf("lost objects: %v", lost))
+			return fmt.Errorf("lost objects: %v", lost)
 		}
 		fmt.Println("zero objects lost")
-	}); err != nil {
-		panic(err)
-	}
+		return nil
+	})
 }

@@ -1,40 +1,21 @@
 // Package core assembles the PadicoTM runtime of one grid node: the
 // arbitration layer (NetAccess with MadIO instances per SAN fabric and
-// one SysIO), the abstraction layer endpoints (VLink; Circuits are
-// created on demand), and a module registry through which middleware
-// systems are loaded into the process — the paper's "middleware systems
-// are dynamically loadable into PadicoTM, arbitration guarantees that
-// any combination of them may be used at the same time" (§4.3).
+// one SysIO) and the abstraction layer endpoints (VLink; Circuits are
+// created on demand). Middleware systems are built over a runtime's
+// endpoints, and arbitration guarantees that any combination of them
+// may be used at the same time (paper §4.3).
 //
 // The paper's other runtime concerns (dynamic code loading, threading,
-// Unix signals) are host-language issues that Go's runtime subsumes;
-// the registry keeps the same lifecycle shape (init/start/stop).
+// Unix signals) are host-language issues that Go's runtime subsumes.
 package core
 
 import (
-	"errors"
-	"fmt"
-	"sort"
-
 	"padico/internal/ipstack"
 	"padico/internal/netaccess"
 	"padico/internal/topology"
 	"padico/internal/vlink"
 	"padico/internal/vtime"
 )
-
-// Exported errors.
-var (
-	ErrDupModule = errors.New("core: module already registered")
-	ErrNoModule  = errors.New("core: no such module")
-)
-
-// Module is a middleware system (or service) loaded into a node's
-// runtime.
-type Module interface {
-	// ModuleName identifies the module ("mpi", "omniorb4", "gsoap"...).
-	ModuleName() string
-}
 
 // Runtime is one node's PadicoTM process.
 type Runtime struct {
@@ -47,12 +28,9 @@ type Runtime struct {
 	VLink *vlink.Endpoint
 	Host  *ipstack.Host
 
-	// ranks maps each SAN network to this node's Madeleine group
+	// groups maps each SAN network to this node's Madeleine group
 	// (ordered fabric addresses of all members).
 	groups map[*topology.Network][]topology.NodeID
-
-	modules     map[string]Module
-	nextLogical uint16
 }
 
 // NewRuntime builds the runtime skeleton for a node; fabrics and
@@ -61,14 +39,12 @@ func NewRuntime(k *vtime.Kernel, node *topology.Node, host *ipstack.Host) *Runti
 	na := netaccess.New(k, node.Name)
 	rt := &Runtime{
 		k: k, node: node,
-		NA:          na,
-		Sys:         netaccess.NewSysIO(na),
-		MadIO:       make(map[*topology.Network]*netaccess.MadIO),
-		VLink:       vlink.NewEndpoint(node.ID),
-		Host:        host,
-		groups:      make(map[*topology.Network][]topology.NodeID),
-		modules:     make(map[string]Module),
-		nextLogical: 1000,
+		NA:     na,
+		Sys:    netaccess.NewSysIO(na),
+		MadIO:  make(map[*topology.Network]*netaccess.MadIO),
+		VLink:  vlink.NewEndpoint(node.ID),
+		Host:   host,
+		groups: make(map[*topology.Network][]topology.NodeID),
 	}
 	return rt
 }
@@ -99,44 +75,3 @@ func (rt *Runtime) MadRank(nw *topology.Network, n topology.NodeID) (int, bool) 
 
 // Members returns the rank-ordered members of a SAN network.
 func (rt *Runtime) Members(nw *topology.Network) []topology.NodeID { return rt.groups[nw] }
-
-// AllocLogical allocates a fresh MadIO logical channel id. Allocation
-// is deterministic and must be performed in the same order on every
-// node that shares the channel (the builder guarantees this).
-func (rt *Runtime) AllocLogical() uint16 {
-	rt.nextLogical++
-	return rt.nextLogical
-}
-
-// RegisterModule loads a middleware module into the runtime.
-func (rt *Runtime) RegisterModule(m Module) error {
-	name := m.ModuleName()
-	if _, dup := rt.modules[name]; dup {
-		return fmt.Errorf("%w: %s", ErrDupModule, name)
-	}
-	rt.modules[name] = m
-	return nil
-}
-
-// ModuleByName retrieves a loaded module.
-func (rt *Runtime) ModuleByName(name string) (Module, error) {
-	m, ok := rt.modules[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNoModule, name)
-	}
-	return m, nil
-}
-
-// Modules lists loaded module names, sorted — map iteration order must
-// never leak into observable output (repo determinism rule; padico-demo
-// prints this list).
-func (rt *Runtime) Modules() []string {
-	out := make([]string, 0, len(rt.modules))
-	for n := range rt.modules {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-var _ = vtime.Time(0)

@@ -1,7 +1,6 @@
 package core_test
 
 import (
-	"errors"
 	"testing"
 	"time"
 
@@ -10,57 +9,6 @@ import (
 	"padico/internal/topology"
 	"padico/internal/vtime"
 )
-
-type fakeModule string
-
-func (m fakeModule) ModuleName() string { return string(m) }
-
-func newRT(k *vtime.Kernel) *core.Runtime {
-	g := topology.New()
-	node := g.AddNode("n0", "site")
-	st := ipstack.New(k)
-	return core.NewRuntime(k, node, st.Host(node.ID))
-}
-
-func TestModuleRegistry(t *testing.T) {
-	k := vtime.NewKernel()
-	rt := newRT(k)
-	if err := rt.RegisterModule(fakeModule("mpi")); err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.RegisterModule(fakeModule("omniorb4")); err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.RegisterModule(fakeModule("mpi")); !errors.Is(err, core.ErrDupModule) {
-		t.Fatalf("dup register err = %v", err)
-	}
-	if m, err := rt.ModuleByName("mpi"); err != nil || m.ModuleName() != "mpi" {
-		t.Fatalf("lookup = %v, %v", m, err)
-	}
-	if _, err := rt.ModuleByName("ghost"); !errors.Is(err, core.ErrNoModule) {
-		t.Fatalf("missing lookup err = %v", err)
-	}
-	if n := len(rt.Modules()); n != 2 {
-		t.Fatalf("modules = %d", n)
-	}
-	// Drain the runtime's I/O manager daemon cleanly.
-	if err := k.Run(func(p *vtime.Proc) { p.Sleep(time.Millisecond) }); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestLogicalChannelAllocationIsSequential(t *testing.T) {
-	k := vtime.NewKernel()
-	rt := newRT(k)
-	a := rt.AllocLogical()
-	b := rt.AllocLogical()
-	if b != a+1 {
-		t.Fatalf("allocation not sequential: %d then %d", a, b)
-	}
-	if err := k.Run(func(p *vtime.Proc) {}); err != nil {
-		t.Fatal(err)
-	}
-}
 
 func TestMadRankLookup(t *testing.T) {
 	k := vtime.NewKernel()

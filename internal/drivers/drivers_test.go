@@ -1,5 +1,5 @@
-// Package drivers_test exercises the four vendor-style SAN drivers
-// against the crossbar fabrics.
+// Package drivers_test exercises the GM SAN driver against the
+// Myrinet crossbar.
 package drivers_test
 
 import (
@@ -9,10 +9,7 @@ import (
 	"testing/quick"
 	"time"
 
-	"padico/internal/drivers/bip"
 	"padico/internal/drivers/gm"
-	"padico/internal/drivers/sisci"
-	"padico/internal/drivers/via"
 	"padico/internal/iovec"
 	"padico/internal/model"
 	"padico/internal/netsim"
@@ -23,10 +20,6 @@ import (
 func myrinet(k *vtime.Kernel) *netsim.Crossbar {
 	return netsim.NewCrossbar(k, topology.Myrinet, model.MyrinetRate,
 		model.MyrinetPktOverhd, model.MyrinetWireLat)
-}
-
-func sciFabric(k *vtime.Kernel) *netsim.Crossbar {
-	return netsim.NewCrossbar(k, topology.SCI, model.SCIRate, 300*time.Nanosecond, model.SCIWireLat)
 }
 
 // --- GM ---------------------------------------------------------------
@@ -198,236 +191,6 @@ func TestQuickGMIntegrity(t *testing.T) {
 		return err == nil && ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// --- BIP --------------------------------------------------------------
-
-func TestBIPEagerShortMessages(t *testing.T) {
-	k := vtime.NewKernel()
-	xb := myrinet(k)
-	e0 := bip.Open(k, xb, 0)
-	e1 := bip.Open(k, xb, 1)
-	var got []byte
-	if err := k.Run(func(p *vtime.Proc) {
-		q := vtime.NewQueue[[]byte]("rx")
-		e1.SetHandler(func(ev bip.RecvEvent) { q.Push(ev.Data) })
-		e0.Send(1, []byte("short")) // below eager limit: no PostRecv needed
-		got = q.Pop(p)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != "short" || e0.Rendezvous != 0 {
-		t.Fatalf("got %q, rendezvous=%d", got, e0.Rendezvous)
-	}
-}
-
-func TestBIPRendezvousWaitsForPostedRecv(t *testing.T) {
-	k := vtime.NewKernel()
-	xb := myrinet(k)
-	e0 := bip.Open(k, xb, 0)
-	e1 := bip.Open(k, xb, 1)
-	long := make([]byte, 100000)
-	rand.New(rand.NewSource(5)).Read(long)
-	if err := k.Run(func(p *vtime.Proc) {
-		q := vtime.NewQueue[[]byte]("rx")
-		e1.SetHandler(func(ev bip.RecvEvent) { q.Push(ev.Data) })
-		e0.Send(1, long)
-		// Without a posted receive the payload must not arrive.
-		if _, ok := q.PopTimeout(p, 10*time.Millisecond); ok {
-			t.Error("rendezvous payload arrived before PostRecv")
-		}
-		e1.PostRecv()
-		got := q.Pop(p)
-		if !bytes.Equal(got, long) {
-			t.Error("payload corrupted")
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if e0.Rendezvous != 1 {
-		t.Fatalf("rendezvous count = %d", e0.Rendezvous)
-	}
-}
-
-func TestBIPManyLongMessagesFIFO(t *testing.T) {
-	k := vtime.NewKernel()
-	xb := myrinet(k)
-	e0 := bip.Open(k, xb, 0)
-	e1 := bip.Open(k, xb, 1)
-	if err := k.Run(func(p *vtime.Proc) {
-		q := vtime.NewQueue[[]byte]("rx")
-		e1.SetHandler(func(ev bip.RecvEvent) { q.Push(ev.Data) })
-		for i := 0; i < 5; i++ {
-			e1.PostRecv()
-			msg := make([]byte, 5000)
-			msg[0] = byte(i)
-			e0.Send(1, msg)
-		}
-		for i := 0; i < 5; i++ {
-			got := q.Pop(p)
-			if got[0] != byte(i) || len(got) != 5000 {
-				t.Errorf("message %d out of order or truncated", i)
-			}
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// --- SISCI ------------------------------------------------------------
-
-func TestSISCIRemoteWriteAndInterrupt(t *testing.T) {
-	k := vtime.NewKernel()
-	xb := sciFabric(k)
-	n0 := sisci.Open(k, xb, 0)
-	n1 := sisci.Open(k, xb, 1)
-	seg := n1.CreateSegment(7, 4096)
-	if err := k.Run(func(p *vtime.Proc) {
-		intr := vtime.NewQueue[int]("intr")
-		n1.RegisterInterrupt(3, func(src int) { intr.Push(src) })
-		rs := n0.Connect(1, 7, 4096)
-		if err := rs.Write(100, []byte("sci remote store")); err != nil {
-			t.Fatal(err)
-		}
-		rs.TriggerInterrupt(3)
-		src := intr.Pop(p)
-		if src != 0 {
-			t.Errorf("interrupt src = %d", src)
-		}
-		// FIFO ordering: by interrupt time the store is visible.
-		if string(seg.Mem[100:116]) != "sci remote store" {
-			t.Errorf("segment = %q", seg.Mem[100:116])
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSISCIBoundsChecked(t *testing.T) {
-	k := vtime.NewKernel()
-	xb := sciFabric(k)
-	n0 := sisci.Open(k, xb, 0)
-	n1 := sisci.Open(k, xb, 1)
-	n1.CreateSegment(1, 128)
-	if err := k.Run(func(p *vtime.Proc) {
-		rs := n0.Connect(1, 1, 128)
-		if err := rs.Write(120, make([]byte, 16)); err == nil {
-			t.Error("out-of-bounds write accepted")
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// --- VIA --------------------------------------------------------------
-
-func TestVIADescriptorFlow(t *testing.T) {
-	k := vtime.NewKernel()
-	xb := myrinet(k)
-	n0 := via.Open(k, xb, 0)
-	n1 := via.Open(k, xb, 1)
-	v0 := n0.CreateVI(0)
-	v1 := n1.CreateVI(0)
-	if err := k.Run(func(p *vtime.Proc) {
-		q := vtime.NewQueue[via.Completion]("cq")
-		v1.SetHandler(func(c via.Completion) { q.Push(c) })
-		v1.PostRecv(make([]byte, 8192))
-		v0.PostSend(1, 0, []byte("via message"))
-		c := q.Pop(p)
-		if string(c.Data) != "via message" || c.SrcAddr != 0 {
-			t.Errorf("completion = %+v", c)
-		}
-		if v1.PostedRecvs() != 0 {
-			t.Errorf("descriptor not consumed")
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestVIADropWithoutDescriptor(t *testing.T) {
-	k := vtime.NewKernel()
-	xb := myrinet(k)
-	n0 := via.Open(k, xb, 0)
-	n1 := via.Open(k, xb, 1)
-	v0 := n0.CreateVI(0)
-	n1.CreateVI(0)
-	if err := k.Run(func(p *vtime.Proc) {
-		v0.PostSend(1, 0, []byte("doomed"))
-		p.Sleep(time.Millisecond)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if n1.Dropped == 0 {
-		t.Fatal("message without posted receive was not dropped")
-	}
-}
-
-func TestVIAMultiPacketMessage(t *testing.T) {
-	k := vtime.NewKernel()
-	xb := myrinet(k)
-	n0 := via.Open(k, xb, 0)
-	n1 := via.Open(k, xb, 1)
-	v0 := n0.CreateVI(0)
-	v1 := n1.CreateVI(0)
-	msg := make([]byte, model.MyrinetPacket*3) // exact multiple: boundary case
-	rand.New(rand.NewSource(9)).Read(msg)
-	if err := k.Run(func(p *vtime.Proc) {
-		q := vtime.NewQueue[via.Completion]("cq")
-		v1.SetHandler(func(c via.Completion) { q.Push(c) })
-		v1.PostRecv(make([]byte, len(msg)))
-		v0.PostSend(1, 0, msg)
-		c := q.Pop(p)
-		if !bytes.Equal(c.Data, msg) {
-			t.Error("multi-packet message corrupted")
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestVIATruncationToPostedBuffer(t *testing.T) {
-	k := vtime.NewKernel()
-	xb := myrinet(k)
-	n0 := via.Open(k, xb, 0)
-	n1 := via.Open(k, xb, 1)
-	v0 := n0.CreateVI(0)
-	v1 := n1.CreateVI(0)
-	if err := k.Run(func(p *vtime.Proc) {
-		q := vtime.NewQueue[via.Completion]("cq")
-		v1.SetHandler(func(c via.Completion) { q.Push(c) })
-		v1.PostRecv(make([]byte, 4))
-		v0.PostSend(1, 0, []byte("longer than four"))
-		c := q.Pop(p)
-		if string(c.Data) != "long" {
-			t.Errorf("truncated data = %q", c.Data)
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestVIAPollCQWithoutHandler(t *testing.T) {
-	k := vtime.NewKernel()
-	xb := myrinet(k)
-	n0 := via.Open(k, xb, 0)
-	n1 := via.Open(k, xb, 1)
-	v0 := n0.CreateVI(0)
-	v1 := n1.CreateVI(0)
-	if err := k.Run(func(p *vtime.Proc) {
-		if _, err := v1.PollCQ(); err == nil {
-			t.Error("PollCQ on empty queue succeeded")
-		}
-		v1.PostRecv(make([]byte, 64))
-		v0.PostSend(1, 0, []byte("polled"))
-		p.Sleep(time.Millisecond)
-		c, err := v1.PollCQ()
-		if err != nil || string(c.Data) != "polled" {
-			t.Errorf("PollCQ = %v, %v", c, err)
-		}
-	}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -155,7 +155,9 @@ func TwoClusterWAN(n1, n2 int) *Grid { return TwoClusterWANLoss(n1, n2, 0) }
 // WAN core — the data-grid scenario, where isolated losses across the
 // wide area are exactly what striped parallel transfers amortize.
 func TwoClusterWANLoss(n1, n2 int, loss float64) *Grid {
-	return multiSite([]string{"rennes", "grenoble"}, []string{"r", "g"}, []int{n1, n2}, loss)
+	return multiSite([]string{"rennes", "grenoble"}, []string{"r", "g"}, []int{n1, n2}, func(g *Grid) {
+		g.wireWAN(g.addVTHD(loss))
+	})
 }
 
 // MultiSite builds a star of clusters: `sites` clusters of nodesPerSite
@@ -170,6 +172,12 @@ func MultiSiteLoss(sites, nodesPerSite int, loss float64) *Grid {
 	if sites < 1 || nodesPerSite < 1 {
 		panic(fmt.Sprintf("grid: MultiSite needs at least one site and one node, got %d x %d", sites, nodesPerSite))
 	}
+	return uniformSites(sites, nodesPerSite, func(g *Grid) { g.wireWAN(g.addVTHD(loss)) })
+}
+
+// uniformSites is multiSite over sites "site<s>" of nodesPerSite nodes
+// named "s<s>-<i>".
+func uniformSites(sites, nodesPerSite int, wan func(g *Grid)) *Grid {
 	names := make([]string, sites)
 	prefixes := make([]string, sites)
 	counts := make([]int, sites)
@@ -178,13 +186,14 @@ func MultiSiteLoss(sites, nodesPerSite int, loss float64) *Grid {
 		prefixes[s] = fmt.Sprintf("s%d-", s)
 		counts[s] = nodesPerSite
 	}
-	return multiSite(names, prefixes, counts, loss)
+	return multiSite(names, prefixes, counts, wan)
 }
 
 // multiSite assembles any star-of-clusters deployment: one Myrinet and
 // one Ethernet per named site, counts[s] nodes with prefixes[s] names,
-// a shared lossy WAN joining the sites.
-func multiSite(sites, prefixes []string, counts []int, loss float64) *Grid {
+// and the wide-area networks joining the sites, which wan adds and
+// wires once the LANs are.
+func multiSite(sites, prefixes []string, counts []int, wan func(g *Grid)) *Grid {
 	g := newGrid()
 	var myris []*topology.Network
 	var eths []*topology.Network
@@ -199,19 +208,29 @@ func multiSite(sites, prefixes []string, counts []int, loss float64) *Grid {
 			g.Topo.Attach(node, eth)
 		}
 	}
-	wan := g.Topo.AddNetwork("vthd", topology.WAN, false, 12.2e6, model.VTHDWireLat, loss, model.EthernetMTU)
-	for _, node := range g.Topo.Nodes() {
-		g.Topo.Attach(node, wan)
-	}
 	for s := range sites {
 		g.wireEthernet(eths[s], int64(s+1))
 	}
-	g.wireWAN(wan)
+	wan(g)
 	g.buildRuntimes()
 	for _, myri := range myris {
 		g.wireMyrinetGM(myri)
 	}
 	return g
+}
+
+// addWAN declares a wide-area network every node attaches to.
+func (g *Grid) addWAN(name string, kind topology.NetworkKind, rate float64, lat time.Duration, loss float64) *topology.Network {
+	wan := g.Topo.AddNetwork(name, kind, false, rate, lat, loss, model.EthernetMTU)
+	for _, node := range g.Topo.Nodes() {
+		g.Topo.Attach(node, wan)
+	}
+	return wan
+}
+
+// addVTHD declares the VTHD-like WAN with uniform loss on its core.
+func (g *Grid) addVTHD(loss float64) *topology.Network {
+	return g.addWAN("vthd", topology.WAN, 12.2e6, model.VTHDWireLat, loss)
 }
 
 // DegradingWAN schedule: at DegradeAt the wide-area core between
@@ -236,35 +255,12 @@ func DegradingWAN(nodesPerSite int) *Grid {
 	if nodesPerSite < 1 {
 		panic(fmt.Sprintf("grid: DegradingWAN needs at least one node per site, got %d", nodesPerSite))
 	}
-	g := newGrid()
-	sites := []string{"site0", "site1", "site2"}
-	var myris []*topology.Network
-	var eths []*topology.Network
-	for s, site := range sites {
-		myri := g.Topo.AddNetwork(fmt.Sprintf("myri%d", s), topology.Myrinet, true, model.MyrinetRate, model.MyrinetWireLat, 0, 0)
-		eth := g.Topo.AddNetwork(fmt.Sprintf("eth%d", s), topology.Ethernet, true, model.EthernetRate, model.EthernetWireLat, 0, model.EthernetMTU)
-		myris = append(myris, myri)
-		eths = append(eths, eth)
-		for i := 0; i < nodesPerSite; i++ {
-			node := g.Topo.AddNode(fmt.Sprintf("s%d-%d", s, i), site)
-			g.Topo.Attach(node, myri)
-			g.Topo.Attach(node, eth)
-		}
-	}
-	wan := g.Topo.AddNetwork("vthd", topology.WAN, false, 12.2e6, model.VTHDWireLat, 0, model.EthernetMTU)
-	for _, node := range g.Topo.Nodes() {
-		g.Topo.Attach(node, wan)
-	}
-	for s := range sites {
-		g.wireEthernet(eths[s], int64(s+1))
-	}
-	g.wireWANPairCores(wan)
-	g.buildRuntimes()
-	for _, myri := range myris {
-		g.wireMyrinetGM(myri)
-	}
-	degraded := g.CoreHops[DegradedCore]
-	netsim.ScheduleRate(g.K, vtime.Time(0).Add(DegradeAt), degraded, wan.RateBps/DegradeFactor)
+	var wan *topology.Network
+	g := uniformSites(3, nodesPerSite, func(g *Grid) {
+		wan = g.addVTHD(0)
+		g.wireWANPairCores(wan)
+	})
+	netsim.ScheduleRate(g.K, vtime.Time(0).Add(DegradeAt), g.CoreHops[DegradedCore], wan.RateBps/DegradeFactor)
 	return g
 }
 
@@ -272,15 +268,7 @@ func DegradingWAN(nodesPerSite int) *Grid {
 // of a single shared core: per-node access hops feed pair-specific
 // cores, so a condition schedule can degrade exactly one site pair.
 func (g *Grid) wireWANPairCores(wan *topology.Network) {
-	up := make(map[topology.NodeID]*netsim.Hop)
-	down := make(map[topology.NodeID]*netsim.Hop)
-	for _, n := range wan.Members() {
-		up[n] = &netsim.Hop{Name: fmt.Sprintf("up%d", n), Rate: wan.RateBps,
-			Latency: 50 * time.Microsecond, QueueCap: 256}
-		down[n] = &netsim.Hop{Name: fmt.Sprintf("down%d", n), Rate: wan.RateBps,
-			Latency: 50 * time.Microsecond, QueueCap: 256}
-	}
-	coreFor := func(a, b topology.NodeID) *netsim.Hop {
+	g.wireCrossSite(wan, "", "wan", 100, func(a, b topology.NodeID) *netsim.Hop {
 		s1, s2 := g.Topo.Node(a).Site, g.Topo.Node(b).Site
 		if s1 > s2 {
 			s1, s2 = s2, s1
@@ -298,22 +286,7 @@ func (g *Grid) wireWANPairCores(wan *topology.Network) {
 			g.CoreHops[name] = core
 		}
 		return core
-	}
-	members := wan.Members()
-	seed := int64(100)
-	for i, a := range members {
-		for _, b := range members[i+1:] {
-			if g.Topo.SameSite(a, b) {
-				continue
-			}
-			core := coreFor(a, b)
-			seed++
-			ab := netsim.NewPath(g.K, fmt.Sprintf("wan:%d->%d", a, b), seed, up[a], core, down[b])
-			seed++
-			ba := netsim.NewPath(g.K, fmt.Sprintf("wan:%d->%d", b, a), seed, up[b], core, down[a])
-			g.Stack.ConnectPathVia(wan.Name, a, b, ab, ba, model.EthernetMTU)
-		}
-	}
+	})
 }
 
 // DualWAN builds the multi-homed failover testbed: two sites of
@@ -327,37 +300,12 @@ func DualWAN(nodesPerSite int) *Grid {
 	if nodesPerSite < 1 {
 		panic(fmt.Sprintf("grid: DualWAN needs at least one node per site, got %d", nodesPerSite))
 	}
-	g := newGrid()
-	sites := []string{"site0", "site1"}
-	var myris []*topology.Network
-	var eths []*topology.Network
-	for s, site := range sites {
-		myri := g.Topo.AddNetwork(fmt.Sprintf("myri%d", s), topology.Myrinet, true, model.MyrinetRate, model.MyrinetWireLat, 0, 0)
-		eth := g.Topo.AddNetwork(fmt.Sprintf("eth%d", s), topology.Ethernet, true, model.EthernetRate, model.EthernetWireLat, 0, model.EthernetMTU)
-		myris = append(myris, myri)
-		eths = append(eths, eth)
-		for i := 0; i < nodesPerSite; i++ {
-			node := g.Topo.AddNode(fmt.Sprintf("s%d-%d", s, i), site)
-			g.Topo.Attach(node, myri)
-			g.Topo.Attach(node, eth)
-		}
-	}
-	wan := g.Topo.AddNetwork("vthd", topology.WAN, false, 12.2e6, model.VTHDWireLat, 0, model.EthernetMTU)
-	backup := g.Topo.AddNetwork("backup", topology.Internet, false, 4e6, 12*time.Millisecond, 0, model.EthernetMTU)
-	for _, node := range g.Topo.Nodes() {
-		g.Topo.Attach(node, wan)
-		g.Topo.Attach(node, backup)
-	}
-	for s := range sites {
-		g.wireEthernet(eths[s], int64(s+1))
-	}
-	g.wireWAN(wan) // wired first: the primary claims the pair defaults
-	g.wireExtraWAN(backup, 40e6, 500)
-	g.buildRuntimes()
-	for _, myri := range myris {
-		g.wireMyrinetGM(myri)
-	}
-	return g
+	return uniformSites(2, nodesPerSite, func(g *Grid) {
+		wan := g.addVTHD(0)
+		backup := g.addWAN("backup", topology.Internet, 4e6, 12*time.Millisecond, 0)
+		g.wireWAN(wan) // wired first: the primary claims the pair defaults
+		g.wireExtraWAN(backup, 40e6, 500)
+	})
 }
 
 // wireExtraWAN wires an additional wide-area network between the
@@ -366,30 +314,10 @@ func DualWAN(nodesPerSite int) *Grid {
 // under the network's name only when a default already exists, so the
 // primary WAN (wired first) keeps carrying un-pinned traffic.
 func (g *Grid) wireExtraWAN(wan *topology.Network, coreRate float64, seed int64) {
-	up := make(map[topology.NodeID]*netsim.Hop)
-	down := make(map[topology.NodeID]*netsim.Hop)
-	for _, n := range wan.Members() {
-		up[n] = &netsim.Hop{Name: fmt.Sprintf("up:%s:%d", wan.Name, n), Rate: wan.RateBps,
-			Latency: 50 * time.Microsecond, QueueCap: 256}
-		down[n] = &netsim.Hop{Name: fmt.Sprintf("down:%s:%d", wan.Name, n), Rate: wan.RateBps,
-			Latency: 50 * time.Microsecond, QueueCap: 256}
-	}
 	core := &netsim.Hop{Name: wan.Name + "-core", Rate: coreRate,
 		Latency: wan.Latency, Loss: wan.Loss, QueueCap: 1024}
 	g.CoreHops["core:"+wan.Name] = core
-	members := wan.Members()
-	for i, a := range members {
-		for _, b := range members[i+1:] {
-			if g.Topo.SameSite(a, b) {
-				continue
-			}
-			seed++
-			ab := netsim.NewPath(g.K, fmt.Sprintf("%s:%d->%d", wan.Name, a, b), seed, up[a], core, down[b])
-			seed++
-			ba := netsim.NewPath(g.K, fmt.Sprintf("%s:%d->%d", wan.Name, b, a), seed, up[b], core, down[a])
-			g.Stack.ConnectPathVia(wan.Name, a, b, ab, ba, model.EthernetMTU)
-		}
-	}
+	g.wireCrossSite(wan, ":"+wan.Name+":", wan.Name, seed, func(a, b topology.NodeID) *netsim.Hop { return core })
 }
 
 // LossyPair builds two hosts in different sites joined only by the
@@ -439,28 +367,37 @@ func (g *Grid) wireEthernet(eth *topology.Network, seed int64) {
 // hops and a shared core, so parallel streams contend for the same
 // access link (the paper's 12 MB/s cap).
 func (g *Grid) wireWAN(wan *topology.Network) {
-	up := make(map[topology.NodeID]*netsim.Hop)
-	down := make(map[topology.NodeID]*netsim.Hop)
-	for _, n := range wan.Members() {
-		up[n] = &netsim.Hop{Name: fmt.Sprintf("up%d", n), Rate: wan.RateBps,
-			Latency: 50 * time.Microsecond, QueueCap: 256}
-		down[n] = &netsim.Hop{Name: fmt.Sprintf("down%d", n), Rate: wan.RateBps,
-			Latency: 50 * time.Microsecond, QueueCap: 256}
-	}
 	core := &netsim.Hop{Name: "vthd-core", Rate: model.VTHDCoreRate,
 		Latency: model.VTHDWireLat, Loss: wan.Loss, QueueCap: 4096}
 	g.CoreHops["core:"+wan.Name] = core
+	g.wireCrossSite(wan, "", "wan", 100, func(a, b topology.NodeID) *netsim.Hop { return core })
+}
+
+// wireCrossSite connects every cross-site pair of wan's members (same-
+// site pairs use their LAN) through per-node access hops named
+// "up<access><node>" and "down<access><node>" and the core hop core(a, b)
+// returns. Paths are named "<path>:<src>-><dst>" and seeded from seed
+// up, two per pair.
+func (g *Grid) wireCrossSite(wan *topology.Network, access, path string, seed int64, core func(a, b topology.NodeID) *netsim.Hop) {
+	up := make(map[topology.NodeID]*netsim.Hop)
+	down := make(map[topology.NodeID]*netsim.Hop)
 	members := wan.Members()
-	seed := int64(100)
+	for _, n := range members {
+		up[n] = &netsim.Hop{Name: fmt.Sprintf("up%s%d", access, n), Rate: wan.RateBps,
+			Latency: 50 * time.Microsecond, QueueCap: 256}
+		down[n] = &netsim.Hop{Name: fmt.Sprintf("down%s%d", access, n), Rate: wan.RateBps,
+			Latency: 50 * time.Microsecond, QueueCap: 256}
+	}
 	for i, a := range members {
 		for _, b := range members[i+1:] {
 			if g.Topo.SameSite(a, b) {
-				continue // same-site pairs use their LAN
+				continue
 			}
+			c := core(a, b)
 			seed++
-			ab := netsim.NewPath(g.K, fmt.Sprintf("wan:%d->%d", a, b), seed, up[a], core, down[b])
+			ab := netsim.NewPath(g.K, fmt.Sprintf("%s:%d->%d", path, a, b), seed, up[a], c, down[b])
 			seed++
-			ba := netsim.NewPath(g.K, fmt.Sprintf("wan:%d->%d", b, a), seed, up[b], core, down[a])
+			ba := netsim.NewPath(g.K, fmt.Sprintf("%s:%d->%d", path, b, a), seed, up[b], c, down[a])
 			g.Stack.ConnectPathVia(wan.Name, a, b, ab, ba, model.EthernetMTU)
 		}
 	}

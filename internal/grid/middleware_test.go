@@ -5,15 +5,11 @@ import (
 	"testing"
 	"time"
 
-	"padico/internal/dsm"
 	"padico/internal/grid"
-	"padico/internal/hla"
 	"padico/internal/mpi"
 	"padico/internal/orb"
 	"padico/internal/personality"
-	"padico/internal/pvm"
 	"padico/internal/rmi"
-	"padico/internal/soapx"
 	"padico/internal/topology"
 	"padico/internal/vtime"
 )
@@ -247,172 +243,6 @@ func TestRMICall(t *testing.T) {
 		}
 		if _, err := stub.Call(p, "mul", nil); err == nil {
 			t.Fatal("missing method did not raise")
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSOAPMonitoring(t *testing.T) {
-	g := grid.Cluster(2)
-	if err := g.K.Run(func(p *vtime.Proc) {
-		srv, err := soapx.NewServer(g.K, g.RT[1].VLink, "sysio", 8080)
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv.Handle("GetStatus", func(q *vtime.Proc, params map[string]string) (map[string]string, error) {
-			return map[string]string{"step": "128", "node": params["node"]}, nil
-		})
-		cl, err := soapx.Dial(p, g.RT[0].VLink, "sysio", 1, 8080)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, err := cl.Call(p, "GetStatus", map[string]string{"node": "n0"})
-		if err != nil || out["step"] != "128" || out["node"] != "n0" {
-			t.Fatalf("soap call = %v, %v", out, err)
-		}
-		if _, err := cl.Call(p, "Nope", nil); err == nil {
-			t.Fatal("missing operation did not fault")
-		}
-		cl.Close()
-	}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestHLAFederationPubSubAndTime(t *testing.T) {
-	g := grid.Cluster(3)
-	if err := g.K.Run(func(p *vtime.Proc) {
-		if _, err := hla.CreateFederation(g.K, g.RT[0].VLink, "fed", "sysio", 9100); err != nil {
-			t.Fatal(err)
-		}
-		f1, err := hla.Join(p, g.RT[1].VLink, "sysio", 0, 9100, "sim1")
-		if err != nil {
-			t.Fatal(err)
-		}
-		f2, err := hla.Join(p, g.RT[2].VLink, "sysio", 0, 9100, "viz")
-		if err != nil {
-			t.Fatal(err)
-		}
-		f2.Subscribe(p, "Aircraft")
-		p.Sleep(10 * time.Millisecond) // subscription propagates
-		f1.UpdateAttributes(p, "Aircraft", []byte("pos=1,2"), 1.0)
-		refl := f2.NextReflection(p)
-		if refl.Class != "Aircraft" || string(refl.Value) != "pos=1,2" || refl.Time != 1.0 {
-			t.Fatalf("reflection = %+v", refl)
-		}
-		// Conservative time management: both must request before grant.
-		done := vtime.NewWaitGroup("t")
-		done.Add(1)
-		var t2 float64
-		g.K.Go("f2", func(q *vtime.Proc) {
-			defer done.Done()
-			t2 = f2.TimeAdvanceRequest(q, 2.0)
-		})
-		if got := f1.TimeAdvanceRequest(p, 2.0); got != 2.0 {
-			t.Fatalf("f1 grant = %v", got)
-		}
-		done.Wait(p)
-		if t2 != 2.0 {
-			t.Fatalf("f2 grant = %v", t2)
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDSMCoherence(t *testing.T) {
-	g := grid.Cluster(3)
-	if err := g.K.Run(func(p *vtime.Proc) {
-		circs, err := g.NewCircuits(p, "dsm", []topology.NodeID{0, 1, 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ds := make([]*dsm.DSM, 3)
-		for r := range ds {
-			ds[r] = dsm.New(g.K, circs[r], 8)
-		}
-		// Rank 1 writes page 3 (home = rank 0); every rank must observe
-		// the write after completion.
-		done := vtime.NewWaitGroup("w")
-		done.Add(1)
-		g.K.Go("writer", func(q *vtime.Proc) {
-			defer done.Done()
-			ds[1].Acquire(q, 0)
-			ds[1].Write(q, 3, 100, []byte("shared-state"))
-			ds[1].Release(q, 0)
-		})
-		done.Wait(p)
-		readers := vtime.NewWaitGroup("readers")
-		readers.Add(1)
-		g.K.Go("reader1", func(q *vtime.Proc) {
-			defer readers.Done()
-			// Rank 1 reads and caches the page (it is not the home).
-			if page := ds[1].Read(q, 3); string(page[100:112]) != "shared-state" {
-				t.Errorf("rank 1 sees %q", page[100:112])
-			}
-		})
-		readers.Wait(p)
-		if page := ds[0].Read(p, 3); string(page[100:112]) != "shared-state" {
-			t.Fatalf("home sees %q", page[100:112])
-		}
-		// Overwrite from rank 2: rank 1's cached copy must be invalidated
-		// before the write completes.
-		done2 := vtime.NewWaitGroup("w2")
-		done2.Add(1)
-		g.K.Go("writer2", func(q *vtime.Proc) {
-			defer done2.Done()
-			ds[2].Acquire(q, 0)
-			ds[2].Write(q, 3, 100, []byte("NEWER-STATE!"))
-			ds[2].Release(q, 0)
-		})
-		done2.Wait(p)
-		fresh := vtime.NewWaitGroup("fresh")
-		fresh.Add(1)
-		g.K.Go("reader1b", func(q *vtime.Proc) {
-			defer fresh.Done()
-			if got := ds[1].Read(q, 3); string(got[100:112]) != "NEWER-STATE!" {
-				t.Errorf("stale read after invalidation: %q", got[100:112])
-			}
-		})
-		fresh.Wait(p)
-		if ds[1].Invalidates == 0 {
-			t.Fatal("no invalidations recorded at the cached reader")
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPVMPackSendRecv(t *testing.T) {
-	g := grid.Cluster(2)
-	if err := g.K.Run(func(p *vtime.Proc) {
-		circs, err := g.NewCircuits(p, "pvm", []topology.NodeID{0, 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t0 := pvm.New(g.K, circs[0])
-		t1 := pvm.New(g.K, circs[1])
-		if t0.MyTID() != 0 || t1.NTasks() != 2 {
-			t.Fatal("enrollment wrong")
-		}
-		buf := pvm.NewBuffer().PkInt(42).PkDouble(3.5).PkString("pvm msg")
-		t0.Send(1, 9, buf)
-		done := vtime.NewWaitGroup("r")
-		done.Add(1)
-		g.K.Go("recv", func(q *vtime.Proc) {
-			defer done.Done()
-			in, src, tag := t1.Recv(q, pvm.AnyTID, 9)
-			if src != 0 || tag != 9 {
-				t.Errorf("src/tag = %d/%d", src, tag)
-			}
-			if in.UpkInt() != 42 || in.UpkDouble() != 3.5 || in.UpkString() != "pvm msg" {
-				t.Error("pvm buffer corrupted")
-			}
-		})
-		done.Wait(p)
-		if t1.Probe(pvm.AnyTID, pvm.AnyTag) {
-			t.Fatal("queue should be empty")
 		}
 	}); err != nil {
 		t.Fatal(err)

@@ -1,16 +1,16 @@
 // Package madeleine reimplements the Madeleine portability layer
 // (Aumage et al., CLUSTER 2000) that PadicoTM builds MadIO on: channels
-// over a static group, incremental pack/unpack with explicit semantics,
-// and per-driver backends (GM, BIP, SISCI, VIA). A channel provides at
-// most what the hardware offers — 2 channels on Myrinet, 1 on SCI —
-// which is precisely why MadIO adds logical multiplexing above it
-// (paper §4.1).
+// over a static group and incremental pack/unpack with explicit
+// semantics, over the GM driver. A channel provides at most what the
+// hardware offers — 2 channels on Myrinet — which is precisely why
+// MadIO adds logical multiplexing above it (paper §4.1).
 package madeleine
 
 import (
 	"errors"
 	"fmt"
 
+	"padico/internal/drivers/gm"
 	"padico/internal/iovec"
 	"padico/internal/madapi"
 	"padico/internal/model"
@@ -23,30 +23,11 @@ var (
 	ErrChanOpen  = errors.New("madeleine: channel id already open")
 )
 
-// Backend is a driver adapter bound to one node's NIC on one fabric.
-// Ranks index the group the adapter was built with.
-type Backend interface {
-	// Name identifies the driver ("gm", "bip", "sisci", "via").
-	Name() string
-	// MaxChannels is the hardware channel limit.
-	MaxChannels() int
-	// OpenChannel binds hardware channel id and returns a sender; incoming
-	// messages (the sender's segment vector, boundaries intact) are
-	// passed to deliver in kernel context, buffer references included.
-	OpenChannel(id int, deliver func(src int, msg iovec.Vec)) (BackendChannel, error)
-}
-
-// BackendChannel sends segment vectors to group ranks. Send takes over
-// msg's buffer references: a backend whose hardware moves bytes by
-// reference passes them to the receiver, one that copies releases them.
-type BackendChannel interface {
-	Send(dst int, msg iovec.Vec)
-}
-
-// Adapter is the per-node Madeleine instance over one backend.
+// Adapter is the per-node Madeleine instance over the GM backend.
+// Ranks index the group the backend was built with.
 type Adapter struct {
 	k       *vtime.Kernel
-	backend Backend
+	backend *GM
 	self    int
 	size    int
 	open    map[int]*Channel
@@ -54,17 +35,18 @@ type Adapter struct {
 
 // New builds an adapter for a node with rank self in a group of size
 // nodes, over the given backend.
-func New(k *vtime.Kernel, backend Backend, self, size int) *Adapter {
+func New(k *vtime.Kernel, backend *GM, self, size int) *Adapter {
 	return &Adapter{k: k, backend: backend, self: self, size: size, open: make(map[int]*Channel)}
 }
 
 // Backend returns the underlying driver adapter.
-func (a *Adapter) Backend() Backend { return a.backend }
+func (a *Adapter) Backend() *GM { return a.backend }
 
 // MaxChannels returns the hardware channel limit of the backend.
 func (a *Adapter) MaxChannels() int { return a.backend.MaxChannels() }
 
-// Open binds hardware channel id and returns the Madeleine channel.
+// Open binds hardware channel id — one GM port — and returns the
+// Madeleine channel.
 func (a *Adapter) Open(id int) (*Channel, error) {
 	if id < 0 || id >= a.backend.MaxChannels() {
 		return nil, ErrNoChannel
@@ -72,32 +54,36 @@ func (a *Adapter) Open(id int) (*Channel, error) {
 	if _, dup := a.open[id]; dup {
 		return nil, ErrChanOpen
 	}
+	b := a.backend
 	ch := &Channel{
 		a: a, id: id,
-		rx: vtime.NewQueue[*inMessage](fmt.Sprintf("mad:%s:%d:rx", a.backend.Name(), id)),
+		rx: vtime.NewQueue[*inMessage](fmt.Sprintf("mad:%s:%d:rx", b.Name(), id)),
 	}
-	ch.out = vtime.NewDelayLine(a.k, model.MadeleineCost, func(m *outMessage) { ch.bc.Send(m.dst, m.msg) })
+	// GM's gather send takes the vector as it is: segment boundaries
+	// ride in the gather descriptor, the bytes cross by reference.
+	ch.out = vtime.NewDelayLine(a.k, model.MadeleineCost, func(m *outMessage) { ch.port.Send(b.group[m.dst], id, m.msg) })
 	ch.in = vtime.NewDelayLine(a.k, model.MadeleineCost, func(m *inMessage) {
 		ch.MsgsRecv++
 		ch.rx.Push(m)
 	})
-	bc, err := a.backend.OpenChannel(id, ch.deliver)
+	port, err := b.nic.OpenPort(id)
 	if err != nil {
 		return nil, err
 	}
-	ch.bc = bc
+	port.SetHandler(func(ev gm.RecvEvent) { ch.deliver(b.rank[ev.SrcAddr], ev.Msg) })
+	ch.port = port
 	a.open[id] = ch
 	return ch, nil
 }
 
 // Channel is one Madeleine channel. It implements madapi.Channel.
 type Channel struct {
-	a   *Adapter
-	id  int
-	bc  BackendChannel
-	rx  *vtime.Queue[*inMessage]
-	out *vtime.DelayLine[*outMessage] // send-side cost, then the backend
-	in  *vtime.DelayLine[*inMessage]  // receive-side cost, then rx
+	a    *Adapter
+	id   int
+	port *gm.Port
+	rx   *vtime.Queue[*inMessage]
+	out  *vtime.DelayLine[*outMessage] // send-side cost, then the backend
+	in   *vtime.DelayLine[*inMessage]  // receive-side cost, then rx
 
 	MsgsSent int64
 	MsgsRecv int64
@@ -115,7 +101,8 @@ func (ch *Channel) Size() int { return ch.a.size }
 // message is queued (used by the NetAccess core poll loop).
 func (ch *Channel) SetRxNotify(fn func()) { ch.rx.OnPush = fn }
 
-// deliver runs in kernel context when the backend completes a message;
+// deliver runs in kernel context when GM completes a message (the
+// sender's segment vector, boundaries and buffer references intact);
 // the receive-side per-message cost is charged here.
 func (ch *Channel) deliver(src int, msg iovec.Vec) {
 	ch.in.Push(&inMessage{src: src, segs: msg.Segs})

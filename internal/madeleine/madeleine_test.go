@@ -2,15 +2,13 @@ package madeleine_test
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
 
-	"padico/internal/drivers/bip"
 	"padico/internal/drivers/gm"
-	"padico/internal/drivers/sisci"
-	"padico/internal/drivers/via"
 	"padico/internal/madapi"
 	"padico/internal/madeleine"
 	"padico/internal/model"
@@ -19,108 +17,83 @@ import (
 	"padico/internal/vtime"
 )
 
-// pair builds two Madeleine adapters over the named backend on a fresh
-// kernel and returns open channel 0 on both.
-func pair(t *testing.T, k *vtime.Kernel, backend string) (a, b madapi.Channel) {
-	t.Helper()
+// pair builds two Madeleine adapters over GM on a fresh kernel and
+// returns open channel 0 on both.
+func pair(k *vtime.Kernel) (a, b madapi.Channel, err error) {
 	group := []int{0, 1}
-	var ba, bb madeleine.Backend
-	switch backend {
-	case "gm":
-		xb := netsim.NewCrossbar(k, topology.Myrinet, model.MyrinetRate, model.MyrinetPktOverhd, model.MyrinetWireLat)
-		ba = madeleine.NewGM(gm.OpenNIC(k, xb, 0), group)
-		bb = madeleine.NewGM(gm.OpenNIC(k, xb, 1), group)
-	case "bip":
-		xb := netsim.NewCrossbar(k, topology.Myrinet, model.MyrinetRate, model.MyrinetPktOverhd, model.MyrinetWireLat)
-		ba = madeleine.NewBIP(bip.Open(k, xb, 0), group)
-		bb = madeleine.NewBIP(bip.Open(k, xb, 1), group)
-	case "sisci":
-		xb := netsim.NewCrossbar(k, topology.SCI, model.SCIRate, 300*time.Nanosecond, model.SCIWireLat)
-		ba = madeleine.NewSISCI(sisci.Open(k, xb, 0), group)
-		bb = madeleine.NewSISCI(sisci.Open(k, xb, 1), group)
-	case "via":
-		xb := netsim.NewCrossbar(k, topology.VIANet, model.MyrinetRate, model.MyrinetPktOverhd, model.MyrinetWireLat)
-		ba = madeleine.NewVIA(via.Open(k, xb, 0), group)
-		bb = madeleine.NewVIA(via.Open(k, xb, 1), group)
-	default:
-		t.Fatalf("unknown backend %q", backend)
+	xb := netsim.NewCrossbar(k, topology.Myrinet, model.MyrinetRate, model.MyrinetPktOverhd, model.MyrinetWireLat)
+	ada := madeleine.New(k, madeleine.NewGM(gm.OpenNIC(k, xb, 0), group), 0, 2)
+	adb := madeleine.New(k, madeleine.NewGM(gm.OpenNIC(k, xb, 1), group), 1, 2)
+	if a, err = ada.Open(0); err != nil {
+		return nil, nil, err
 	}
-	ada := madeleine.New(k, ba, 0, 2)
-	adb := madeleine.New(k, bb, 1, 2)
-	cha, err := ada.Open(0)
+	if b, err = adb.Open(0); err != nil {
+		return nil, nil, err
+	}
+	return a, b, nil
+}
+
+// mustPair is pair for tests that cannot go on without the channels.
+func mustPair(t *testing.T, k *vtime.Kernel) (a, b madapi.Channel) {
+	t.Helper()
+	a, b, err := pair(k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	chb, err := adb.Open(0)
-	if err != nil {
+	return a, b
+}
+
+func TestPackUnpackRoundTrip(t *testing.T) {
+	k := vtime.NewKernel()
+	cha, chb := mustPair(t, k)
+	if err := k.Run(func(p *vtime.Proc) {
+		out := cha.BeginPacking(1)
+		out.Pack([]byte("hdr"), madapi.SendSafer)
+		out.Pack([]byte("payload-data"), madapi.SendCheaper)
+		out.EndPacking()
+
+		in := chb.BeginUnpacking(p)
+		if in.Src() != 0 {
+			t.Errorf("src = %d", in.Src())
+		}
+		hdr := in.Unpack(3, madapi.ReceiveExpress)
+		body := in.Unpack(12, madapi.ReceiveCheaper)
+		in.EndUnpacking()
+		if string(hdr) != "hdr" || string(body) != "payload-data" {
+			t.Errorf("got %q %q", hdr, body)
+		}
+	}); err != nil {
 		t.Fatal(err)
 	}
-	return cha, chb
 }
 
-var allBackends = []string{"gm", "bip", "sisci", "via"}
-
-func TestPackUnpackRoundTripAllBackends(t *testing.T) {
-	for _, be := range allBackends {
-		be := be
-		t.Run(be, func(t *testing.T) {
-			k := vtime.NewKernel()
-			cha, chb := pair(t, k, be)
-			if err := k.Run(func(p *vtime.Proc) {
-				out := cha.BeginPacking(1)
-				out.Pack([]byte("hdr"), madapi.SendSafer)
-				out.Pack([]byte("payload-data"), madapi.SendCheaper)
-				out.EndPacking()
-
-				in := chb.BeginUnpacking(p)
-				if in.Src() != 0 {
-					t.Errorf("src = %d", in.Src())
-				}
-				hdr := in.Unpack(3, madapi.ReceiveExpress)
-				body := in.Unpack(12, madapi.ReceiveCheaper)
-				in.EndUnpacking()
-				if string(hdr) != "hdr" || string(body) != "payload-data" {
-					t.Errorf("got %q %q", hdr, body)
-				}
-			}); err != nil {
-				t.Fatal(err)
+func TestLargeMessages(t *testing.T) {
+	k := vtime.NewKernel()
+	cha, chb := mustPair(t, k)
+	msg := make([]byte, 1<<20)
+	rand.New(rand.NewSource(1)).Read(msg)
+	if err := k.Run(func(p *vtime.Proc) {
+		for i := 0; i < 3; i++ {
+			out := cha.BeginPacking(1)
+			out.Pack(msg, madapi.SendLater)
+			out.EndPacking()
+		}
+		for i := 0; i < 3; i++ {
+			in := chb.BeginUnpacking(p)
+			got := in.Unpack(len(msg), madapi.ReceiveCheaper)
+			in.EndUnpacking()
+			if !bytes.Equal(got, msg) {
+				t.Fatalf("iteration %d corrupted", i)
 			}
-		})
-	}
-}
-
-func TestLargeMessagesAllBackends(t *testing.T) {
-	for _, be := range allBackends {
-		be := be
-		t.Run(be, func(t *testing.T) {
-			k := vtime.NewKernel()
-			cha, chb := pair(t, k, be)
-			msg := make([]byte, 1<<20)
-			rand.New(rand.NewSource(1)).Read(msg)
-			if err := k.Run(func(p *vtime.Proc) {
-				for i := 0; i < 3; i++ {
-					out := cha.BeginPacking(1)
-					out.Pack(msg, madapi.SendLater)
-					out.EndPacking()
-				}
-				for i := 0; i < 3; i++ {
-					in := chb.BeginUnpacking(p)
-					got := in.Unpack(len(msg), madapi.ReceiveCheaper)
-					in.EndUnpacking()
-					if !bytes.Equal(got, msg) {
-						t.Fatalf("iteration %d corrupted", i)
-					}
-				}
-			}); err != nil {
-				t.Fatal(err)
-			}
-		})
+		}
+	}); err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestSendSaferAllowsBufferReuse(t *testing.T) {
 	k := vtime.NewKernel()
-	cha, chb := pair(t, k, "gm")
+	cha, chb := mustPair(t, k)
 	if err := k.Run(func(p *vtime.Proc) {
 		buf := []byte("original")
 		out := cha.BeginPacking(1)
@@ -140,7 +113,7 @@ func TestSendSaferAllowsBufferReuse(t *testing.T) {
 
 func TestExpressAfterCheaperPanics(t *testing.T) {
 	k := vtime.NewKernel()
-	cha, chb := pair(t, k, "gm")
+	cha, chb := mustPair(t, k)
 	err := k.Run(func(p *vtime.Proc) {
 		out := cha.BeginPacking(1)
 		out.Pack([]byte("a"), madapi.SendCheaper)
@@ -157,7 +130,7 @@ func TestExpressAfterCheaperPanics(t *testing.T) {
 
 func TestUnpackSizeMismatchPanics(t *testing.T) {
 	k := vtime.NewKernel()
-	cha, chb := pair(t, k, "gm")
+	cha, chb := mustPair(t, k)
 	err := k.Run(func(p *vtime.Proc) {
 		out := cha.BeginPacking(1)
 		out.Pack([]byte("four"), madapi.SendSafer)
@@ -173,36 +146,28 @@ func TestUnpackSizeMismatchPanics(t *testing.T) {
 func TestChannelLimitsMatchHardware(t *testing.T) {
 	k := vtime.NewKernel()
 	xb := netsim.NewCrossbar(k, topology.Myrinet, model.MyrinetRate, model.MyrinetPktOverhd, model.MyrinetWireLat)
-	sci := netsim.NewCrossbar(k, topology.SCI, model.SCIRate, 300*time.Nanosecond, model.SCIWireLat)
-	gmAd := madeleine.New(k, madeleine.NewGM(gm.OpenNIC(k, xb, 0), []int{0, 1}), 0, 2)
-	sciAd := madeleine.New(k, madeleine.NewSISCI(sisci.Open(k, sci, 0), []int{0, 1}), 0, 2)
+	ad := madeleine.New(k, madeleine.NewGM(gm.OpenNIC(k, xb, 0), []int{0, 1}), 0, 2)
 
-	if gmAd.MaxChannels() != 2 {
-		t.Errorf("gm channels = %d, want 2 (paper §4.1)", gmAd.MaxChannels())
+	if ad.MaxChannels() != 2 {
+		t.Errorf("gm channels = %d, want 2 (paper §4.1)", ad.MaxChannels())
 	}
-	if sciAd.MaxChannels() != 1 {
-		t.Errorf("sci channels = %d, want 1 (paper §4.1)", sciAd.MaxChannels())
-	}
-	if _, err := gmAd.Open(0); err != nil {
+	if _, err := ad.Open(0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := gmAd.Open(1); err != nil {
+	if _, err := ad.Open(0); !errors.Is(err, madeleine.ErrChanOpen) {
+		t.Errorf("channel 0 opened twice: err = %v, want ErrChanOpen", err)
+	}
+	if _, err := ad.Open(1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := gmAd.Open(2); err == nil {
-		t.Error("3rd gm channel opened")
-	}
-	if _, err := sciAd.Open(0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sciAd.Open(1); err == nil {
-		t.Error("2nd sci channel opened")
+	if _, err := ad.Open(2); !errors.Is(err, madeleine.ErrNoChannel) {
+		t.Errorf("3rd gm channel: err = %v, want ErrNoChannel", err)
 	}
 }
 
 func TestMadeleineLatencyOverGM(t *testing.T) {
 	k := vtime.NewKernel()
-	cha, chb := pair(t, k, "gm")
+	cha, chb := mustPair(t, k)
 	var oneway time.Duration
 	if err := k.Run(func(p *vtime.Proc) {
 		done := vtime.NewWaitGroup("echo")
@@ -238,39 +203,18 @@ func TestMadeleineLatencyOverGM(t *testing.T) {
 	}
 }
 
-func TestSCIRingWrapsManyLaps(t *testing.T) {
-	k := vtime.NewKernel()
-	cha, chb := pair(t, k, "sisci")
-	msg := make([]byte, 900<<10) // ~1 MB framed: several laps over a 4 MB ring
-	rand.New(rand.NewSource(2)).Read(msg)
-	if err := k.Run(func(p *vtime.Proc) {
-		for i := 0; i < 12; i++ {
-			out := cha.BeginPacking(1)
-			out.Pack(msg, madapi.SendLater)
-			out.EndPacking()
-			in := chb.BeginUnpacking(p)
-			got := in.Unpack(len(msg), madapi.ReceiveCheaper)
-			in.EndUnpacking()
-			if !bytes.Equal(got, msg) {
-				t.Fatalf("lap %d corrupted", i)
-			}
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: segment structure (count and sizes) survives all backends.
+// Property: segment structure (count and sizes) survives the trip.
 func TestQuickSegmentStructure(t *testing.T) {
 	f := func(sizes []uint16, pick uint8) bool {
 		if len(sizes) == 0 || len(sizes) > 8 {
 			return true
 		}
-		be := allBackends[int(pick)%len(allBackends)]
 		k := vtime.NewKernel()
-		var cha, chb madapi.Channel
-		tt := &testing.T{}
-		cha, chb = pair(tt, k, be)
+		cha, chb, err := pair(k)
+		if err != nil {
+			t.Log(err)
+			return false
+		}
 		segs := make([][]byte, len(sizes))
 		rnd := rand.New(rand.NewSource(int64(pick)))
 		for i, s := range sizes {
@@ -278,7 +222,7 @@ func TestQuickSegmentStructure(t *testing.T) {
 			rnd.Read(segs[i])
 		}
 		ok := true
-		err := k.Run(func(p *vtime.Proc) {
+		err = k.Run(func(p *vtime.Proc) {
 			out := cha.BeginPacking(1)
 			for _, s := range segs {
 				out.Pack(s, madapi.SendSafer)

@@ -33,14 +33,6 @@ const (
 	MyrinetHWChannels = 2                    // channels Madeleine gets (paper §4.1)
 )
 
-// SCI: mapped-memory SAN, slightly lower rate and latency than Myrinet,
-// a single hardware channel (paper §4.1).
-const (
-	SCIRate       = 180e6
-	SCIWireLat    = 1400 * time.Nanosecond
-	SCIHWChannels = 1
-)
-
 // Ethernet-100: 100 Mb/s = 12.5 MB/s raw. Frame = 1500 payload + 38
 // overhead (header+FCS+preamble+IFG); TCP/IP headers eat 40 more. The
 // paper's reference curve peaks around 11 MB/s.
@@ -87,12 +79,7 @@ const (
 //	Mico     : VLink + 2×26.4                      = 63 µs    (§5)
 //	ORBacus  : VLink + 2×21.9                      = 54 µs    (§5)
 const (
-	GMHostCost        = 1500 * time.Nanosecond
-	BIPHostCost       = 1200 * time.Nanosecond // BIP is leaner than GM
-	BIPEagerLimit     = 1024                   // short/long protocol threshold
-	BIPRendezvousCost = 900 * time.Nanosecond  // extra RTS/CTS processing per side
-	SISCIHostCost     = 900 * time.Nanosecond
-	VIAHostCost       = 1300 * time.Nanosecond
+	GMHostCost = 1500 * time.Nanosecond
 
 	MadeleineCost = 1250 * time.Nanosecond
 
@@ -121,10 +108,6 @@ const (
 	MicoRequestCost     = 26400 * time.Nanosecond
 	ORBacusRequestCost  = 21900 * time.Nanosecond
 	JavaSocketOpCost    = 14900 * time.Nanosecond
-	SOAPRequestCost     = 120 * time.Microsecond // XML parse/serialize dominates
-	PVMRequestCost      = 2600 * time.Nanosecond
-	HLARequestCost      = 9000 * time.Nanosecond
-	DSMRequestCost      = 3000 * time.Nanosecond
 	RMIRequestCost      = 35 * time.Microsecond
 )
 
@@ -152,7 +135,6 @@ const (
 	MPIPerByte          PerByte = 0.0153
 	VLinkPerByte        PerByte = 0.0127
 	CircuitPerByte      PerByte = 0.004
-	SOAPPerByte         PerByte = 28.0 // XML text encoding of binary payloads
 	CompressPerByte     PerByte = 14.0 // AdOC flate, per input byte
 	EncryptPerByte      PerByte = 9.0  // AES-CTR + HMAC on a PIII
 	MemcpyPerByte       PerByte = 1.15 // plain 870 MB/s memcpy

@@ -460,6 +460,3 @@ func decodeParts(blob []byte) [][]byte {
 	}
 	return out
 }
-
-// ModuleName implements core.Module.
-func (c *Comm) ModuleName() string { return "mpi" }

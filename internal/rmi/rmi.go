@@ -98,9 +98,6 @@ func NewRegistry(k *vtime.Kernel, ep *vlink.Endpoint, driver string, port int) (
 	return r, nil
 }
 
-// ModuleName implements core.Module.
-func (r *Registry) ModuleName() string { return "rmi" }
-
 // Bind publishes an object under a name.
 func (r *Registry) Bind(name string, obj RemoteObject) { r.names[name] = obj }
 

@@ -22,9 +22,9 @@ type NetworkKind int
 
 const (
 	Loopback NetworkKind = iota
-	Myrinet              // SAN, GM/BIP drivers
-	SCI                  // SAN, SISCI driver
-	VIANet               // SAN, VIA driver
+	Myrinet              // SAN, GM driver
+	SCI                  // SAN; declared for the selector, no driver modelled
+	VIANet               // SAN; declared for the selector, no driver modelled
 	Ethernet             // LAN, TCP/IP
 	WAN                  // high-bandwidth high-latency (VTHD-like)
 	Internet             // slow lossy trans-continental link

@@ -5,13 +5,13 @@
 //	Computing: At a Crossroads Between Parallel and Distributed
 //	Worlds". IPDPS 2004.
 //
-// The framework decouples communication middleware (MPI, PVM, CORBA,
-// SOAP, HLA, Java, DSM) from networking resources (Myrinet/SCI/VIA
-// SANs, Ethernet LANs, WANs) through a dual-abstraction, three-layer
-// model — arbitration (NetAccess: MadIO + SysIO), abstraction (VLink
-// for the distributed paradigm, Circuit for the parallel one) and
-// personalities (thin standard-API wrappers) — so that any middleware
-// runs efficiently on any network, several at the same time.
+// The framework decouples communication middleware (MPI, CORBA, Java)
+// from networking resources (Myrinet SANs, Ethernet LANs, WANs) through
+// a dual-abstraction, three-layer model — arbitration (NetAccess:
+// MadIO + SysIO), abstraction (VLink for the distributed paradigm,
+// Circuit for the parallel one) and personalities (thin standard-API
+// wrappers) — so that any middleware runs efficiently on any network,
+// several at the same time.
 //
 // Everything runs on a deterministic virtual-time simulation of the
 // paper's testbed (internal/vtime, internal/netsim): see DESIGN.md for
@@ -44,10 +44,11 @@
 //     (Grid.NewDataGrid wires it onto a testbed);
 //   - internal/bench regenerates every table and figure of the paper,
 //     plus the data-grid replication experiment;
-//   - examples/ holds runnable scenarios (quickstart, code coupling,
-//     computation monitoring, WAN methods, datagrid);
+//   - examples/ holds two runnable scenarios: quickstart (MPI and
+//     CORBA at once on one cluster) and failover (a data grid losing a
+//     node mid-transfer and repairing itself);
 //   - cmd/padico-bench prints the full evaluation, cmd/padico-info the
-//     topology/selector view, cmd/padico-demo a traced quickstart.
+//     topology/selector view.
 package padico
 
 // Version identifies this reproduction.
