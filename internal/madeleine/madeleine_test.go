@@ -43,52 +43,57 @@ func mustPair(t *testing.T, k *vtime.Kernel) (a, b madapi.Channel) {
 	return a, b
 }
 
-func TestPackUnpackRoundTrip(t *testing.T) {
-	k := vtime.NewKernel()
-	cha, chb := mustPair(t, k)
-	if err := k.Run(func(p *vtime.Proc) {
-		out := cha.BeginPacking(1)
-		out.Pack([]byte("hdr"), madapi.SendSafer)
-		out.Pack([]byte("payload-data"), madapi.SendCheaper)
-		out.EndPacking()
+// GM is the only Madeleine backend; each backend runs as its own subtest.
+func TestPackUnpackRoundTripAllBackends(t *testing.T) {
+	t.Run("gm", func(t *testing.T) {
+		k := vtime.NewKernel()
+		cha, chb := mustPair(t, k)
+		if err := k.Run(func(p *vtime.Proc) {
+			out := cha.BeginPacking(1)
+			out.Pack([]byte("hdr"), madapi.SendSafer)
+			out.Pack([]byte("payload-data"), madapi.SendCheaper)
+			out.EndPacking()
 
-		in := chb.BeginUnpacking(p)
-		if in.Src() != 0 {
-			t.Errorf("src = %d", in.Src())
+			in := chb.BeginUnpacking(p)
+			if in.Src() != 0 {
+				t.Errorf("src = %d", in.Src())
+			}
+			hdr := in.Unpack(3, madapi.ReceiveExpress)
+			body := in.Unpack(12, madapi.ReceiveCheaper)
+			in.EndUnpacking()
+			if string(hdr) != "hdr" || string(body) != "payload-data" {
+				t.Errorf("got %q %q", hdr, body)
+			}
+		}); err != nil {
+			t.Fatal(err)
 		}
-		hdr := in.Unpack(3, madapi.ReceiveExpress)
-		body := in.Unpack(12, madapi.ReceiveCheaper)
-		in.EndUnpacking()
-		if string(hdr) != "hdr" || string(body) != "payload-data" {
-			t.Errorf("got %q %q", hdr, body)
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
+	})
 }
 
-func TestLargeMessages(t *testing.T) {
-	k := vtime.NewKernel()
-	cha, chb := mustPair(t, k)
-	msg := make([]byte, 1<<20)
-	rand.New(rand.NewSource(1)).Read(msg)
-	if err := k.Run(func(p *vtime.Proc) {
-		for i := 0; i < 3; i++ {
-			out := cha.BeginPacking(1)
-			out.Pack(msg, madapi.SendLater)
-			out.EndPacking()
-		}
-		for i := 0; i < 3; i++ {
-			in := chb.BeginUnpacking(p)
-			got := in.Unpack(len(msg), madapi.ReceiveCheaper)
-			in.EndUnpacking()
-			if !bytes.Equal(got, msg) {
-				t.Fatalf("iteration %d corrupted", i)
+func TestLargeMessagesAllBackends(t *testing.T) {
+	t.Run("gm", func(t *testing.T) {
+		k := vtime.NewKernel()
+		cha, chb := mustPair(t, k)
+		msg := make([]byte, 1<<20)
+		rand.New(rand.NewSource(1)).Read(msg)
+		if err := k.Run(func(p *vtime.Proc) {
+			for i := 0; i < 3; i++ {
+				out := cha.BeginPacking(1)
+				out.Pack(msg, madapi.SendLater)
+				out.EndPacking()
 			}
+			for i := 0; i < 3; i++ {
+				in := chb.BeginUnpacking(p)
+				got := in.Unpack(len(msg), madapi.ReceiveCheaper)
+				in.EndUnpacking()
+				if !bytes.Equal(got, msg) {
+					t.Fatalf("iteration %d corrupted", i)
+				}
+			}
+		}); err != nil {
+			t.Fatal(err)
 		}
-	}); err != nil {
-		t.Fatal(err)
-	}
+	})
 }
 
 func TestSendSaferAllowsBufferReuse(t *testing.T) {
