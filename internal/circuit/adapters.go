@@ -50,11 +50,10 @@ func NewMadIOPort(mio *netaccess.MadIO, logical uint16, circ *Circuit,
 	madRank func(int) int, circRank func(int) int) *MadIOPort {
 	p := &MadIOPort{mio: mio, logical: logical, circ: circ, madRank: madRank, circRank: circRank}
 	mio.Register(logical, func(_ *vtime.Proc, src int, in madapi.InMessage) {
-		// Express header first (plane + count), then all lengths in one
-		// express segment, then the payload segments — express never
-		// follows cheaper, per the Madeleine protocol.
+		// Express header first (reserved byte + count), then all lengths
+		// in one express segment, then the payload segments — express
+		// never follows cheaper, per the Madeleine protocol.
 		hdr := in.Unpack(5, madapi.ReceiveExpress)
-		plane := Plane(hdr[0])
 		nsegs := int(binary.BigEndian.Uint32(hdr[1:]))
 		lens := in.Unpack(4*nsegs, madapi.ReceiveExpress)
 		segs := p.segs[:0]
@@ -63,7 +62,7 @@ func NewMadIOPort(mio *netaccess.MadIO, logical uint16, circ *Circuit,
 			segs = append(segs, in.Unpack(n, madapi.ReceiveCheaper))
 		}
 		in.EndUnpacking()
-		circ.Deliver(circRank(src), plane, segs)
+		circ.Deliver(circRank(src), segs)
 		clear(segs)
 		p.segs = segs
 	})
@@ -85,10 +84,10 @@ func (l *madioLink) Name() string { return "madio" }
 // Close releases the underlying port's logical channel.
 func (l *madioLink) Close() { l.p.Close() }
 
-// Send implements LinkAdapter: header combining packs the plane, the
-// segment count and all segment lengths as express segments of the same
-// hardware message.
-func (l *madioLink) Send(plane Plane, segs [][]byte) {
+// Send implements LinkAdapter: header combining packs a reserved zero
+// byte, the segment count and all segment lengths as express segments of
+// the same hardware message.
+func (l *madioLink) Send(segs [][]byte) {
 	p := l.p
 	n := 5 + 4*len(segs)
 	if cap(p.meta) < n {
@@ -96,7 +95,7 @@ func (l *madioLink) Send(plane Plane, segs [][]byte) {
 	}
 	meta := p.meta[:n]
 	hdr, lens := meta[:5], meta[5:]
-	hdr[0] = byte(plane)
+	hdr[0] = 0
 	binary.BigEndian.PutUint32(hdr[1:], uint32(len(segs)))
 	vec := p.vec[:0]
 	for i, s := range segs {
@@ -109,27 +108,19 @@ func (l *madioLink) Send(plane Plane, segs [][]byte) {
 }
 
 // ---------------------------------------------------------------------
-// Stream adapters: frame messages over a byte stream. Two flavours
-// share the framing: StreamLink runs on a driver-level conn (the
-// "sysio" straight-distributed path), VLinkLink runs on a full VLink
-// (so the alternate adapters — parallel streams, AdOC, VRP, security —
-// are usable under Circuit, per §4.2 "Circuit adapters have been
-// implemented on top of ... VLink (to use the alternates VLink
-// adapters)").
+// VLink adapter: frames messages over a full VLink, so the alternate
+// adapters — parallel streams, AdOC, VRP, security — are usable under
+// Circuit, per §4.2 "Circuit adapters have been implemented on top of
+// ... VLink (to use the alternates VLink adapters)".
 
-// frame layout: [1B plane][4B nsegs] then per segment [4B len][bytes].
+// frame layout: [1B reserved, 0][4B nsegs] then per segment [4B len][bytes].
 
-type streamSender interface {
-	PostWrite(data []byte, cb func(int, error))
-}
-
-func frameMessage(plane Plane, segs [][]byte) []byte {
+func frameMessage(segs [][]byte) []byte {
 	total := 5
 	for _, s := range segs {
 		total += 4 + len(s)
 	}
 	out := make([]byte, 5, total)
-	out[0] = byte(plane)
 	binary.BigEndian.PutUint32(out[1:], uint32(len(segs)))
 	var lenb [4]byte
 	for _, s := range segs {
@@ -147,20 +138,19 @@ func frameMessage(plane Plane, segs [][]byte) []byte {
 type frameParser struct {
 	hdr   [5]byte // the frame header, then each segment's length word
 	got   int     // bytes filled so far of the field being read
-	plane Plane
 	nsegs int
 	segs  [][]byte // nil until the frame header is complete
 	seg   []byte   // the segment being filled, nil while reading its length
 }
 
 // feed consumes stream data and emits every frame it completes.
-func (fp *frameParser) feed(data []byte, emit func(plane Plane, segs [][]byte)) {
+func (fp *frameParser) feed(data []byte, emit func(segs [][]byte)) {
 	for {
 		if fp.segs == nil {
 			if !iovec.Fill(fp.hdr[:], &fp.got, &data) {
 				return
 			}
-			fp.plane, fp.nsegs = Plane(fp.hdr[0]), int(binary.BigEndian.Uint32(fp.hdr[1:]))
+			fp.nsegs = int(binary.BigEndian.Uint32(fp.hdr[1:]))
 			fp.segs, fp.got = make([][]byte, 0, fp.nsegs), 0
 		}
 		for len(fp.segs) < fp.nsegs {
@@ -178,47 +168,8 @@ func (fp *frameParser) feed(data []byte, emit func(plane Plane, segs [][]byte)) 
 		}
 		segs := fp.segs
 		fp.segs = nil
-		emit(fp.plane, segs)
+		emit(segs)
 	}
-}
-
-// StreamLink is a per-link adapter over a driver-level connection.
-type StreamLink struct {
-	name string
-	conn vlink.Conn
-}
-
-// NewStreamLink wires a driver conn to the circuit as the link to rank
-// src (the remote end's rank). It starts the read pump immediately.
-func NewStreamLink(name string, conn vlink.Conn, circ *Circuit, src int) *StreamLink {
-	l := &StreamLink{name: name, conn: conn}
-	fp := &frameParser{}
-	buf := make([]byte, 64<<10)
-	var pump func(n int, err error)
-	pump = func(n int, err error) {
-		if n > 0 {
-			fp.feed(buf[:n], func(plane Plane, segs [][]byte) {
-				circ.Deliver(src, plane, segs)
-			})
-		}
-		if err != nil {
-			return
-		}
-		conn.PostRead(buf, pump)
-	}
-	conn.PostRead(buf, pump)
-	return l
-}
-
-// Name implements LinkAdapter.
-func (l *StreamLink) Name() string { return l.name }
-
-// Close shuts the underlying driver connection down.
-func (l *StreamLink) Close() { l.conn.Close() }
-
-// Send implements LinkAdapter.
-func (l *StreamLink) Send(plane Plane, segs [][]byte) {
-	l.conn.PostWrite(frameMessage(plane, segs), func(int, error) {})
 }
 
 // VLinkLink is a per-link adapter over a full VLink (alternate methods
@@ -236,9 +187,7 @@ func NewVLinkLink(v *vlink.VLink, circ *Circuit, src int) *VLinkLink {
 	var pump func(n int, err error)
 	pump = func(n int, err error) {
 		if n > 0 {
-			fp.feed(buf[:n], func(plane Plane, segs [][]byte) {
-				circ.Deliver(src, plane, segs)
-			})
+			fp.feed(buf[:n], func(segs [][]byte) { circ.Deliver(src, segs) })
 		}
 		if err != nil {
 			return
@@ -256,8 +205,8 @@ func (l *VLinkLink) Name() string { return "vlink" }
 func (l *VLinkLink) Close() { l.v.Close() }
 
 // Send implements LinkAdapter.
-func (l *VLinkLink) Send(plane Plane, segs [][]byte) {
-	l.v.PostWrite(frameMessage(plane, segs))
+func (l *VLinkLink) Send(segs [][]byte) {
+	l.v.PostWrite(frameMessage(segs))
 }
 
 // ---------------------------------------------------------------------
@@ -279,6 +228,6 @@ func NewLoopbackLink(k *vtime.Kernel, circ *Circuit, self int) *LoopbackLink {
 func (l *LoopbackLink) Name() string { return "loopback" }
 
 // Send implements LinkAdapter.
-func (l *LoopbackLink) Send(plane Plane, segs [][]byte) {
-	l.k.Schedule(500*time.Nanosecond, func() { l.circ.Deliver(l.self, plane, segs) })
+func (l *LoopbackLink) Send(segs [][]byte) {
+	l.k.Schedule(500*time.Nanosecond, func() { l.circ.Deliver(l.self, segs) })
 }

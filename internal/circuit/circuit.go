@@ -4,20 +4,17 @@
 // sites), an interface optimized for parallel runtimes with incremental
 // packing and explicit semantics, and per-link adapters: a given
 // Circuit instance can use different adapters for different links —
-// MadIO (straight), SysIO / VLink (cross-paradigm, including the
+// MadIO (straight), VLink (cross-paradigm, including the
 // alternate WAN methods), and loopback.
 //
-// Collective operations — which the paper lists as future work
-// ("Collective operations in Circuit still needs to be investigated") —
-// are implemented here as an extension: dissemination barrier, binomial
-// broadcast and recursive-doubling allreduce on a control plane
-// separate from point-to-point traffic.
+// Collective operations, which the paper lists as future work
+// ("Collective operations in Circuit still needs to be investigated"),
+// are not part of Circuit: internal/group builds them on the session
+// layer.
 package circuit
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"sort"
 
 	"padico/internal/madapi"
@@ -26,21 +23,12 @@ import (
 	"padico/internal/vtime"
 )
 
-// Plane separates point-to-point traffic from collective traffic.
-type Plane byte
-
-const (
-	PlaneData Plane = iota
-	PlaneColl
-)
-
 // LinkAdapter carries segment vectors to one fixed remote rank.
 type LinkAdapter interface {
-	// Name identifies the adapter kind ("madio", "sysio", "vlink",
-	// "loopback").
+	// Name identifies the adapter kind ("madio", "vlink", "loopback").
 	Name() string
-	// Send transmits one message on the given plane.
-	Send(plane Plane, segs [][]byte)
+	// Send transmits one message.
+	Send(segs [][]byte)
 }
 
 // Circuit is one instance of the parallel abstract interface.
@@ -51,7 +39,6 @@ type Circuit struct {
 	group []topology.NodeID
 	links map[int]LinkAdapter
 	rx    *vtime.Queue[*inMessage]
-	coll  *vtime.Queue[*inMessage]
 	pool  []*transit // spent transit descriptors
 
 	MsgsSent int64
@@ -65,7 +52,6 @@ func New(k *vtime.Kernel, name string, self int, group []topology.NodeID) *Circu
 		k: k, name: name, self: self, group: group,
 		links: make(map[int]LinkAdapter),
 		rx:    vtime.NewQueue[*inMessage](fmt.Sprintf("circuit:%s:%d:rx", name, self)),
-		coll:  vtime.NewQueue[*inMessage](fmt.Sprintf("circuit:%s:%d:coll", name, self)),
 	}
 }
 
@@ -102,29 +88,29 @@ func (c *Circuit) Close() {
 	}
 }
 
-// SetRxNotify installs a data-plane arrival callback (kernel context).
+// SetRxNotify installs an arrival callback (kernel context).
 func (c *Circuit) SetRxNotify(fn func()) { c.rx.OnPush = fn }
 
 // Deliver is called by adapters when a message arrives (kernel
 // context). The receive-side abstraction cost is charged here. The
 // adapter may reuse the segs slice, not the segments, once it returns.
-func (c *Circuit) Deliver(src int, plane Plane, segs [][]byte) {
+func (c *Circuit) Deliver(src int, segs [][]byte) {
 	in := &inMessage{src: src}
 	in.segs = append(in.first[:0], segs...)
 	t := c.transit()
-	t.plane, t.in = plane, in
+	t.in = in
 	c.k.Schedule(model.CircuitCost+model.CircuitPerByte.Cost(size(segs)), t.run)
 }
 
-// send transmits on a plane, charging the send-side abstraction cost.
-func (c *Circuit) send(dst int, plane Plane, segs [][]byte) {
+// send transmits, charging the send-side abstraction cost.
+func (c *Circuit) send(dst int, segs [][]byte) {
 	link, ok := c.links[dst]
 	if !ok {
 		panic(fmt.Sprintf("circuit %s: no link from rank %d to rank %d", c.name, c.self, dst))
 	}
 	c.MsgsSent++
 	t := c.transit()
-	t.link, t.plane, t.segs = link, plane, segs
+	t.link, t.segs = link, segs
 	c.k.Schedule(model.CircuitCost+model.CircuitPerByte.Cost(size(segs)), t.run)
 }
 
@@ -137,15 +123,14 @@ func size(segs [][]byte) int {
 }
 
 // transit carries one message across the size-dependent abstraction
-// cost: to the link (link set) or to a queue (in set). The circuit owns
-// it and takes it back when the cost has elapsed.
+// cost: to the link (link set) or to the receive queue (in set). The
+// circuit owns it and takes it back when the cost has elapsed.
 type transit struct {
-	c     *Circuit
-	link  LinkAdapter
-	plane Plane
-	segs  [][]byte
-	in    *inMessage
-	run   func() // fire, bound once
+	c    *Circuit
+	link LinkAdapter
+	segs [][]byte
+	in   *inMessage
+	run  func() // fire, bound once
 }
 
 func (c *Circuit) transit() *transit {
@@ -160,19 +145,15 @@ func (c *Circuit) transit() *transit {
 }
 
 func (t *transit) fire() {
-	c, link, plane, segs, in := t.c, t.link, t.plane, t.segs, t.in
+	c, link, segs, in := t.c, t.link, t.segs, t.in
 	t.link, t.segs, t.in = nil, nil, nil
 	c.pool = append(c.pool, t)
-	switch {
-	case in == nil:
-		link.Send(plane, segs)
-	case plane == PlaneColl:
-		c.MsgsRecv++
-		c.coll.Push(in)
-	default:
-		c.MsgsRecv++
-		c.rx.Push(in)
+	if in == nil {
+		link.Send(segs)
+		return
 	}
+	c.MsgsRecv++
+	c.rx.Push(in)
 }
 
 // ---------------------------------------------------------------------
@@ -234,7 +215,7 @@ func (m *outMessage) EndPacking() {
 		panic("circuit: EndPacking twice")
 	}
 	m.ended = true
-	m.c.send(m.dst, PlaneData, m.segs)
+	m.c.send(m.dst, m.segs)
 }
 
 // inMessage is one received message, and then its receiver's handle.
@@ -250,7 +231,7 @@ type inMessage struct {
 func (m *inMessage) Src() int { return m.src }
 
 // NextSegLen returns the size of the next segment to unpack; consumers
-// with self-describing formats (the FastMessage personality) use it.
+// that did not dictate the message's shape (the session layer) use it.
 func (m *inMessage) NextSegLen() int { return len(m.segs[m.next]) }
 
 // NumSegs returns how many segments the message was packed with;
@@ -286,149 +267,3 @@ func (m *inMessage) EndUnpacking() {
 
 // Discard implements madapi.InMessage.
 func (m *inMessage) Discard() { m.next = len(m.segs) }
-
-// ---------------------------------------------------------------------
-// Collectives (extension; see package comment).
-
-// collRecv blocks for the next control-plane message from src with the
-// given 1-byte tag (messages from other sources queue).
-func (c *Circuit) collRecv(p *vtime.Proc, src int, tag byte) []byte {
-	var stash []*inMessage
-	defer func() {
-		for _, s := range stash {
-			c.coll.Push(s)
-		}
-	}()
-	for {
-		in := c.coll.Pop(p)
-		if in.src == src && in.segs[0][0] == tag {
-			return in.segs[1]
-		}
-		stash = append(stash, in)
-	}
-}
-
-func (c *Circuit) collSend(dst int, tag byte, payload []byte) {
-	c.send(dst, PlaneColl, [][]byte{{tag}, payload})
-}
-
-// Barrier blocks p until every rank reached the barrier (dissemination
-// algorithm, ⌈log2 n⌉ rounds).
-func (c *Circuit) Barrier(p *vtime.Proc) {
-	n := len(c.group)
-	for dist, round := 1, byte(0); dist < n; dist, round = dist*2, round+1 {
-		to := (c.self + dist) % n
-		from := (c.self - dist + n) % n
-		c.collSend(to, 0x10+round, nil)
-		c.collRecv(p, from, 0x10+round)
-	}
-}
-
-// Bcast distributes root's data to every rank (binomial tree) and
-// returns the data on all ranks.
-func (c *Circuit) Bcast(p *vtime.Proc, root int, data []byte) []byte {
-	n := len(c.group)
-	vrank := (c.self - root + n) % n
-	if vrank != 0 {
-		// Receive from parent.
-		mask := 1
-		for ; mask < n; mask <<= 1 {
-			if vrank&mask != 0 {
-				break
-			}
-		}
-		parent := ((vrank &^ mask) + root) % n
-		data = c.collRecv(p, parent, 0x20)
-	}
-	// Forward to children. Links lend a message's segments all the way
-	// to the receiver while the root's caller gets its buffer back as
-	// soon as Bcast returns, so the root sends a copy; a forwarder's data
-	// is a received message nobody else writes to.
-	out := data
-	if vrank == 0 {
-		out = append([]byte(nil), data...)
-	}
-	mask := 1
-	for ; mask < n; mask <<= 1 {
-		if vrank&mask != 0 {
-			break
-		}
-	}
-	for m := mask >> 1; m > 0; m >>= 1 {
-		child := vrank | m
-		if child < n && child != vrank {
-			c.collSend((child+root)%n, 0x20, out)
-		}
-	}
-	return data
-}
-
-// ReduceOp combines two float64 values.
-type ReduceOp func(a, b float64) float64
-
-// Common reduce operations.
-var (
-	OpSum ReduceOp = func(a, b float64) float64 { return a + b }
-	OpMax ReduceOp = func(a, b float64) float64 { return math.Max(a, b) }
-	OpMin ReduceOp = func(a, b float64) float64 { return math.Min(a, b) }
-)
-
-// AllReduce combines vec element-wise across all ranks with op and
-// returns the result on every rank (recursive doubling when the group
-// is a power of two, ring fallback otherwise).
-func (c *Circuit) AllReduce(p *vtime.Proc, vec []float64, op ReduceOp) []float64 {
-	n := len(c.group)
-	acc := append([]float64(nil), vec...)
-	if n&(n-1) == 0 {
-		for dist, round := 1, byte(0); dist < n; dist, round = dist*2, round+1 {
-			peer := c.self ^ dist
-			c.collSend(peer, 0x30+round, EncodeF64(acc))
-			remote := DecodeF64(c.collRecv(p, peer, 0x30+round))
-			for i := range acc {
-				acc[i] = op(acc[i], remote[i])
-			}
-		}
-		return acc
-	}
-	// Ring: n-1 steps of pass-and-accumulate, then broadcast from rank 0.
-	next := (c.self + 1) % n
-	prev := (c.self - 1 + n) % n
-	if c.self == 0 {
-		c.collSend(next, 0x40, EncodeF64(acc))
-		final := DecodeF64(c.collRecv(p, prev, 0x40))
-		return c.bcastF64(p, final)
-	}
-	partial := DecodeF64(c.collRecv(p, prev, 0x40))
-	for i := range partial {
-		partial[i] = op(partial[i], acc[i])
-	}
-	c.collSend(next, 0x40, EncodeF64(partial))
-	return c.bcastF64(p, nil)
-}
-
-func (c *Circuit) bcastF64(p *vtime.Proc, data []float64) []float64 {
-	var raw []byte
-	if c.self == 0 {
-		raw = EncodeF64(data)
-	}
-	return DecodeF64(c.Bcast(p, 0, raw))
-}
-
-// EncodeF64 is the collectives' float64 vector wire format (big-endian
-// IEEE 754); the group layer's Reduce shares it.
-func EncodeF64(v []float64) []byte {
-	out := make([]byte, 8*len(v))
-	for i, f := range v {
-		binary.BigEndian.PutUint64(out[8*i:], math.Float64bits(f))
-	}
-	return out
-}
-
-// DecodeF64 inverts EncodeF64.
-func DecodeF64(b []byte) []float64 {
-	out := make([]float64, len(b)/8)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.BigEndian.Uint64(b[8*i:]))
-	}
-	return out
-}

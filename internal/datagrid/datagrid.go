@@ -668,32 +668,6 @@ func (dg *DataGrid) Get(p *vtime.Proc, client topology.NodeID, name string) ([]b
 	return nil, fmt.Errorf("%w: %s", ErrNoReplica, name)
 }
 
-// Replicate (re)schedules copies of an object to every placement
-// target that lacks one; it reports how many jobs were submitted.
-func (dg *DataGrid) Replicate(name string) int {
-	meta, ok := dg.catalog[name]
-	if !ok {
-		return 0
-	}
-	holders := dg.reachable(dg.Holders(name))
-	if len(holders) == 0 {
-		return 0
-	}
-	has := make(map[topology.NodeID]bool, len(holders))
-	for _, h := range holders {
-		has[h] = true
-	}
-	n := 0
-	for _, t := range meta.Targets {
-		if !has[t] && !dg.NodeDown(t) {
-			src := dg.rankSources(t, holders, false)[0]
-			dg.sched.submit(&job{name: name, src: src, dst: t})
-			n++
-		}
-	}
-	return n
-}
-
 // AddMember grows the ring by one node and reschedules replication for
 // every object whose placement changed; it reports the number of
 // transfer jobs submitted. Copies left on nodes that fell out of a
@@ -890,15 +864,6 @@ func (dg *DataGrid) nearest(n topology.NodeID, cands []topology.NodeID) topology
 		}
 	}
 	return best
-}
-
-// rankByProximity orders candidates by path class from n, stable in
-// node-id order within a class.
-func (dg *DataGrid) rankByProximity(n topology.NodeID, cands []topology.NodeID) []topology.NodeID {
-	out := append([]topology.NodeID(nil), cands...)
-	cls := dg.classes(n, out)
-	sort.SliceStable(out, func(i, j int) bool { return cls[out[i]] < cls[out[j]] })
-	return out
 }
 
 func (dg *DataGrid) classes(n topology.NodeID, cands []topology.NodeID) map[topology.NodeID]selector.PathClass {

@@ -200,20 +200,6 @@ func (in *Injector) ScheduleCrash(at vtime.Time, n topology.NodeID) {
 	in.g.K.At(at, func() { in.CrashNode(n) })
 }
 
-// ScheduleSiteBlackout arms a whole-site power loss.
-func (in *Injector) ScheduleSiteBlackout(at vtime.Time, site string) {
-	in.g.K.At(at, func() { in.CrashSite(site) })
-}
-
-// SchedulePartition arms a partition of the named cores at `at`,
-// healing at `heal` (zero heal time means the partition is permanent).
-func (in *Injector) SchedulePartition(at, heal vtime.Time, cores ...string) {
-	in.g.K.At(at, func() { in.PartitionCores(cores...) })
-	if heal > at {
-		in.g.K.At(heal, func() { in.HealCores(cores...) })
-	}
-}
-
 // ---------------------------------------------------------------------
 // Detector: the observer side.
 

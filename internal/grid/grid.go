@@ -445,9 +445,6 @@ func (g *Grid) wireMyrinetGM(myri *topology.Network) {
 	}
 }
 
-// Runtime returns node id's runtime.
-func (g *Grid) Runtime(id topology.NodeID) *core.Runtime { return g.RT[id] }
-
 // NewDataGrid layers a replicated data-grid (ring placement, replica
 // catalog, bulk transfers) over this testbed. Its transfers open
 // session channels, so they ride the same selector decisions — and the
@@ -488,19 +485,10 @@ func (g *Grid) allocPort() int {
 // an explicit Decision); middleware should open channels through
 // Session() instead.
 
-// DialVLink opens a VLink from a to b choosing driver and wrappers per
-// the selector; the listener side is set up transparently. It blocks p
-// until established. Both runtimes must exist.
-func (g *Grid) DialVLink(p *vtime.Proc, a, b topology.NodeID) (*vlink.VLink, *vlink.VLink, error) {
-	dec, err := selector.Select(g.Topo, selector.Request{Src: a, Dst: b, QoS: g.Prefs})
-	if err != nil {
-		return nil, nil, err
-	}
-	return g.DialVLinkWith(p, a, b, dec)
-}
-
-// DialVLinkWith is DialVLink with an explicit decision (for ablations).
-// It returns the two ends (dialer side, acceptor side).
+// DialVLinkWith opens a VLink from a to b with the driver and wrappers
+// of an explicit decision; the listener side is set up transparently.
+// It blocks p until established and returns the two ends (dialer side,
+// acceptor side). Both runtimes must exist.
 func (g *Grid) DialVLinkWith(p *vtime.Proc, a, b topology.NodeID, dec selector.Decision) (*vlink.VLink, *vlink.VLink, error) {
 	port := g.allocPort()
 	da, err := g.buildDriverStack(g.RT[a], dec)
@@ -656,13 +644,10 @@ func (g *Grid) wireCircuitLink(p *vtime.Proc, name string, logical uint16,
 	if err != nil {
 		return err
 	}
-	circs[i].SetLink(j, &vlinkLinkAdapter{circuit.NewVLinkLink(va, circs[i], j)})
-	circs[j].SetLink(i, &vlinkLinkAdapter{circuit.NewVLinkLink(vb, circs[j], i)})
+	circs[i].SetLink(j, circuit.NewVLinkLink(va, circs[i], j))
+	circs[j].SetLink(i, circuit.NewVLinkLink(vb, circs[j], i))
 	return nil
 }
-
-// vlinkLinkAdapter just fixes the adapter name reported to callers.
-type vlinkLinkAdapter struct{ *circuit.VLinkLink }
 
 // RewireMadIONoCombining opens the second Myrinet hardware channel on
 // nodes a and b with MadIO header combining disabled — the §4.1

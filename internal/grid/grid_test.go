@@ -88,54 +88,6 @@ func TestCircuitOverCluster(t *testing.T) {
 	}
 }
 
-func TestCircuitCollectives(t *testing.T) {
-	for _, n := range []int{3, 4} { // ring and recursive-doubling paths
-		n := n
-		g := grid.Cluster(n)
-		if err := g.K.Run(func(p *vtime.Proc) {
-			nodes := make([]topology.NodeID, n)
-			for i := range nodes {
-				nodes[i] = topology.NodeID(i)
-			}
-			circs, err := g.NewCircuits(p, "coll", nodes)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wg := vtime.NewWaitGroup("ranks")
-			for r := 1; r < n; r++ {
-				r := r
-				wg.Add(1)
-				g.K.Go("rank", func(q *vtime.Proc) {
-					defer wg.Done()
-					circs[r].Barrier(q)
-					data := circs[r].Bcast(q, 0, nil)
-					if string(data) != "broadcast!" {
-						t.Errorf("rank %d bcast got %q", r, data)
-					}
-					sum := circs[r].AllReduce(q, []float64{float64(r), 1}, circuitOpSum())
-					want := float64(n*(n-1)) / 2
-					if sum[0] != want || sum[1] != float64(n) {
-						t.Errorf("rank %d allreduce = %v", r, sum)
-					}
-				})
-			}
-			circs[0].Barrier(p)
-			circs[0].Bcast(p, 0, []byte("broadcast!"))
-			sum := circs[0].AllReduce(p, []float64{0, 1}, circuitOpSum())
-			if sum[1] != float64(n) {
-				t.Errorf("root allreduce = %v", sum)
-			}
-			wg.Wait(p)
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-func circuitOpSum() func(a, b float64) float64 {
-	return func(a, b float64) float64 { return a + b }
-}
-
 func TestCircuitSpansSites(t *testing.T) {
 	g := grid.TwoClusterWAN(2, 2)
 	g.Prefs.Cipher = selector.CipherNever // keep this test focused on adapters

@@ -1,7 +1,6 @@
 package grid_test
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
@@ -9,7 +8,6 @@ import (
 	"padico/internal/mpi"
 	"padico/internal/orb"
 	"padico/internal/personality"
-	"padico/internal/rmi"
 	"padico/internal/topology"
 	"padico/internal/vtime"
 )
@@ -25,49 +23,6 @@ func TestMPICollectivesAndWildcards(t *testing.T) {
 		for r := range comms {
 			comms[r] = mpi.New(g.K, personality.NewVMad(g.K, circs[r]))
 		}
-		wg := vtime.NewWaitGroup("ranks")
-		run := func(r int, q *vtime.Proc) {
-			defer wg.Done()
-			c := comms[r]
-			c.Barrier(q)
-			got := c.Bcast(q, 0, pick(r == 0, []byte("payload"), nil))
-			if string(got) != "payload" {
-				t.Errorf("rank %d bcast got %q", r, got)
-			}
-			sum := c.Allreduce(q, []float64{float64(r)}, mpi.Sum)
-			if sum[0] != 6 {
-				t.Errorf("rank %d allreduce = %v", r, sum)
-			}
-			parts := c.Gather(q, 0, []byte{byte('a' + r)})
-			if r == 0 {
-				joined := ""
-				for _, pt := range parts {
-					joined += string(pt)
-				}
-				if joined != "abcd" {
-					t.Errorf("gather = %q", joined)
-				}
-			}
-			all := c.Allgather(q, []byte{byte('0' + r)})
-			if len(all) != 4 || string(all[3]) != "3" {
-				t.Errorf("rank %d allgather = %v", r, all)
-			}
-			mine := c.Alltoall(q, [][]byte{{byte(r)}, {byte(r)}, {byte(r)}, {byte(r)}})
-			for src, m := range mine {
-				if len(m) != 1 || m[0] != byte(src) {
-					t.Errorf("rank %d alltoall[%d] = %v", r, src, m)
-				}
-			}
-			c.Barrier(q)
-		}
-		for r := 1; r < 4; r++ {
-			r := r
-			wg.Add(1)
-			g.K.Go(fmt.Sprintf("rank%d", r), func(q *vtime.Proc) { run(r, q) })
-		}
-		wg.Add(1)
-		run(0, p)
-		wg.Wait(p)
 
 		// Wildcard receive.
 		done := vtime.NewWaitGroup("wc")
@@ -85,13 +40,6 @@ func TestMPICollectivesAndWildcards(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func pick(cond bool, a, b []byte) []byte {
-	if cond {
-		return a
-	}
-	return b
 }
 
 // The ORB profiles differ where the paper says they do: omniORB 3 pays
@@ -215,34 +163,6 @@ func TestMPIAndCORBASimultaneously(t *testing.T) {
 		done.Wait(p)
 		if hits != 4 {
 			t.Fatalf("CORBA monitor hits = %d, want 4", hits)
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRMICall(t *testing.T) {
-	g := grid.Cluster(2)
-	if err := g.K.Run(func(p *vtime.Proc) {
-		reg, err := rmi.NewRegistry(g.K, g.RT[1].VLink, "sysio", 1099)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reg.Bind("Adder", rmi.RemoteObject{
-			"add": func(q *vtime.Proc, args []byte) ([]byte, error) {
-				return []byte{args[0] + args[1]}, nil
-			},
-		})
-		stub, err := rmi.Lookup(p, g.RT[0].VLink, "sysio", 1, 1099, "Adder")
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, err := stub.Call(p, "add", []byte{20, 22})
-		if err != nil || out[0] != 42 {
-			t.Fatalf("rmi add = %v, %v", out, err)
-		}
-		if _, err := stub.Call(p, "mul", nil); err == nil {
-			t.Fatal("missing method did not raise")
 		}
 	}); err != nil {
 		t.Fatal(err)

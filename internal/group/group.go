@@ -28,11 +28,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync/atomic"
 	"time"
 
-	"padico/internal/circuit"
 	"padico/internal/model"
 	"padico/internal/selector"
 	"padico/internal/session"
@@ -258,20 +258,6 @@ func (g *Group) MarkDead(n topology.NodeID) {
 	g.tel.Note("group", "member dead", int(n), int64(len(g.Alive())), 0)
 	if g.tel.Tracing() {
 		g.tel.Instant("group", "member_dead", int(n)).End()
-	}
-}
-
-// MarkAlive re-admits a recovered member (a heal after a partition, a
-// rebooted node); cached trees rebuild to include it again.
-func (g *Group) MarkAlive(n topology.NodeID) {
-	if !g.dead[n] {
-		return
-	}
-	delete(g.dead, n)
-	g.dirtyAll()
-	g.tel.Note("group", "member alive", int(n), int64(len(g.Alive())), 0)
-	if g.tel.Tracing() {
-		g.tel.Instant("group", "member_alive", int(n)).End()
 	}
 }
 
@@ -788,6 +774,15 @@ func (g *Group) relayMulticast(q *vtime.Proc, self topology.NodeID,
 // ---------------------------------------------------------------------
 // Reduce.
 
+// ReduceOp combines two float64 values.
+type ReduceOp func(a, b float64) float64
+
+// Common reduce operations.
+var (
+	OpSum ReduceOp = func(a, b float64) float64 { return a + b }
+	OpMax ReduceOp = func(a, b float64) float64 { return math.Max(a, b) }
+)
+
 // Reduce combines per-member float64 vectors up the tree with op and
 // returns the result at root. contrib supplies each member's vector —
 // every member MUST return the same width as root's (violations
@@ -796,7 +791,7 @@ func (g *Group) relayMulticast(q *vtime.Proc, self topology.NodeID,
 // no status wave to time out on). The combine order is fixed — self,
 // then children in tree order — so floating-point results are
 // reproducible.
-func (g *Group) Reduce(p *vtime.Proc, root topology.NodeID, contrib func(topology.NodeID) []float64, op circuit.ReduceOp) ([]float64, error) {
+func (g *Group) Reduce(p *vtime.Proc, root topology.NodeID, contrib func(topology.NodeID) []float64, op ReduceOp) ([]float64, error) {
 	sp := g.tel.Begin("group", "reduce", int(root)).I64("members", int64(len(g.members)))
 	t0 := g.k.Now()
 	defer func() { g.hOp.Observe(g.k.Now().Sub(t0)); sp.End() }()
@@ -826,9 +821,9 @@ func (g *Group) Reduce(p *vtime.Proc, root topology.NodeID, contrib func(topolog
 				if err != nil {
 					return
 				}
-				fold(acc, circuit.DecodeF64(seg[0]), op)
+				fold(acc, DecodeF64(seg[0]), op)
 			}
-			up.Send(q, circuit.EncodeF64(acc))
+			up.Send(q, EncodeF64(acc))
 		})
 	}
 	acc := append([]float64(nil), contrib(root)...)
@@ -839,16 +834,34 @@ func (g *Group) Reduce(p *vtime.Proc, root topology.NodeID, contrib func(topolog
 			atomic.AddInt64(&g.stats.Failures, 1)
 			return nil, fmt.Errorf("%w: reduce", ErrEdgeFailed)
 		}
-		fold(acc, circuit.DecodeF64(seg[0]), op)
+		fold(acc, DecodeF64(seg[0]), op)
 	}
 	atomic.AddInt64(&g.stats.Reduces, 1)
 	return acc, nil
 }
 
-func fold(acc, v []float64, op circuit.ReduceOp) {
+func fold(acc, v []float64, op ReduceOp) {
 	for i := range acc {
 		acc[i] = op(acc[i], v[i])
 	}
+}
+
+// EncodeF64 is Reduce's float64 vector wire format (big-endian IEEE 754).
+func EncodeF64(v []float64) []byte {
+	out := make([]byte, 8*len(v))
+	for i, f := range v {
+		binary.BigEndian.PutUint64(out[8*i:], math.Float64bits(f))
+	}
+	return out
+}
+
+// DecodeF64 inverts EncodeF64.
+func DecodeF64(b []byte) []float64 {
+	out := make([]float64, len(b)/8)
+	for i := range out {
+		out[i] = math.Float64frombits(binary.BigEndian.Uint64(b[8*i:]))
+	}
+	return out
 }
 
 // ---------------------------------------------------------------------

@@ -5,9 +5,9 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
+	"testing/quick"
 	"time"
 
-	"padico/internal/circuit"
 	"padico/internal/grid"
 	"padico/internal/group"
 	"padico/internal/selector"
@@ -269,14 +269,14 @@ func TestReduceMatchesSerialFold(t *testing.T) {
 		return []float64{float64(n), 1, float64(10 - n)}
 	}
 	if err := g.K.Run(func(p *vtime.Proc) {
-		sum, err := grp.Reduce(p, 0, contrib, circuit.OpSum)
+		sum, err := grp.Reduce(p, 0, contrib, group.OpSum)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if sum[0] != 15 || sum[1] != 6 || sum[2] != 45 {
 			t.Fatalf("sum = %v", sum)
 		}
-		max, err := grp.Reduce(p, 2, contrib, circuit.OpMax)
+		max, err := grp.Reduce(p, 2, contrib, group.OpMax)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -293,6 +293,31 @@ func TestReduceMatchesSerialFold(t *testing.T) {
 
 // TestBarrierReuse runs three barriers back to back on the same group;
 // each must complete and cost wide-area time (two tree traversals).
+func TestReduceOps(t *testing.T) {
+	if group.OpSum(2, 3) != 5 || group.OpMax(2, 3) != 3 {
+		t.Fatal("reduce ops wrong")
+	}
+}
+
+// Property: Reduce's float64 codec round-trips.
+func TestQuickF64Codec(t *testing.T) {
+	f := func(v []float64) bool {
+		got := group.DecodeF64(group.EncodeF64(v))
+		if len(got) != len(v) {
+			return false
+		}
+		for i := range v {
+			if got[i] != v[i] && !(v[i] != v[i] && got[i] != got[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestBarrierReuse(t *testing.T) {
 	g := grid.MultiSite(2, 2)
 	grp, err := g.NewGroup(allNodes(g), group.Config{})

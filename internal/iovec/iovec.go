@@ -119,9 +119,6 @@ func Get(n int) *Buf {
 // Bytes returns the buffer's view: len is the requested size.
 func (b *Buf) Bytes() []byte { return b.p[:b.n] }
 
-// Cap returns the full capacity of the underlying block.
-func (b *Buf) Cap() int { return len(b.p) }
-
 // Refs returns the current reference count (for tests).
 func (b *Buf) Refs() int { return b.refs }
 

@@ -283,9 +283,6 @@ type Host struct {
 // ID returns the host's node id.
 func (h *Host) ID() topology.NodeID { return h.id }
 
-// Dead reports whether the host has been crashed by KillHost.
-func (h *Host) Dead() bool { return h.dead }
-
 // addRoute registers a route toward dst: under its network name when
 // one is given, and as the pair's default when no default exists yet.
 func (h *Host) addRoute(dst topology.NodeID, nw string, rt *route) {
@@ -527,12 +524,6 @@ func (u *UDPConn) RecvTimeout(p *vtime.Proc, d time.Duration) (UDPDatagram, bool
 	return u.rx.PopTimeout(p, d)
 }
 
-// SetReadyHandler installs a SysIO-style arrival callback.
-func (u *UDPConn) SetReadyHandler(fn func()) { u.rx.OnPush = fn }
-
-// Pending returns the number of queued datagrams.
-func (u *UDPConn) Pending() int { return u.rx.Len() }
-
 // Close unbinds the socket.
 func (u *UDPConn) Close() {
 	u.closed = true
@@ -672,12 +663,6 @@ func (h *Host) DialVia(p *vtime.Proc, dst topology.NodeID, port int, nw string) 
 // Remote returns the peer node.
 func (c *TCPConn) Remote() topology.NodeID { return c.remote }
 
-// LocalPort returns the local port number.
-func (c *TCPConn) LocalPort() int { return c.localPort }
-
-// MSS returns the maximum segment size on this connection's path.
-func (c *TCPConn) MSS() int { return c.mss }
-
 // SetBuffers overrides the send/receive buffer sizes; call before
 // transferring data.
 func (c *TCPConn) SetBuffers(snd, rcv int) {
@@ -744,18 +729,11 @@ func (c *TCPConn) sendSeg(sg tcpSeg, off, n int64) {
 	c.rt.send(&tp.pkt)
 }
 
-// TryWrite queues as much of b as fits in the send buffer without
-// blocking and returns the number of bytes accepted. Used by
-// callback-driven layers (SysIO/VLink) that must never block the I/O
-// manager.
-func (c *TCPConn) TryWrite(b []byte) int {
-	return c.TryWriteVec(iovec.Make(b), 0)
-}
-
-// TryWriteVec is TryWrite over a segment vector, starting at byte
-// offset from: the vector's bytes are copied once into the pooled send
-// queue (the socket's single pack point), exactly as a flattened
-// TryWrite of the same bytes would be — same acceptance, same pump.
+// TryWriteVec queues as much of the segment vector v, from byte offset
+// from, as fits in the send buffer without blocking and returns the
+// number of bytes accepted. Used by callback-driven layers (SysIO/VLink)
+// that must never block the I/O manager. The accepted bytes are copied
+// once into the pooled send queue, the socket's single pack point.
 func (c *TCPConn) TryWriteVec(v iovec.Vec, from int) int {
 	if c.closed || c.finQueued {
 		return 0
@@ -778,7 +756,7 @@ func (c *TCPConn) TryWriteVec(v iovec.Vec, from int) int {
 	return n
 }
 
-// Writable reports whether TryWrite would accept at least one byte.
+// Writable reports whether TryWriteVec would accept at least one byte.
 func (c *TCPConn) Writable() bool {
 	return !c.closed && !c.finQueued && c.sndq.size() < c.sndCap
 }

@@ -94,10 +94,6 @@ const (
 
 	MPICost  = 1830 * time.Nanosecond
 	VMadCost = 50 * time.Nanosecond // virtual-Madeleine personality is a thin shim
-	FMCost   = 60 * time.Nanosecond
-	VioCost  = 40 * time.Nanosecond // personalities adapt syntax only (§3.3)
-	AioCost  = 60 * time.Nanosecond
-	SysWrap  = 45 * time.Nanosecond
 )
 
 // Per-request CPU of the middleware systems (per side), from Table 1 as
@@ -108,7 +104,6 @@ const (
 	MicoRequestCost     = 26400 * time.Nanosecond
 	ORBacusRequestCost  = 21900 * time.Nanosecond
 	JavaSocketOpCost    = 14900 * time.Nanosecond
-	RMIRequestCost      = 35 * time.Microsecond
 )
 
 // ---------------------------------------------------------------------
@@ -127,18 +122,17 @@ const (
 type PerByte float64 // nanoseconds per byte, per side
 
 const (
-	MicoCopyPerByte     PerByte = 7.09
-	ORBacusCopyPerByte  PerByte = 5.95
-	OmniORB4PerByte     PerByte = 0.0411
-	OmniORB3PerByte     PerByte = 0.0180
-	JavaSocketPerByte   PerByte = 0.0224
-	MPIPerByte          PerByte = 0.0153
-	VLinkPerByte        PerByte = 0.0127
-	CircuitPerByte      PerByte = 0.004
-	CompressPerByte     PerByte = 14.0 // AdOC flate, per input byte
-	EncryptPerByte      PerByte = 9.0  // AES-CTR + HMAC on a PIII
-	MemcpyPerByte       PerByte = 1.15 // plain 870 MB/s memcpy
-	SerializeRMIPerByte PerByte = 11.0
+	MicoCopyPerByte    PerByte = 7.09
+	ORBacusCopyPerByte PerByte = 5.95
+	OmniORB4PerByte    PerByte = 0.0411
+	OmniORB3PerByte    PerByte = 0.0180
+	JavaSocketPerByte  PerByte = 0.0224
+	MPIPerByte         PerByte = 0.0153
+	VLinkPerByte       PerByte = 0.0127
+	CircuitPerByte     PerByte = 0.004
+	CompressPerByte    PerByte = 14.0 // AdOC flate, per input byte
+	EncryptPerByte     PerByte = 9.0  // AES-CTR + HMAC on a PIII
+	MemcpyPerByte      PerByte = 1.15 // plain 870 MB/s memcpy
 )
 
 // ---------------------------------------------------------------------
@@ -160,9 +154,4 @@ const (
 // Cost converts a byte count at a per-byte rate into a duration.
 func (pb PerByte) Cost(n int) time.Duration {
 	return time.Duration(float64(n) * float64(pb))
-}
-
-// Serialize returns the wire time of n bytes at rate bytes/s.
-func Serialize(n int, rate float64) time.Duration {
-	return time.Duration(float64(n) / rate * 1e9)
 }

@@ -9,15 +9,13 @@
 //     MPICH/Madeleine implementation can run in PadicoTM").
 //
 // Features: blocking and nonblocking point-to-point with tag/source
-// matching (wildcards included), unexpected-message queue, and the
-// usual collectives (barrier, bcast, reduce, allreduce, gather,
-// scatter, allgather, alltoall) built on point-to-point.
+// matching (wildcards included) and an unexpected-message queue — the
+// subset the paper measures. Collectives live in internal/group.
 package mpi
 
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"slices"
 
 	"padico/internal/madapi"
@@ -30,9 +28,6 @@ const (
 	AnySource = -1
 	AnyTag    = -1
 )
-
-// Reserved internal tag base for collectives.
-const collTagBase = 1 << 20
 
 // Status describes a completed receive.
 type Status struct {
@@ -54,9 +49,6 @@ type Request struct {
 	hdr      [8]byte
 	send     func() // transmit, bound once
 }
-
-// Test polls for completion.
-func (r *Request) Test() bool { return r.f.Done() }
 
 // Wait blocks until completion.
 func (r *Request) Wait(p *vtime.Proc) Status {
@@ -86,8 +78,6 @@ type Comm struct {
 	MsgsRecv int64
 	BytesIn  int64
 	BytesOut int64
-
-	collSeq [6]int // per-collective invocation counters (tag disambiguation)
 }
 
 // New builds a communicator over a Madeleine-interface channel and
@@ -97,9 +87,6 @@ func New(k *vtime.Kernel, ch madapi.Channel) *Comm {
 	k.GoDaemon(fmt.Sprintf("mpi-progress:%d", c.rank), c.progress)
 	return c
 }
-
-// Rank returns the caller's rank.
-func (c *Comm) Rank() int { return c.rank }
 
 // Size returns the communicator size.
 func (c *Comm) Size() int { return c.size }
@@ -220,243 +207,4 @@ func (c *Comm) Irecv(src, tag int, buf []byte) *Request {
 // Recv is the blocking receive; it returns the completion status.
 func (c *Comm) Recv(p *vtime.Proc, src, tag int, buf []byte) Status {
 	return c.wait(p, c.Irecv(src, tag, buf))
-}
-
-// Sendrecv exchanges messages with two peers in one step.
-func (c *Comm) Sendrecv(p *vtime.Proc, dst, stag int, sdata []byte,
-	src, rtag int, rbuf []byte) Status {
-	r := c.Irecv(src, rtag, rbuf)
-	c.Isend(dst, stag, sdata)
-	return r.Wait(p)
-}
-
-// ---------------------------------------------------------------------
-// Collectives. Every invocation gets its own tag from a per-type
-// sequence counter: MPI requires collectives to be issued in the same
-// order on every rank, so the counters agree across ranks and
-// concurrent collectives cannot cross-match.
-
-// collTag mints the tag for one collective invocation of type op.
-func (c *Comm) collTag(op int) int {
-	c.collSeq[op]++
-	return collTagBase + op<<12 + (c.collSeq[op] & 0xFFF)
-}
-
-// Barrier blocks until all ranks arrive (dissemination).
-func (c *Comm) Barrier(p *vtime.Proc) {
-	tag := c.collTag(0)
-	buf := make([]byte, 1)
-	for dist := 1; dist < c.size; dist *= 2 {
-		to := (c.rank + dist) % c.size
-		from := (c.rank - dist + c.size) % c.size
-		c.Sendrecv(p, to, tag, nil, from, tag, buf[:0])
-	}
-}
-
-// Bcast distributes root's data; every rank returns the payload.
-// Non-roots pass nil (buffers are allocated on receipt).
-func (c *Comm) Bcast(p *vtime.Proc, root int, data []byte) []byte {
-	tag := c.collTag(1)
-	vrank := (c.rank - root + c.size) % c.size
-	// mask ends at the lowest set bit of vrank, or at the first power of
-	// two >= size for the root (which then fans out to all subtrees).
-	mask := 1
-	for ; mask < c.size; mask <<= 1 {
-		if vrank&mask != 0 {
-			break
-		}
-	}
-	if vrank != 0 {
-		parent := ((vrank &^ mask) + root) % c.size
-		// Length is bcast first (fixed 4-byte), then the payload.
-		var lenb [4]byte
-		c.Recv(p, parent, tag, lenb[:])
-		n := int(binary.BigEndian.Uint32(lenb[:]))
-		data = make([]byte, n)
-		if n > 0 {
-			c.Recv(p, parent, tag, data)
-		}
-	}
-	for m := mask >> 1; m > 0; m >>= 1 {
-		child := vrank | m
-		if child < c.size && child != vrank {
-			dst := (child + root) % c.size
-			var lenb [4]byte
-			binary.BigEndian.PutUint32(lenb[:], uint32(len(data)))
-			c.Send(p, dst, tag, lenb[:])
-			if len(data) > 0 {
-				c.Send(p, dst, tag, data)
-			}
-		}
-	}
-	return data
-}
-
-// Op combines two equal-length float64 vectors element-wise.
-type Op func(into, from []float64)
-
-// Standard reduction operations.
-var (
-	Sum Op = func(into, from []float64) {
-		for i := range into {
-			into[i] += from[i]
-		}
-	}
-	Max Op = func(into, from []float64) {
-		for i := range into {
-			into[i] = math.Max(into[i], from[i])
-		}
-	}
-	Min Op = func(into, from []float64) {
-		for i := range into {
-			into[i] = math.Min(into[i], from[i])
-		}
-	}
-)
-
-// Reduce combines vec across ranks onto root (binomial tree); only root
-// receives the result.
-func (c *Comm) Reduce(p *vtime.Proc, root int, vec []float64, op Op) []float64 {
-	tag := c.collTag(2)
-	acc := append([]float64(nil), vec...)
-	vrank := (c.rank - root + c.size) % c.size
-	for mask := 1; mask < c.size; mask <<= 1 {
-		if vrank&mask != 0 {
-			dst := ((vrank &^ mask) + root) % c.size
-			c.Send(p, dst, tag, F64Bytes(acc))
-			return nil
-		}
-		peer := vrank | mask
-		if peer < c.size {
-			buf := make([]byte, 8*len(acc))
-			c.Recv(p, (peer+root)%c.size, tag, buf)
-			op(acc, BytesF64(buf))
-		}
-	}
-	return acc
-}
-
-// Allreduce combines vec across all ranks and returns the result
-// everywhere (reduce to 0 + bcast).
-func (c *Comm) Allreduce(p *vtime.Proc, vec []float64, op Op) []float64 {
-	acc := c.Reduce(p, 0, vec, op)
-	out := c.Bcast(p, 0, F64Bytes(acc))
-	return BytesF64(out)
-}
-
-// Gather collects each rank's data at root in rank order; only root
-// receives the slices.
-func (c *Comm) Gather(p *vtime.Proc, root int, data []byte) [][]byte {
-	tag := c.collTag(3)
-	if c.rank != root {
-		c.Send(p, root, tag, data)
-		return nil
-	}
-	out := make([][]byte, c.size)
-	out[root] = append([]byte(nil), data...)
-	for i := 0; i < c.size-1; i++ {
-		buf := make([]byte, 1<<20)
-		st := c.Recv(p, AnySource, tag, buf)
-		out[st.Source] = append([]byte(nil), buf[:st.Count]...)
-	}
-	return out
-}
-
-// Scatter distributes root's per-rank slices; each rank returns its
-// share.
-func (c *Comm) Scatter(p *vtime.Proc, root int, parts [][]byte) []byte {
-	tag := c.collTag(4)
-	if c.rank == root {
-		for r, part := range parts {
-			if r == root {
-				continue
-			}
-			c.Send(p, r, tag, part)
-		}
-		return append([]byte(nil), parts[root]...)
-	}
-	buf := make([]byte, 1<<20)
-	st := c.Recv(p, root, tag, buf)
-	return append([]byte(nil), buf[:st.Count]...)
-}
-
-// Allgather collects every rank's data everywhere.
-func (c *Comm) Allgather(p *vtime.Proc, data []byte) [][]byte {
-	parts := c.Gather(p, 0, data)
-	blob := c.Bcast(p, 0, encodeParts(parts))
-	return decodeParts(blob)
-}
-
-// Alltoall exchanges parts[i] with rank i; returns what each rank sent
-// here, in rank order.
-func (c *Comm) Alltoall(p *vtime.Proc, parts [][]byte) [][]byte {
-	tag := c.collTag(5)
-	out := make([][]byte, c.size)
-	out[c.rank] = append([]byte(nil), parts[c.rank]...)
-	reqs := make([]*Request, 0, c.size-1)
-	bufs := make(map[int][]byte)
-	for r := 0; r < c.size; r++ {
-		if r == c.rank {
-			continue
-		}
-		buf := make([]byte, 1<<20)
-		bufs[r] = buf
-		reqs = append(reqs, c.Irecv(r, tag, buf))
-		c.Isend(r, tag, parts[r])
-	}
-	for _, r := range reqs {
-		st := r.Wait(p)
-		out[st.Source] = append([]byte(nil), bufs[st.Source][:st.Count]...)
-	}
-	return out
-}
-
-// ---------------------------------------------------------------------
-// Typed helpers.
-
-// F64Bytes encodes a float64 vector.
-func F64Bytes(v []float64) []byte {
-	out := make([]byte, 8*len(v))
-	for i, f := range v {
-		binary.BigEndian.PutUint64(out[8*i:], math.Float64bits(f))
-	}
-	return out
-}
-
-// BytesF64 decodes a float64 vector.
-func BytesF64(b []byte) []float64 {
-	out := make([]float64, len(b)/8)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.BigEndian.Uint64(b[8*i:]))
-	}
-	return out
-}
-
-func encodeParts(parts [][]byte) []byte {
-	total := 4
-	for _, p := range parts {
-		total += 4 + len(p)
-	}
-	out := make([]byte, 4, total)
-	binary.BigEndian.PutUint32(out, uint32(len(parts)))
-	var lenb [4]byte
-	for _, p := range parts {
-		binary.BigEndian.PutUint32(lenb[:], uint32(len(p)))
-		out = append(out, lenb[:]...)
-		out = append(out, p...)
-	}
-	return out
-}
-
-func decodeParts(blob []byte) [][]byte {
-	n := int(binary.BigEndian.Uint32(blob))
-	out := make([][]byte, 0, n)
-	off := 4
-	for i := 0; i < n; i++ {
-		l := int(binary.BigEndian.Uint32(blob[off:]))
-		off += 4
-		out = append(out, append([]byte(nil), blob[off:off+l]...))
-		off += l
-	}
-	return out
 }

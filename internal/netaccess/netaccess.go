@@ -392,8 +392,3 @@ func (s *SysIO) RegisterConn(conn *ipstack.TCPConn, cb SockHandler) {
 func (s *SysIO) RegisterListener(ln *ipstack.Listener, cb SockHandler) {
 	s.register(ln.SetReadyHandler, func() bool { return ln.Pending() > 0 }, cb)
 }
-
-// RegisterUDP arranges for cb to run whenever a datagram is queued.
-func (s *SysIO) RegisterUDP(u *ipstack.UDPConn, cb SockHandler) {
-	s.register(u.SetReadyHandler, func() bool { return u.Pending() > 0 }, cb)
-}

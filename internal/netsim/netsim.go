@@ -16,7 +16,7 @@
 // the same virtual instants on every run.
 //
 // Fabric conditions are time-varying: Hop and SwitchedLAN parameters
-// can change mid-simulation through SetConditions (or the Schedule*
+// can change mid-simulation through their setters (or the Schedule*
 // helpers, which arm the change as a kernel event at a fixed virtual
 // instant), and a Hop can be taken down and restored outright. A
 // schedule is part of the testbed description — the same schedule on
@@ -305,9 +305,8 @@ func (s *SwitchedLAN) Send(pkt *Packet) {
 // (tail-drop). Bidirectional WAN connectivity uses two Paths.
 
 // Hop is one store-and-forward stage of a Path. Rate, Latency and Loss
-// are read at send time, so they may change mid-simulation — use
-// SetConditions (or the Schedule* helpers) rather than poking the
-// fields so outage state stays coherent.
+// are read at send time, so they may change mid-simulation, through the
+// setters or the Schedule* helpers.
 type Hop struct {
 	Name     string
 	Rate     float64 // bytes/s
@@ -336,9 +335,6 @@ type Hop struct {
 	BusyNs  int64 // cumulative serialization time: utilization numerator
 }
 
-// QueuedBytes returns the wire bytes currently waiting for the link.
-func (h *Hop) QueuedBytes() int64 { return h.qbytes }
-
 // RegisterHopMetrics binds a hop's utilization and backpressure
 // instruments into reg under "netsim.hop.<name>": busy_ns (cumulative
 // serialization time — the sampler renders its rate as a busy-fraction
@@ -358,36 +354,12 @@ func RegisterHopMetrics(reg *telemetry.Registry, h *Hop) {
 	reg.GaugeFunc(prefix+".queued_pkts", func() int64 { return int64(h.queued) })
 }
 
-// Conditions is a snapshot of one hop's time-varying parameters.
-type Conditions struct {
-	Rate    float64 // bytes/s
-	Latency time.Duration
-	Loss    float64 // random loss probability
-	Down    bool    // outage: every packet is dropped while set
-}
-
-// Conditions returns the hop's current parameters.
-func (h *Hop) Conditions() Conditions {
-	return Conditions{Rate: h.Rate, Latency: h.Latency, Loss: h.Loss, Down: h.down}
-}
-
-// SetConditions swaps the hop's parameters. Packets already serialized
-// (in latency flight) are unaffected; packets sent after the change see
-// the new rate, latency, loss and outage state.
-func (h *Hop) SetConditions(c Conditions) {
-	h.Rate = c.Rate
-	h.Latency = c.Latency
-	h.Loss = c.Loss
-	h.down = c.Down
-}
-
-// SetRate changes only the hop's rate.
+// SetRate changes the hop's rate. Packets already serialized (in
+// latency flight) are unaffected; packets sent after a change see the
+// new rate, loss and outage state.
 func (h *Hop) SetRate(rate float64) { h.Rate = rate }
 
-// SetLatency changes only the hop's latency.
-func (h *Hop) SetLatency(d time.Duration) { h.Latency = d }
-
-// SetLoss changes only the hop's loss probability.
+// SetLoss changes the hop's loss probability.
 func (h *Hop) SetLoss(loss float64) { h.Loss = loss }
 
 // SetDown takes the link down (every packet dropped) or restores it.
@@ -411,19 +383,9 @@ func noteChange(k *vtime.Kernel, h *Hop, what string) {
 	}
 }
 
-// ScheduleConditions arms a full condition swap at virtual time at.
-func ScheduleConditions(k *vtime.Kernel, at vtime.Time, h *Hop, c Conditions) {
-	k.At(at, func() { h.SetConditions(c); noteChange(k, h, "conditions") })
-}
-
 // ScheduleRate arms a rate change at virtual time at.
 func ScheduleRate(k *vtime.Kernel, at vtime.Time, h *Hop, rate float64) {
 	k.At(at, func() { h.SetRate(rate); noteChange(k, h, "rate") })
-}
-
-// ScheduleLatency arms a latency change at virtual time at.
-func ScheduleLatency(k *vtime.Kernel, at vtime.Time, h *Hop, d time.Duration) {
-	k.At(at, func() { h.SetLatency(d); noteChange(k, h, "latency") })
 }
 
 // ScheduleLoss arms a loss change at virtual time at.

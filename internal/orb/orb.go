@@ -201,9 +201,6 @@ func New(k *vtime.Kernel, ep *vlink.Endpoint, profile Profile, driver string, po
 	}
 }
 
-// Profile returns the ORB's implementation profile.
-func (o *ORB) Profile() Profile { return o.profile }
-
 // RegisterServant binds an object key to a servant (POA activation).
 func (o *ORB) RegisterServant(key string, s Servant) string {
 	o.servants[key] = s

@@ -3,214 +3,16 @@
 // to look like standard APIs — "they do no protocol adaptation nor
 // paradigm translation; they only adapt the syntax".
 //
-//   - Vio:     explicit socket-like synchronous API over VLink
-//   - SysWrap: a 100% net.Conn-shaped API over VLink, so legacy code
-//     written against the standard socket interface runs unchanged
-//     (the C PadicoTM wraps at link stage; Go's equivalent is
-//     satisfying the standard interface shape)
-//   - Aio:     POSIX.2 asynchronous I/O API (aio_read/aio_write/
-//     aio_error/aio_return/aio_suspend) over VLink
-//   - FM:      FastMessage 2.0-style API over Circuit
-//   - VMad:    a virtual Madeleine API over Circuit, through which the
-//     unmodified MPICH/Madeleine (internal/mpi) runs inside PadicoTM
+// VMad, a virtual Madeleine API over Circuit, is the one personality
+// an experiment runs: through it the unmodified MPICH/Madeleine
+// (internal/mpi) runs inside PadicoTM.
 package personality
 
 import (
-	"errors"
-	"io"
-
 	"padico/internal/circuit"
 	"padico/internal/madapi"
-	"padico/internal/model"
-	"padico/internal/vlink"
 	"padico/internal/vtime"
 )
-
-// ---------------------------------------------------------------------
-// Vio: synchronous socket-like calls.
-
-// Vio wraps a VLink with explicit blocking send/recv, the "explicit use
-// through a socket-like API" of §4.3.
-type Vio struct {
-	V *vlink.VLink
-	k *vtime.Kernel
-}
-
-// NewVio wraps an established VLink.
-func NewVio(k *vtime.Kernel, v *vlink.VLink) *Vio { return &Vio{V: v, k: k} }
-
-// Send writes all of data (cost: syntax adaptation only).
-func (s *Vio) Send(p *vtime.Proc, data []byte) (int, error) {
-	p.Consume(model.VioCost)
-	return s.V.Write(p, data)
-}
-
-// Recv reads available bytes into buf.
-func (s *Vio) Recv(p *vtime.Proc, buf []byte) (int, error) {
-	p.Consume(model.VioCost)
-	return s.V.Read(p, buf)
-}
-
-// RecvFull reads exactly len(buf) bytes.
-func (s *Vio) RecvFull(p *vtime.Proc, buf []byte) (int, error) {
-	p.Consume(model.VioCost)
-	return s.V.ReadFull(p, buf)
-}
-
-// Close shuts the link down.
-func (s *Vio) Close() { s.V.Close() }
-
-// ---------------------------------------------------------------------
-// SysWrap: the standard-interface-compliant wrapper. Legacy Go code
-// that works with Reader/Writer/Closer streams runs on it unchanged —
-// the analogue of wrapping libc's socket calls at link stage.
-
-// SysWrapConn presents a VLink as an io.ReadWriteCloser bound to a
-// process, so unmodified stream-oriented code can use it.
-type SysWrapConn struct {
-	v *vlink.VLink
-	p *vtime.Proc
-}
-
-// WrapConn binds an established VLink to the calling process.
-func WrapConn(p *vtime.Proc, v *vlink.VLink) *SysWrapConn { return &SysWrapConn{v: v, p: p} }
-
-var _ io.ReadWriteCloser = (*SysWrapConn)(nil)
-
-// Read implements io.Reader.
-func (c *SysWrapConn) Read(buf []byte) (int, error) {
-	c.p.Consume(model.SysWrap)
-	return c.v.Read(c.p, buf)
-}
-
-// Write implements io.Writer.
-func (c *SysWrapConn) Write(data []byte) (int, error) {
-	c.p.Consume(model.SysWrap)
-	return c.v.Write(c.p, data)
-}
-
-// Close implements io.Closer.
-func (c *SysWrapConn) Close() error {
-	c.v.Close()
-	return nil
-}
-
-// ---------------------------------------------------------------------
-// Aio: POSIX.2 asynchronous I/O.
-
-// AioOp mirrors POSIX aio error states.
-var (
-	ErrInProgress = errors.New("aio: operation in progress") // EINPROGRESS
-)
-
-// Aiocb is an asynchronous I/O control block (struct aiocb).
-type Aiocb struct {
-	Buf []byte
-	op  *vlink.Op
-}
-
-// Aio is the POSIX.2-style AIO personality over one VLink.
-type Aio struct {
-	V *vlink.VLink
-	k *vtime.Kernel
-}
-
-// NewAio wraps an established VLink.
-func NewAio(k *vtime.Kernel, v *vlink.VLink) *Aio { return &Aio{V: v, k: k} }
-
-// Read posts an asynchronous read (aio_read).
-func (a *Aio) Read(cb *Aiocb) { cb.op = a.V.PostRead(cb.Buf) }
-
-// Write posts an asynchronous write (aio_write).
-func (a *Aio) Write(cb *Aiocb) { cb.op = a.V.PostWrite(cb.Buf) }
-
-// Error polls the operation state (aio_error): nil when complete,
-// ErrInProgress otherwise.
-func (a *Aio) Error(cb *Aiocb) error {
-	if cb.op == nil || !cb.op.Done() {
-		return ErrInProgress
-	}
-	_, err := cb.op.Result()
-	return err
-}
-
-// Return yields the operation's result (aio_return); it panics if the
-// operation is still in progress, as POSIX leaves it undefined.
-func (a *Aio) Return(cb *Aiocb) (int, error) { return cb.op.Result() }
-
-// Suspend blocks until one of the control blocks completes
-// (aio_suspend).
-func (a *Aio) Suspend(p *vtime.Proc, cbs ...*Aiocb) {
-	for {
-		for _, cb := range cbs {
-			if cb.op != nil && cb.op.Done() {
-				return
-			}
-		}
-		p.Sleep(model.AioCost)
-	}
-}
-
-// ---------------------------------------------------------------------
-// FM: FastMessage 2.0-style API over Circuit.
-
-// FMHandler consumes an extracted message.
-type FMHandler func(p *vtime.Proc, src int, data []byte)
-
-// FM is the FastMessage personality: numbered handlers, active-message
-// style sends, and an explicit extract step that drives dispatch.
-type FM struct {
-	c        *circuit.Circuit
-	handlers map[int]FMHandler
-}
-
-// NewFM builds the FastMessage personality over a circuit.
-func NewFM(c *circuit.Circuit) *FM { return &FM{c: c, handlers: make(map[int]FMHandler)} }
-
-// RegisterHandler binds handler number h.
-func (f *FM) RegisterHandler(h int, fn FMHandler) { f.handlers[h] = fn }
-
-// Send sends data to handler h on rank dst (FM_send).
-func (f *FM) Send(dst, h int, data []byte) {
-	out := f.c.BeginPacking(dst)
-	out.Pack([]byte{byte(h)}, madapi.SendSafer)
-	out.Pack(data, madapi.SendSafer)
-	out.EndPacking()
-}
-
-// Extract processes up to max pending messages (FM_extract); it returns
-// the number dispatched.
-func (f *FM) Extract(p *vtime.Proc, max int) int {
-	n := 0
-	for n < max {
-		in, ok := f.c.TryBeginUnpacking()
-		if !ok {
-			break
-		}
-		p.Consume(model.FMCost)
-		h := in.Unpack(1, madapi.ReceiveExpress)
-		data := in.Unpack(f.peekLen(in), madapi.ReceiveCheaper)
-		in.EndUnpacking()
-		if fn, ok := f.handlers[int(h[0])]; ok {
-			fn(p, in.Src(), data)
-			n++
-		}
-	}
-	return n
-}
-
-// peekLen returns the payload segment size of the fixed two-segment FM
-// format; circuit in-messages expose their segment sizes.
-func (f *FM) peekLen(in madapi.InMessage) int {
-	type segLener interface{ NextSegLen() int }
-	if sl, ok := in.(segLener); ok {
-		return sl.NextSegLen()
-	}
-	panic("personality/fm: transport does not expose segment lengths")
-}
-
-// ---------------------------------------------------------------------
-// VMad: virtual Madeleine over Circuit.
 
 // VMad exposes a Circuit as a madapi.Channel, charging only the thin
 // personality cost — this is how MPICH/Madeleine runs unchanged inside
@@ -246,6 +48,3 @@ func (v *VMad) BeginUnpacking(p *vtime.Proc) madapi.InMessage {
 func (v *VMad) TryBeginUnpacking() (madapi.InMessage, bool) {
 	return v.c.TryBeginUnpacking()
 }
-
-// Circuit returns the underlying circuit (for collectives).
-func (v *VMad) Circuit() *circuit.Circuit { return v.c }

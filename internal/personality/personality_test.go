@@ -1,140 +1,22 @@
 package personality_test
 
 import (
-	"bytes"
-	"io"
 	"testing"
-	"time"
 
 	"padico/internal/circuit"
 	"padico/internal/madapi"
 	"padico/internal/personality"
 	"padico/internal/topology"
-	"padico/internal/vlink"
 	"padico/internal/vtime"
 )
 
-// loopLink builds a connected VLink pair over the loopback driver.
-func loopLink(t *testing.T, k *vtime.Kernel, p *vtime.Proc) (*vlink.VLink, *vlink.VLink) {
-	t.Helper()
-	ep := vlink.NewEndpoint(topology.NodeID(0))
-	ep.AddDriver(vlink.NewLoopbackDriver(k, 0))
-	ln, err := ep.Listen("loopback", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	acc := vtime.NewQueue[*vlink.VLink]("acc")
-	ln.SetAcceptHandler(func(v *vlink.VLink) { acc.Push(v) })
-	va, err := ep.ConnectWait(p, "loopback", vlink.Addr{Node: 0, Port: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return va, acc.Pop(p)
-}
-
-func TestVioSendRecv(t *testing.T) {
-	k := vtime.NewKernel()
-	if err := k.Run(func(p *vtime.Proc) {
-		va, vb := loopLink(t, k, p)
-		a := personality.NewVio(k, va)
-		b := personality.NewVio(k, vb)
-		done := vtime.NewWaitGroup("d")
-		done.Add(1)
-		k.Go("peer", func(q *vtime.Proc) {
-			defer done.Done()
-			buf := make([]byte, 5)
-			if _, err := b.RecvFull(q, buf); err != nil || string(buf) != "hello" {
-				t.Errorf("recv %q %v", buf, err)
-			}
-			b.Send(q, []byte("world"))
-		})
-		a.Send(p, []byte("hello"))
-		buf := make([]byte, 5)
-		a.RecvFull(p, buf)
-		if string(buf) != "world" {
-			t.Errorf("got %q", buf)
-		}
-		a.Close()
-		done.Wait(p)
-	}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSysWrapIsAStandardStream(t *testing.T) {
-	k := vtime.NewKernel()
-	if err := k.Run(func(p *vtime.Proc) {
-		va, vb := loopLink(t, k, p)
-		done := vtime.NewWaitGroup("d")
-		done.Add(1)
-		k.Go("peer", func(q *vtime.Proc) {
-			defer done.Done()
-			// "Legacy" code sees only io.ReadWriteCloser.
-			var rw io.ReadWriteCloser = personality.WrapConn(q, vb)
-			data, err := io.ReadAll(rw)
-			if err != nil || string(data) != "legacy payload" {
-				t.Errorf("ReadAll = %q, %v", data, err)
-			}
-		})
-		var rw io.ReadWriteCloser = personality.WrapConn(p, va)
-		io.Copy(rw, bytes.NewReader([]byte("legacy payload")))
-		rw.Close()
-		done.Wait(p)
-	}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAioPostPollSuspend(t *testing.T) {
-	k := vtime.NewKernel()
-	if err := k.Run(func(p *vtime.Proc) {
-		va, vb := loopLink(t, k, p)
-		a := personality.NewAio(k, va)
-		b := personality.NewAio(k, vb)
-
-		wcb := &personality.Aiocb{Buf: []byte("async!")}
-		a.Write(wcb)
-		rcb := &personality.Aiocb{Buf: make([]byte, 6)}
-		b.Read(rcb)
-		if err := a.Error(rcb); err == nil {
-			// may or may not be complete yet; both are legal, just exercise
-			_ = err
-		}
-		b.Suspend(p, rcb)
-		if err := b.Error(rcb); err != nil {
-			t.Fatalf("aio_error after suspend = %v", err)
-		}
-		n, err := b.Return(rcb)
-		if err != nil || n != 6 || string(rcb.Buf) != "async!" {
-			t.Fatalf("aio_return = %d, %v, %q", n, err, rcb.Buf)
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// fmPair builds two circuits joined by loopback-ish stream links.
 func TestFMHandlersAndVMad(t *testing.T) {
 	k := vtime.NewKernel()
 	group := []topology.NodeID{0}
 	c := circuit.New(k, "fm", 0, group)
 	c.SetLink(0, circuit.NewLoopbackLink(k, c, 0))
 	if err := k.Run(func(p *vtime.Proc) {
-		fm := personality.NewFM(c)
-		var got []byte
-		fm.RegisterHandler(3, func(q *vtime.Proc, src int, data []byte) {
-			got = append([]byte(nil), data...)
-		})
-		fm.Send(0, 3, []byte("fast message"))
-		p.Sleep(time.Millisecond)
-		if n := fm.Extract(p, 10); n != 1 {
-			t.Fatalf("extract = %d", n)
-		}
-		if string(got) != "fast message" {
-			t.Fatalf("got %q", got)
-		}
-
-		// VMad exposes the same circuit through the madapi.Channel shape.
+		// VMad exposes the circuit through the madapi.Channel shape.
 		vm := personality.NewVMad(k, c)
 		if vm.Self() != 0 || vm.Size() != 1 {
 			t.Fatal("vmad identity wrong")

@@ -46,9 +46,6 @@ func New(k *vtime.Kernel, node topology.NodeID, inner vlink.Driver, n int) *Driv
 // Name implements vlink.Driver.
 func (d *Driver) Name() string { return "pstreams" }
 
-// Streams returns the striping width.
-func (d *Driver) Streams() int { return d.streams }
-
 // Listen implements vlink.Driver: inbound inner connections are grouped
 // by link id from their preamble until the announced width is reached.
 func (d *Driver) Listen(port int) (vlink.Listener, error) {

@@ -300,14 +300,6 @@ func (s *Span) Parent(p *Span) *Span {
 	return s
 }
 
-// ParentID links s under a span id captured earlier with ID.
-func (s *Span) ParentID(id int64) *Span {
-	if s != nil {
-		s.parent = id
-	}
-	return s
-}
-
 // I64 attaches an integer argument. At most 4 arguments per span;
 // extras are dropped.
 func (s *Span) I64(key string, v int64) *Span {

@@ -333,6 +333,3 @@ func (c *Conn) RecvTimeout(p *vtime.Proc, d time.Duration) (Message, bool) {
 
 // Pending returns queued deliveries.
 func (c *Conn) Pending() int { return c.rcvQ.Len() }
-
-// Delivered counts in-order deliveries on the receiver side.
-func (c *Conn) Delivered() int64 { return int64(c.rcvNext) }
