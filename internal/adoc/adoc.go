@@ -151,12 +151,7 @@ func (c *conn) level() int {
 	}
 }
 
-// PostWrite implements vlink.Conn.
-func (c *conn) PostWrite(data []byte, cb func(int, error)) {
-	c.PostWritev(iovec.Make(data), cb)
-}
-
-// PostWritev implements vlink.VecConn. Compression transforms bytes,
+// PostWritev implements vlink.Conn. Compression transforms bytes,
 // so this wrapper's contract is "copy exactly once into a pooled
 // buffer": each chunk is deflated (or, when incompressible, copied
 // verbatim) straight into the pooled frame that travels down the inner
@@ -202,7 +197,7 @@ func (c *conn) PostWritev(v iovec.Vec, cb func(int, error)) {
 		c.wHorizon = c.wHorizon.Add(cost)
 		flen := len(fb)
 		c.d.k.ScheduleAt(c.wHorizon, func() {
-			c.inner.PostWrite(frame.Bytes(), func(n int, err error) {
+			c.inner.PostWritev(iovec.Make(frame.Bytes()), func(n int, err error) {
 				frame.Release()
 				c.backlog -= flen
 				completed++

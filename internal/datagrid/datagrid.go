@@ -34,8 +34,6 @@ type Config struct {
 	// Streams overrides the selector's WAN stripe count for bulk
 	// transfers (0 keeps the testbed preference; 1 disables striping).
 	Streams int
-	// MaxRetries bounds attempts per transfer job (default 3).
-	MaxRetries int
 	// Hierarchical routes Put replication fan-out through
 	// group.Multicast over a site-aware spanning tree — one WAN
 	// crossing per remote site instead of one per remote replica. The
@@ -90,14 +88,13 @@ const (
 	windowBytes = 1 << 20
 	// schedWorkers is the replication scheduler's concurrency.
 	schedWorkers = 4
+	// maxRetries bounds attempts per transfer job.
+	maxRetries = 3
 )
 
 func (c Config) withDefaults() Config {
 	if c.Replicas <= 0 {
 		c.Replicas = 2
-	}
-	if c.MaxRetries <= 0 {
-		c.MaxRetries = 3
 	}
 	if c.RetryTimeout <= 0 {
 		c.RetryTimeout = 120 * time.Second
@@ -823,7 +820,7 @@ func (dg *DataGrid) runTransfer(p *vtime.Proc, src, dst topology.NodeID, name st
 	t0 := dg.k.Now()
 	p.Consume(model.MemcpyPerByte.Cost(len(data))) // checksum pass over the payload
 	var lastErr error
-	for attempt := 1; attempt <= dg.cfg.MaxRetries; attempt++ {
+	for attempt := 1; attempt <= maxRetries; attempt++ {
 		got, err := dg.transferOnce(p, src, dst, name, data, sum, attempt)
 		if err == nil {
 			atomic.AddInt64(&dg.stats.BytesMoved, int64(len(got)))

@@ -237,7 +237,6 @@ func TestFaultExhaustsRetries(t *testing.T) {
 	g := grid.Cluster(2)
 	dg := g.NewDataGrid(datagrid.Config{
 		Replicas:    1,
-		MaxRetries:  2,
 		InjectFault: func(string, int) bool { return true },
 	})
 	ring := datagrid.NewRing(0)

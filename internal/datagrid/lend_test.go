@@ -184,7 +184,7 @@ func TestLentBuffersSurviveRetryAndReuse(t *testing.T) {
 func TestScribbleAfterFailedPut(t *testing.T) {
 	for _, entry := range []topology.NodeID{0, 1} { // local pipe, SAN circuit
 		g := grid.Cluster(2)
-		dg := g.NewDataGrid(datagrid.Config{Replicas: 1, MaxRetries: 2,
+		dg := g.NewDataGrid(datagrid.Config{Replicas: 1,
 			InjectFault: func(string, int) bool { return true }})
 		ring := datagrid.NewRing(0)
 		ring.Add(entry, "rennes")

@@ -230,7 +230,7 @@ func (s *scheduler) runGroup(p *vtime.Proc, j *job, meta *ObjectMeta) {
 	dg.EngineOn(j.src).Read(p, j.name)             // charge the source engine's read
 	p.Consume(model.MemcpyPerByte.Cost(len(data))) // checksum pass over the payload
 	var lastErr error
-	for attempt := 1; attempt <= dg.cfg.MaxRetries; attempt++ {
+	for attempt := 1; attempt <= maxRetries; attempt++ {
 		got, err := grp.MulticastSum(p, j.src, j.name, data, meta.Sum, attempt)
 		dg.syncGroupWAN(grp)
 		for _, t := range remaining {
@@ -263,7 +263,7 @@ func (s *scheduler) runGroup(p *vtime.Proc, j *job, meta *ObjectMeta) {
 			atomic.AddInt64(&dg.stats.GroupFanouts, 1)
 			return
 		}
-		if attempt == dg.cfg.MaxRetries {
+		if attempt == maxRetries {
 			break
 		}
 		retryGrp, gerr := dg.newGroup(append([]topology.NodeID{j.src}, remaining...))

@@ -1,6 +1,6 @@
-// Package drivers_test exercises the GM SAN driver against the
+// Package gm_test exercises the GM SAN driver against the
 // Myrinet crossbar.
-package drivers_test
+package gm_test
 
 import (
 	"bytes"
@@ -21,8 +21,6 @@ func myrinet(k *vtime.Kernel) *netsim.Crossbar {
 	return netsim.NewCrossbar(k, topology.Myrinet, model.MyrinetRate,
 		model.MyrinetPktOverhd, model.MyrinetWireLat)
 }
-
-// --- GM ---------------------------------------------------------------
 
 func TestGMRoundTripLatency(t *testing.T) {
 	k := vtime.NewKernel()

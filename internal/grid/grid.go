@@ -1,5 +1,5 @@
 // Package grid assembles complete simulated testbeds: topology, fabrics,
-// protocol stacks, and one PadicoTM runtime (internal/core) per node.
+// protocol stacks, and one PadicoTM runtime (Runtime) per node.
 // The canned deployments mirror the paper's evaluation platforms:
 //
 //   - Cluster:        dual-network cluster (Myrinet-2000 + Ethernet-100)
@@ -18,7 +18,6 @@ import (
 
 	"padico/internal/adoc"
 	"padico/internal/circuit"
-	"padico/internal/core"
 	"padico/internal/datagrid"
 	"padico/internal/drivers/gm"
 	"padico/internal/group"
@@ -44,7 +43,7 @@ type Grid struct {
 	K     *vtime.Kernel
 	Topo  *topology.Grid
 	Stack *ipstack.Stack
-	RT    []*core.Runtime
+	RT    []*Runtime
 	// Prefs is the deployment-wide default QoS; per-channel overrides
 	// go through Session().Open options.
 	Prefs selector.Preferences
@@ -403,11 +402,11 @@ func (g *Grid) wireCrossSite(wan *topology.Network, access, path string, seed in
 	}
 }
 
-// buildRuntimes creates a core.Runtime per node with SysIO and the
+// buildRuntimes creates a Runtime per node with SysIO and the
 // standard VLink drivers (sysio, loopback; madio is added per SAN).
 func (g *Grid) buildRuntimes() {
 	for _, node := range g.Topo.Nodes() {
-		rt := core.NewRuntime(g.K, node, g.Stack.Host(node.ID))
+		rt := NewRuntime(g.K, node, g.Stack.Host(node.ID))
 		rt.VLink.AddDriver(vlink.NewSysIODriver(g.K, rt.Host, rt.Sys))
 		rt.VLink.AddDriver(vlink.NewLoopbackDriver(g.K, node.ID))
 		g.RT = append(g.RT, rt)
@@ -518,7 +517,7 @@ func (g *Grid) DialVLinkWith(p *vtime.Proc, a, b topology.NodeID, dec selector.D
 
 // buildDriverStack composes the method driver with optional adoc and
 // gsec wrappers per the decision.
-func (g *Grid) buildDriverStack(rt *core.Runtime, dec selector.Decision) (vlink.Driver, error) {
+func (g *Grid) buildDriverStack(rt *Runtime, dec selector.Decision) (vlink.Driver, error) {
 	var d vlink.Driver
 	var err error
 	switch dec.Method {

@@ -1,13 +1,4 @@
-// Package core assembles the PadicoTM runtime of one grid node: the
-// arbitration layer (NetAccess with MadIO instances per SAN fabric and
-// one SysIO) and the abstraction layer endpoints (VLink; Circuits are
-// created on demand). Middleware systems are built over a runtime's
-// endpoints, and arbitration guarantees that any combination of them
-// may be used at the same time (paper §4.3).
-//
-// The paper's other runtime concerns (dynamic code loading, threading,
-// Unix signals) are host-language issues that Go's runtime subsumes.
-package core
+package grid
 
 import (
 	"padico/internal/ipstack"
@@ -17,9 +8,15 @@ import (
 	"padico/internal/vtime"
 )
 
-// Runtime is one node's PadicoTM process.
+// Runtime is one node's PadicoTM process: the arbitration layer
+// (NetAccess with MadIO instances per SAN fabric and one SysIO) and the
+// abstraction layer endpoints (VLink; Circuits are created on demand).
+// Middleware systems are built over a runtime's endpoints, and
+// arbitration guarantees that any combination of them may be used at
+// the same time (paper §4.3). The paper's other runtime concerns
+// (dynamic code loading, threading, Unix signals) are host-language
+// issues that Go's runtime subsumes.
 type Runtime struct {
-	k    *vtime.Kernel
 	node *topology.Node
 
 	NA    *netaccess.NetAccess
@@ -37,8 +34,8 @@ type Runtime struct {
 // drivers are attached by the grid builder.
 func NewRuntime(k *vtime.Kernel, node *topology.Node, host *ipstack.Host) *Runtime {
 	na := netaccess.New(k, node.Name)
-	rt := &Runtime{
-		k: k, node: node,
+	return &Runtime{
+		node:   node,
 		NA:     na,
 		Sys:    netaccess.NewSysIO(na),
 		MadIO:  make(map[*topology.Network]*netaccess.MadIO),
@@ -46,11 +43,7 @@ func NewRuntime(k *vtime.Kernel, node *topology.Node, host *ipstack.Host) *Runti
 		Host:   host,
 		groups: make(map[*topology.Network][]topology.NodeID),
 	}
-	return rt
 }
-
-// Kernel returns the simulation kernel.
-func (rt *Runtime) Kernel() *vtime.Kernel { return rt.k }
 
 // Node returns the topology node.
 func (rt *Runtime) Node() *topology.Node { return rt.node }

@@ -1,10 +1,10 @@
-package core_test
+package grid_test
 
 import (
 	"testing"
 	"time"
 
-	"padico/internal/core"
+	"padico/internal/grid"
 	"padico/internal/ipstack"
 	"padico/internal/topology"
 	"padico/internal/vtime"
@@ -19,7 +19,7 @@ func TestMadRankLookup(t *testing.T) {
 	g.Attach(n0, nw)
 	g.Attach(n1, nw)
 	st := ipstack.New(k)
-	rt := core.NewRuntime(k, n0, st.Host(n0.ID))
+	rt := grid.NewRuntime(k, n0, st.Host(n0.ID))
 	rt.AttachMadIO(nw, nil, []topology.NodeID{n0.ID, n1.ID})
 	if r, ok := rt.MadRank(nw, n1.ID); !ok || r != 1 {
 		t.Fatalf("MadRank = %d, %v", r, ok)

@@ -3,6 +3,7 @@ package grid_test
 import (
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"padico/internal/drivers/gm"
@@ -12,6 +13,7 @@ import (
 	"padico/internal/madeleine"
 	"padico/internal/model"
 	"padico/internal/netsim"
+	"padico/internal/selector"
 	"padico/internal/topology"
 	"padico/internal/vtime"
 )
@@ -124,6 +126,34 @@ func sanRungs(size int) []rung {
 				unpackFrom(circs[0], p, len(ack))
 			}
 		}},
+		// The madio driver's contract ends the borrow: one copy, into the
+		// message's pooled buffer, which the receiver releases.
+		{"vlink", 0.1, 4, func(tb testing.TB, p *vtime.Proc, g *grid.Grid) func(*vtime.Proc, []byte) {
+			va, vb, err := g.DialVLinkWith(p, 0, 1, selector.Decision{Method: "madio"})
+			if err != nil {
+				tb.Fatal(err)
+			}
+			g.K.GoDaemon("acks", func(q *vtime.Proc) {
+				buf := make([]byte, size)
+				for {
+					if _, err := vb.ReadFull(q, buf); err != nil {
+						return
+					}
+					if _, err := vb.Write(q, ack); err != nil {
+						return
+					}
+				}
+			})
+			got := make([]byte, len(ack))
+			return func(p *vtime.Proc, msg []byte) {
+				if _, err := va.Write(p, msg); err != nil {
+					tb.Error(err)
+				}
+				if _, err := va.ReadFull(p, got); err != nil {
+					tb.Error(err)
+				}
+			}
+		}},
 		// Send's contract ends the borrow: one copy, into the message.
 		{"session", 1.1, 18, func(tb testing.TB, p *vtime.Proc, g *grid.Grid) func(*vtime.Proc, []byte) {
 			ch, err := g.Open(p, 0, 1)
@@ -161,8 +191,19 @@ func sanRungs(size int) []rung {
 // in fails here, not in a profile months later.
 func TestSANCopyBudget(t *testing.T) {
 	const size, msgs = 1 << 20, 16
+	// The vlink rung's one copy lands in a pooled buffer. sync.Pool keeps
+	// a buffer per P and the collector empties it, so measure on one P
+	// with the collector off: a miss then means the code asked for a
+	// buffer it did not give back. The race detector drops pooled
+	// buffers at random, so that rung does not count there.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	msg := make([]byte, size)
 	for _, r := range sanRungs(size) {
+		if raceEnabled && r.name == "vlink" {
+			t.Logf("%-9s skipped under the race detector", r.name)
+			continue
+		}
 		g := grid.Cluster(2)
 		var allocated uint64
 		if err := g.K.Run(func(p *vtime.Proc) {

@@ -122,7 +122,7 @@ func (d *Driver) handshake(c vlink.Conn, dialer bool, cb func(vlink.Conn, error)
 	copy(myNonce[:], sum[:nonceLen])
 
 	hello := buildHello(d.cred, myNonce[:])
-	c.PostWrite(hello, func(int, error) {})
+	c.PostWritev(iovec.Make(hello), func(int, error) {})
 
 	// Read the peer hello (variable length: read header then rest).
 	hdr := make([]byte, 2)
@@ -279,16 +279,12 @@ func (c *secConn) mac(ctr uint64, ct []byte) []byte {
 	return m.Sum(nil)[:macLen]
 }
 
-// PostWrite implements vlink.Conn: record = [4B len][ciphertext][mac].
-func (c *secConn) PostWrite(data []byte, cb func(int, error)) {
-	c.PostWritev(iovec.Make(data), cb)
-}
-
-// PostWritev implements vlink.VecConn. Encryption transforms bytes, so
-// this wrapper copies exactly once: AES-CTR runs segment by segment
-// (the keystream is positional, so the ciphertext equals that of the
-// flattened plaintext) straight into the pooled record buffer, which
-// is released once the inner driver accepted it.
+// PostWritev implements vlink.Conn: record = [4B len][ciphertext][mac].
+// Encryption transforms bytes, so this wrapper copies exactly once:
+// AES-CTR runs segment by segment (the keystream is positional, so the
+// ciphertext equals that of the flattened plaintext) straight into the
+// pooled record buffer, which is released once the inner driver
+// accepted it.
 func (c *secConn) PostWritev(v iovec.Vec, cb func(int, error)) {
 	ctr := c.wIV
 	c.wIV++
@@ -311,7 +307,7 @@ func (c *secConn) PostWritev(v iovec.Vec, cb func(int, error)) {
 	}
 	c.wHorizon = c.wHorizon.Add(cost)
 	c.d.k.ScheduleAt(c.wHorizon, func() {
-		c.inner.PostWrite(rec.Bytes(), func(int, error) {
+		c.inner.PostWritev(iovec.Make(rec.Bytes()), func(int, error) {
 			rec.Release()
 			cb(total, nil)
 		})

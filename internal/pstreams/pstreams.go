@@ -137,7 +137,7 @@ func (d *Driver) Dial(addr vlink.Addr, cb func(vlink.Conn, error)) {
 			binary.BigEndian.PutUint64(pre, lid)
 			pre[8] = byte(i)
 			pre[9] = byte(d.streams)
-			c.PostWrite(pre, func(int, error) {})
+			c.PostWritev(iovec.Make(pre), func(int, error) {})
 			conns[i] = c
 			remaining--
 			if remaining == 0 && !failed {
@@ -293,12 +293,7 @@ func (c *conn) PostRead(buf []byte, cb func(int, error)) {
 	c.drain()
 }
 
-// PostWrite implements vlink.Conn.
-func (c *conn) PostWrite(data []byte, cb func(int, error)) {
-	c.PostWritev(iovec.Make(data), cb)
-}
-
-// PostWritev implements vlink.VecConn: stripe the vector round-robin in
+// PostWritev implements vlink.Conn: stripe the vector round-robin in
 // ChunkSize units with sequence headers. Striping transforms no bytes,
 // so it adds zero copies — each chunk frame is a pooled 12-byte header
 // segment plus retained views of the caller's vector, released when the
@@ -325,7 +320,7 @@ func (c *conn) PostWritev(v iovec.Vec, cb func(int, error)) {
 		v.SliceInto(&frame, off, end-off)
 		s := c.streams[c.nextW]
 		c.nextW = (c.nextW + 1) % len(c.streams)
-		postv(s, frame, func(int, error) {
+		s.PostWritev(frame, func(int, error) {
 			frame.Release()
 			completed++
 			if completed == nchunks {
@@ -333,20 +328,6 @@ func (c *conn) PostWritev(v iovec.Vec, cb func(int, error)) {
 			}
 		})
 	}
-}
-
-// postv writes a vector through a stripe, flattening once if the inner
-// driver has no vector support.
-func postv(s vlink.Conn, frame iovec.Vec, cb func(int, error)) {
-	if vc, ok := s.(vlink.VecConn); ok {
-		vc.PostWritev(frame, cb)
-		return
-	}
-	flat := frame.Flatten()
-	s.PostWrite(flat.Bytes(), func(n int, err error) {
-		flat.Release()
-		cb(n, err)
-	})
 }
 
 // Close implements vlink.Conn. A read still posted completes as if the

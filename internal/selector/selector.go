@@ -54,7 +54,7 @@ type Oracle interface {
 // DefaultHysteresis is the factor by which an alternative network's
 // forecast bandwidth must beat the incumbent's before Select abandons
 // the incumbent. Below it, a flapping link would thrash channels
-// between networks; QoS.Hysteresis overrides it per channel.
+// between networks.
 const DefaultHysteresis = 1.5
 
 // CipherPolicy selects when links are wrapped with authentication and
@@ -120,10 +120,6 @@ type QoS struct {
 	// compression is pure wasted CPU: the selector never stacks AdOC on
 	// a collective edge. Striping and ciphering still apply per link.
 	Collective bool
-	// Hysteresis overrides DefaultHysteresis for forecast-driven network
-	// switches (0 keeps the default; values in (0,1) are invalid — a
-	// factor below 1 would prefer a *worse* alternative).
-	Hysteresis float64
 }
 
 // Preferences is the legacy name for a deployment-wide QoS; the session
@@ -145,18 +141,7 @@ func (q QoS) Validate() error {
 	if q.CompressBelowBps < 0 {
 		return fmt.Errorf("selector: negative compression threshold %g", q.CompressBelowBps)
 	}
-	if q.Hysteresis != 0 && q.Hysteresis < 1 {
-		return fmt.Errorf("selector: hysteresis factor %g below 1", q.Hysteresis)
-	}
 	return nil
-}
-
-// hysteresis returns the effective switch factor.
-func (q QoS) hysteresis() float64 {
-	if q.Hysteresis == 0 {
-		return DefaultHysteresis
-	}
-	return q.Hysteresis
 }
 
 // DefaultQoS mirrors the paper's deployment choices.
@@ -187,7 +172,7 @@ type Request struct {
 	Oracle Oracle
 	// Current is the incumbent decision when re-evaluating a live
 	// channel: Select abandons it only for an alternative whose
-	// forecast bandwidth is at least hysteresis() times better (or when
+	// forecast bandwidth is at least DefaultHysteresis times better (or when
 	// the incumbent is down), so flapping links do not thrash.
 	Current *Decision
 }
@@ -359,7 +344,7 @@ func Select(g *topology.Grid, req Request) (Decision, error) {
 		// effective bandwidth to clear the threshold by the hysteresis
 		// factor.
 		if !d.Compress && req.Current != nil && req.Current.Network == best &&
-			req.Current.Compress && effBW < qos.CompressBelowBps*qos.hysteresis() {
+			req.Current.Compress && effBW < qos.CompressBelowBps*DefaultHysteresis {
 			d.Compress = true
 		}
 	}
@@ -375,8 +360,8 @@ func Select(g *topology.Grid, req Request) (Decision, error) {
 // applyWeather overlays measured conditions on the distributed-network
 // choice: among the pair's non-parallel candidates it keeps the
 // incumbent (req.Current's network, else the static best) unless an
-// alternative's forecast bandwidth beats the incumbent's by the QoS's
-// hysteresis factor — or the incumbent is in outage, in which case any
+// alternative's forecast bandwidth beats the incumbent's by
+// DefaultHysteresis — or the incumbent is in outage, in which case any
 // live alternative wins. It returns the chosen network plus the
 // effective bandwidth and loss figures the wrapper decisions should
 // use. With no forecast for any candidate, the static choice and
@@ -441,7 +426,7 @@ func applyWeather(req Request, common []*topology.Network, static *topology.Netw
 	switch {
 	case inc.eff <= 0 && alt.eff > 0:
 		chosen = alt // incumbent down, any live link beats it
-	case alt.eff > inc.eff*req.QoS.hysteresis():
+	case alt.eff > inc.eff*DefaultHysteresis:
 		chosen = alt
 	}
 	if chosen.eff <= 0 {

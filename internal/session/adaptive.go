@@ -688,16 +688,6 @@ func (e *adaptiveEnd) Send(p *vtime.Proc, segs ...[]byte) error {
 	return nil
 }
 
-// SendVec implements Channel (the vector is borrowed only until the
-// record clone is taken).
-func (e *adaptiveEnd) SendVec(p *vtime.Proc, v iovec.Vec) error {
-	segs := make([][]byte, len(v.Segs))
-	for i, s := range v.Segs {
-		segs[i] = s.B
-	}
-	return e.Send(p, segs...)
-}
-
 // Recv implements Channel: segment-granular consumption with exact
 // sizes, buffered across calls within one record.
 func (e *adaptiveEnd) Recv(p *vtime.Proc, sizes ...int) ([][]byte, error) {

@@ -116,19 +116,6 @@ func (c *msgChannel) Send(p *vtime.Proc, segs ...[]byte) error {
 	return nil
 }
 
-// SendVec implements Channel: the vector's segments become the packed
-// message's segments — iovec views and Circuit incremental packing are
-// the same shape, so no flattening happens. Like Send and Write it
-// clones (Circuit SendSafer / pipe clone): the borrow ends before
-// return. Only WriteLent lends.
-func (c *msgChannel) SendVec(p *vtime.Proc, v iovec.Vec) error {
-	segs := make([][]byte, len(v.Segs))
-	for i, s := range v.Segs {
-		segs[i] = s.B
-	}
-	return c.Send(p, segs...)
-}
-
 // RecvVec implements Channel: borrowed views of the delivered message
 // (Release is a no-op).
 func (c *msgChannel) RecvVec(p *vtime.Proc, sizes ...int) (iovec.Vec, error) {
@@ -285,16 +272,11 @@ type vlinkChannel struct {
 }
 
 // Send implements Channel: one gather-write, no added framing. The
-// segments ride the driver stack's vectored path by reference; a
-// non-vector driver flattens once into a pooled buffer inside VLink.
+// segments ride the driver stack's vectored path by reference, down to
+// the socket send queue (zero copies in non-transforming wrappers).
 func (c *vlinkChannel) Send(p *vtime.Proc, segs ...[]byte) error {
-	return c.SendVec(p, iovec.Make(segs...))
-}
-
-// SendVec implements Channel.
-func (c *vlinkChannel) SendVec(p *vtime.Proc, v iovec.Vec) error {
 	c.info.Sends++
-	n, err := c.v.WriteVec(p, v)
+	n, err := c.v.WriteVec(p, iovec.Make(segs...))
 	c.info.BytesOut += int64(n)
 	return err
 }

@@ -23,7 +23,7 @@
 // and transfer counters.
 //
 // QoS is per-channel: functional options on Open (WithStreams,
-// WithCipher, WithCompression, WithLatencySensitive) override the
+// WithCipher, WithCompression) override the
 // Manager's default QoS — the deployment-wide Preferences of old — for
 // that channel only.
 package session
@@ -77,13 +77,6 @@ type Channel interface {
 	// packed message on a Circuit, one gather-write on a stream. The
 	// segments are borrowed only until Send returns.
 	Send(p *vtime.Proc, segs ...[]byte) error
-	// SendVec is Send over an iovec segment vector — the shared
-	// representation of Circuit incremental packing and the stream
-	// view's gather-write. The vector is borrowed until SendVec
-	// returns; on a vector-capable VLink stack the payload travels by
-	// reference down to the socket send queue (zero copies in
-	// non-transforming wrappers).
-	SendVec(p *vtime.Proc, v iovec.Vec) error
 	// Recv receives segments of exactly the given sizes, in order. On a
 	// message substrate the sizes must match the packed segment
 	// boundaries (buffered across calls, so one message may satisfy
@@ -100,7 +93,7 @@ type Channel interface {
 	// ReadFull blocks until len(buf) bytes arrived (or EOF).
 	ReadFull(p *vtime.Proc, buf []byte) (int, error)
 	// Write blocks until data is fully accepted by the substrate. Like
-	// Send and SendVec it ends the borrow: the caller may overwrite data
+	// Send it ends the borrow: the caller may overwrite data
 	// as soon as it returns.
 	Write(p *vtime.Proc, data []byte) (int, error)
 	// WriteLent is Write for a caller that vouches for its buffer — the
@@ -170,10 +163,6 @@ func WithCipher(p selector.CipherPolicy) Option { return func(c *openConfig) { c
 
 // WithCompression enables or disables the AdOC wrapper preference.
 func WithCompression(on bool) Option { return func(c *openConfig) { c.qos.Compress = on } }
-
-// WithLatencySensitive refuses adapters that trade latency for
-// bandwidth (striping, compression).
-func WithLatencySensitive() Option { return func(c *openConfig) { c.qos.LatencySensitive = true } }
 
 // WithCollective marks the channel as one edge of a group-communication
 // spanning tree: the payload is forwarded verbatim to the next tier, so

@@ -247,7 +247,9 @@ func TestQoSOptionsSteerTheSelector(t *testing.T) {
 		}
 		ch.Close()
 
-		ch, err = g.Open(p, 0, 1, session.WithLatencySensitive())
+		latency := g.Prefs
+		latency.LatencySensitive = true
+		ch, err = g.Open(p, 0, 1, session.WithQoS(latency))
 		if err != nil {
 			t.Fatal(err)
 		}

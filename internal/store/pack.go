@@ -57,19 +57,17 @@ type PackConfig struct {
 	// BundleMaxBytes rolls the active bundle once it grows past this
 	// size (default 64 MiB).
 	BundleMaxBytes int64
-	// SyncBudget batches fsyncs: a Put pays FsyncCost only when the
-	// last sync is at least this much virtual time in the past
-	// (default 100 ms). Auklet's objectserver makes the same trade —
-	// group commit bounded by a time budget, not per-write durability.
-	SyncBudget vtime.Duration
 }
+
+// syncBudget batches fsyncs: a Put pays FsyncCost only when the last
+// sync is at least this much virtual time in the past. Auklet's
+// objectserver makes the same trade — group commit bounded by a time
+// budget, not per-write durability.
+const syncBudget = 100 * time.Millisecond
 
 func (c PackConfig) withDefaults() PackConfig {
 	if c.BundleMaxBytes == 0 {
 		c.BundleMaxBytes = 64 << 20
-	}
-	if c.SyncBudget == 0 {
-		c.SyncBudget = 100 * time.Millisecond
 	}
 	return c
 }
@@ -330,10 +328,10 @@ func (e *Pack) appendNeedle(p *vtime.Proc, flags byte, key string, data []byte, 
 }
 
 // maybeSync is the fsync batcher: when the last durable point is more
-// than SyncBudget of virtual time ago, flush buffered writes and pay
+// than syncBudget of virtual time ago, flush buffered writes and pay
 // one FsyncCost for everything since — group commit on a time budget.
 func (e *Pack) maybeSync(p *vtime.Proc) {
-	if p.Now().Sub(e.lastSync) < e.cfg.SyncBudget {
+	if p.Now().Sub(e.lastSync) < syncBudget {
 		return
 	}
 	e.flush()

@@ -283,8 +283,7 @@ func TestPackBundleRolling(t *testing.T) {
 
 func TestPackFsyncBatching(t *testing.T) {
 	run(t, func(k *vtime.Kernel, p *vtime.Proc) {
-		e, err := store.OpenPack(k, 6, t.TempDir(),
-			store.PackConfig{SyncBudget: 50 * time.Millisecond})
+		e, err := store.OpenPack(k, 6, t.TempDir(), store.PackConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -299,7 +298,7 @@ func TestPackFsyncBatching(t *testing.T) {
 		}
 		// Spaced puts: one sync per budget window.
 		for i := 0; i < 5; i++ {
-			p.Sleep(60 * time.Millisecond)
+			p.Sleep(110 * time.Millisecond)
 			put(t, p, e, "spaced", payload(int64(i), 256))
 		}
 		if got := e.Stats().Fsyncs - burst; got != 5 {

@@ -23,8 +23,6 @@ const flightRing = 256
 
 // defaultDumpLimit bounds stderr noise when many faults trip in one run
 // (fault-injection tests): later dumps are counted but suppressed.
-// Raise per hub with SetDumpLimit — a long SLO-alerting run wants every
-// breach's post-mortem, not just the first two.
 const defaultDumpLimit = 2
 
 // FlightEvent is one recorded control-plane event.
@@ -70,35 +68,9 @@ func (h *Hub) SetFlightSink(w io.Writer) {
 	}
 }
 
-// SetDumpLimit sets how many full flight dumps this hub emits per run
-// (default 2); past the limit, dumps print a one-line notice. n <= 0
-// removes the cap entirely.
-func (h *Hub) SetDumpLimit(n int) {
-	if h == nil {
-		return
-	}
-	if n <= 0 {
-		n = -1 // unlimited; 0 is the "unset, use the default" state
-	}
-	h.dumpLimit = n
-}
-
-// dumpLimitOf resolves the effective cap: 0 means "unset", i.e. the
-// default; negative means unlimited.
-func (h *Hub) dumpLimitOf() int {
-	switch {
-	case h.dumpLimit == 0:
-		return defaultDumpLimit
-	case h.dumpLimit < 0:
-		return int(^uint(0) >> 1) // effectively unlimited
-	default:
-		return h.dumpLimit
-	}
-}
-
 // DumpFlight writes the ring, oldest first, to the flight sink. Called
 // automatically on failure triggers; callable manually. Past the hub's
-// dump limit (SetDumpLimit, default 2), dumps print a one-line notice.
+// dump limit (defaultDumpLimit), dumps print a one-line notice.
 func (h *Hub) DumpFlight(reason string) {
 	if h == nil {
 		return
@@ -108,7 +80,7 @@ func (h *Hub) DumpFlight(reason string) {
 		w = os.Stderr
 	}
 	h.dumps++
-	if h.dumps > h.dumpLimitOf() {
+	if h.dumps > defaultDumpLimit {
 		fmt.Fprintf(w, "telemetry: flight dump suppressed (%d so far): %s\n", h.dumps, reason)
 		return
 	}

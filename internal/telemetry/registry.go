@@ -44,33 +44,6 @@ func (c *Counter) Value() int64 {
 	return atomic.LoadInt64(&c.v)
 }
 
-// Gauge is a point-in-time value.
-type Gauge struct{ v int64 }
-
-// Set stores the gauge value.
-func (g *Gauge) Set(n int64) {
-	if g == nil {
-		return
-	}
-	atomic.StoreInt64(&g.v, n)
-}
-
-// Add adjusts the gauge by n (may be negative).
-func (g *Gauge) Add(n int64) {
-	if g == nil {
-		return
-	}
-	atomic.AddInt64(&g.v, n)
-}
-
-// Value returns the current gauge value.
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return atomic.LoadInt64(&g.v)
-}
-
 // defaultBuckets is a 1-2-5 exponential ladder from 1 µs to 100 s —
 // wide enough for NIC-level latencies and WAN-scale transfer times in
 // the same histogram.
@@ -225,7 +198,6 @@ type boundStruct struct {
 type Registry struct {
 	mu        sync.Mutex
 	counters  map[string]*Counter
-	gauges    map[string]*Gauge
 	hists     map[string]*Histogram
 	funcs     map[string][]func() int64
 	gaugeFns  map[string][]func() int64
@@ -237,7 +209,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters:  make(map[string]*Counter),
-		gauges:    make(map[string]*Gauge),
 		hists:     make(map[string]*Histogram),
 		funcs:     make(map[string][]func() int64),
 		gaugeFns:  make(map[string][]func() int64),
@@ -258,21 +229,6 @@ func (r *Registry) Counter(name string) *Counter {
 		r.counters[name] = c
 	}
 	return c
-}
-
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g := r.gauges[name]
-	if g == nil {
-		g = new(Gauge)
-		r.gauges[name] = g
-	}
-	return g
 }
 
 // Histogram returns the named histogram, creating it with the default
@@ -306,9 +262,8 @@ func (r *Registry) CounterFunc(name string, fn func() int64) {
 
 // GaugeFunc registers an externally-stored gauge read through fn at
 // snapshot time — the instrumentation shape for state a layer already
-// maintains (queue depths, live-channel counts, dirty bytes) where
-// pushing a Gauge on every mutation would scatter Set calls through
-// hot paths. Multiple registrations under one name sum, so per-node
+// maintains (queue depths, live-channel counts, dirty bytes), so no
+// hot path has to push a value on every mutation. Multiple registrations under one name sum, so per-node
 // instances (store engines, sessions) aggregate naturally.
 func (r *Registry) GaugeFunc(name string, fn func() int64) {
 	if r == nil {
@@ -464,10 +419,7 @@ func (r *Registry) Snapshot() []Metric {
 			sums[bs.prefix+"."+name] += atomic.LoadInt64(addr)
 		}
 	}
-	gaugeSums := make(map[string]int64, len(r.gauges)+len(r.gaugeFns))
-	for name, g := range r.gauges {
-		gaugeSums[name] += g.Value()
-	}
+	gaugeSums := make(map[string]int64, len(r.gaugeFns))
 	for name, fns := range r.gaugeFns {
 		for _, fn := range fns {
 			gaugeSums[name] += fn()

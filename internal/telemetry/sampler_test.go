@@ -44,7 +44,8 @@ func TestSamplerScrapesKinds(t *testing.T) {
 	h := Attach(k)
 	reg := h.Registry()
 	c := reg.Counter("layer.ops")
-	g := reg.Gauge("layer.depth")
+	var depth int64
+	reg.GaugeFunc("layer.depth", func() int64 { return depth })
 	hist := reg.Histogram("layer.lat")
 	reg.Counter("layer.wobbly").Add(7)
 	reg.MarkVolatile("layer.wobbly")
@@ -54,7 +55,7 @@ func TestSamplerScrapesKinds(t *testing.T) {
 	err := k.Run(func(p *vtime.Proc) {
 		for i := 0; i < 10; i++ {
 			c.Add(5)
-			g.Set(int64(i))
+			depth = int64(i)
 			hist.Observe(vtime.Duration(time.Millisecond))
 			// Half an interval of "serialization" per interval.
 			reg.Counter("link.busy_ns").Add(50e6)
@@ -112,7 +113,8 @@ func TestSamplerConcurrentBumps(t *testing.T) {
 	h := Attach(k)
 	reg := h.Registry()
 	c := reg.Counter("hot.ops")
-	g := reg.Gauge("hot.depth")
+	var depth int64
+	reg.GaugeFunc("hot.depth", func() int64 { return atomic.LoadInt64(&depth) })
 	hist := reg.Histogram("hot.lat")
 
 	done := make(chan struct{})
@@ -128,7 +130,7 @@ func TestSamplerConcurrentBumps(t *testing.T) {
 					return
 				default:
 					c.Inc()
-					g.Add(1)
+					atomic.AddInt64(&depth, 1)
 					hist.Observe(vtime.Duration(atomic.AddInt64(&spin, 1) % 1e6))
 				}
 			}

@@ -80,7 +80,6 @@ type Hub struct {
 	flightLen  int
 	flightSink io.Writer
 	dumps      int
-	dumpLimit  int // 0 = default, <0 = unlimited (SetDumpLimit)
 }
 
 // Attach returns the kernel's hub, creating and attaching one on first

@@ -55,7 +55,7 @@ func TestSnapshotSortedAndDeterministic(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("zeta.ops").Add(3)
 	r.Counter("alpha.ops").Add(1)
-	r.Gauge("mid.depth").Set(7)
+	r.GaugeFunc("mid.depth", func() int64 { return 7 })
 	r.Histogram("beta.lat").Observe(time.Millisecond)
 	s1 := r.Snapshot()
 	if !sort.SliceIsSorted(s1, func(i, j int) bool { return s1[i].Name < s1[j].Name }) {
@@ -249,7 +249,7 @@ func TestNilSafety(t *testing.T) {
 	}
 	var r *Registry
 	r.Counter("x").Inc()
-	r.Gauge("x").Set(1)
+	r.GaugeFunc("x", nil)
 	r.Histogram("x").Observe(1)
 	r.CounterFunc("x", nil)
 	r.BindStruct("x", &struct{}{})

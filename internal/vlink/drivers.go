@@ -170,12 +170,7 @@ func (sc *sysConn) PostRead(buf []byte, cb func(int, error)) {
 	sc.c.PokeReady()
 }
 
-// PostWrite implements Conn.
-func (sc *sysConn) PostWrite(data []byte, cb func(int, error)) {
-	sc.PostWritev(iovec.Make(data), cb)
-}
-
-// PostWritev implements VecConn: the vector's bytes are copied exactly
+// PostWritev implements Conn: the vector's bytes are copied exactly
 // once, into the TCP socket's pooled send queue, as space opens up —
 // the stack's single pack point on the distributed path.
 func (sc *sysConn) PostWritev(v iovec.Vec, cb func(int, error)) {
@@ -446,18 +441,14 @@ func (c *madConn) Fail(err error) {
 	}
 }
 
-// PostWrite implements Conn: data rides one MadIO message. SAN links
-// are far faster than any producer here, so the driver accepts
-// immediately (no flow control, as on a well-provisioned SAN).
-func (c *madConn) PostWrite(data []byte, cb func(int, error)) {
-	c.PostWritev(iovec.Vec{Segs: []iovec.Seg{{B: data}}}, cb)
-}
-
-// PostWritev implements VecConn. The caller's borrow ends when cb
-// fires, which is at once, while MadIO lends its segments all the way
-// to the receiver — so the bytes are copied here, once, into a pooled
-// buffer the message owns: the send side's one copy. The receiving
-// madConn releases the buffer after copying it out.
+// PostWritev implements Conn: the vector rides one MadIO message. SAN
+// links are far faster than any producer here, so the driver accepts
+// immediately (no flow control, as on a well-provisioned SAN). The
+// caller's borrow ends when cb fires, which is at once, while MadIO
+// lends its segments all the way to the receiver — so the bytes are
+// copied here, once, into a pooled buffer the message owns: the send
+// side's one copy. The receiving madConn releases the buffer after
+// copying it out.
 func (c *madConn) PostWritev(v iovec.Vec, cb func(int, error)) {
 	if c.closed {
 		cb(0, ErrClosed)
@@ -599,12 +590,7 @@ func (c *loopConn) tryComplete() {
 	cb(n, err)
 }
 
-// PostWrite implements Conn.
-func (c *loopConn) PostWrite(data []byte, cb func(int, error)) {
-	c.PostWritev(iovec.Make(data), cb)
-}
-
-// PostWritev implements VecConn: the bytes are captured into a pooled
+// PostWritev implements Conn: the bytes are captured into a pooled
 // buffer at post time (the borrow ends when cb fires, which is
 // immediately here) and delivered after the memcpy-scale latency.
 func (c *loopConn) PostWritev(v iovec.Vec, cb func(int, error)) {

@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 
 	"padico/internal/iovec"
 	"padico/internal/model"
@@ -46,23 +45,14 @@ func (a Addr) String() string { return fmt.Sprintf("vlink://%d:%d", a.Node, a.Po
 type Op struct {
 	f    vtime.Future[int]
 	v    *VLink
-	kind opKind
-	buf  []byte     // PostWrite's data
-	vec  iovec.Vec  // PostWritev's vector
-	flat *iovec.Buf // vec flattened for a driver without vectors
-	n    int        // a read's result, held over the abstraction cost
+	read bool
+	vec  iovec.Vec    // a write's vector
+	one  [1]iovec.Seg // PostWrite's vector storage: wrapping data allocates nothing
+	n    int          // a read's result, held over the abstraction cost
 	err  error
 	step func()           // advance, bound once
 	done func(int, error) // driverDone, bound once
 }
-
-type opKind byte
-
-const (
-	opRead opKind = iota
-	opWrite
-	opWritev
-)
 
 func newOp(name string) *Op {
 	op := &Op{}
@@ -70,7 +60,7 @@ func newOp(name string) *Op {
 	return op
 }
 
-func (v *VLink) op(kind opKind, name string) *Op {
+func (v *VLink) op(read bool, name string) *Op {
 	var op *Op
 	if n := len(v.pool); n > 0 {
 		op, v.pool = v.pool[n-1], v.pool[:n-1]
@@ -78,7 +68,7 @@ func (v *VLink) op(kind opKind, name string) *Op {
 		op = &Op{v: v}
 		op.step, op.done = op.advance, op.driverDone
 	}
-	op.kind = kind
+	op.read = read
 	op.f.Reset(name)
 	return op
 }
@@ -86,44 +76,29 @@ func (v *VLink) op(kind opKind, name string) *Op {
 // wait blocks for op, which no caller holds, and takes it back.
 func (v *VLink) wait(p *vtime.Proc, op *Op) (int, error) {
 	n, err := op.f.Wait(p)
-	op.buf, op.vec, op.err = nil, iovec.Vec{}, nil
+	op.vec, op.one[0], op.err = iovec.Vec{}, iovec.Seg{}, nil
 	v.pool = append(v.pool, op)
 	return n, err
 }
 
 // advance runs once the abstraction cost has elapsed.
 func (op *Op) advance() {
-	v := op.v
-	switch op.kind {
-	case opRead:
+	if op.read {
 		op.f.Complete(op.n, op.err)
-	case opWrite:
-		v.c.PostWrite(op.buf, op.done)
-	case opWritev:
-		if vc, ok := v.c.(VecConn); ok {
-			vc.PostWritev(op.vec, op.done)
-			return
-		}
-		// Driver without vector support: flatten once into a pooled
-		// buffer for the duration of the inner write.
-		op.flat = op.vec.Flatten()
-		v.c.PostWrite(op.flat.Bytes(), op.done)
+		return
 	}
+	op.v.c.PostWritev(op.vec, op.done)
 }
 
 // driverDone is the driver's completion; a read's cost runs after it.
 func (op *Op) driverDone(n int, err error) {
 	v := op.v
-	if op.kind == opRead {
+	if op.read {
 		v.BytesIn += int64(n)
 		op.n, op.err = n, err
 		// Abstraction-layer cost: per op + per byte.
 		kernelOf(v).Schedule(model.VLinkCost+model.VLinkPerByte.Cost(n), op.step)
 		return
-	}
-	if op.flat != nil {
-		op.flat.Release()
-		op.flat = nil
 	}
 	v.BytesOut += int64(n)
 	op.f.Complete(n, err)
@@ -167,9 +142,12 @@ type Conn interface {
 	// PostRead delivers the next available bytes (up to len(buf)) into
 	// buf and calls cb(n, err). At most one read may be outstanding.
 	PostRead(buf []byte, cb func(n int, err error))
-	// PostWrite queues data and calls cb(n, err) when the driver has
-	// accepted it (not necessarily delivered).
-	PostWrite(data []byte, cb func(n int, err error))
+	// PostWritev queues a segment vector and calls cb(n, err) when the
+	// driver has accepted it (not necessarily delivered). The vector is
+	// borrowed until cb fires: the caller keeps every segment's bytes
+	// valid and immutable until then, and the driver takes its own
+	// references (iovec retain) for anything it must hold longer.
+	PostWritev(v iovec.Vec, cb func(n int, err error))
 	// Close initiates an orderly shutdown; the peer's pending read
 	// completes with io.EOF after draining.
 	Close()
@@ -183,18 +161,6 @@ type Conn interface {
 // instead of waiting for wire silence to time out.
 type Failer interface {
 	Fail(err error)
-}
-
-// VecConn is the vectored-write extension of Conn: drivers that can
-// move a segment vector without flattening it implement PostWritev.
-// The vector is borrowed until cb fires — the caller keeps every
-// segment's bytes valid and immutable until then, and the driver takes
-// its own references (iovec retain) for anything it must hold longer.
-// Byte-stream semantics are identical to PostWrite of the flattened
-// vector.
-type VecConn interface {
-	Conn
-	PostWritev(v iovec.Vec, cb func(n int, err error))
 }
 
 // Listener is a driver-level passive endpoint.
@@ -236,17 +202,6 @@ func (ep *Endpoint) Driver(name string) (Driver, error) {
 		return nil, fmt.Errorf("%w: %q", ErrNoDriver, name)
 	}
 	return d, nil
-}
-
-// Drivers lists registered driver names, sorted — map iteration order
-// must never leak into observable output (repo determinism rule).
-func (ep *Endpoint) Drivers() []string {
-	out := make([]string, 0, len(ep.drivers))
-	for n := range ep.drivers {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Connect posts an asynchronous connect through the named driver. The
@@ -369,7 +324,7 @@ func (v *VLink) Peer() topology.NodeID { return v.c.Peer() }
 
 // PostRead posts an asynchronous read into buf.
 func (v *VLink) PostRead(buf []byte) *Op {
-	op := v.op(opRead, "vlink:read")
+	op := v.op(true, "vlink:read")
 	if v.closed {
 		op.complete(0, ErrClosed)
 		return op
@@ -381,23 +336,21 @@ func (v *VLink) PostRead(buf []byte) *Op {
 
 // PostWrite posts an asynchronous write of data.
 func (v *VLink) PostWrite(data []byte) *Op {
-	op := v.op(opWrite, "vlink:write")
-	if v.closed {
-		op.complete(0, ErrClosed)
-		return op
-	}
-	v.Writes++
-	op.buf = data
-	kernelOf(v).Schedule(model.VLinkCost+model.VLinkPerByte.Cost(len(data)), op.step)
-	return op
+	op := v.op(false, "vlink:write")
+	op.one[0] = iovec.Seg{B: data}
+	return v.post(op, iovec.Vec{Segs: op.one[:]})
 }
 
 // PostWritev posts an asynchronous gather-write of a segment vector:
 // the same abstraction cost and byte-stream effect as PostWrite of the
-// flattened vector, without materializing it when the driver stack
-// supports vectors. The vector is borrowed until the Op completes.
+// flattened vector, without materializing it. The vector is borrowed
+// until the Op completes.
 func (v *VLink) PostWritev(vec iovec.Vec) *Op {
-	op := v.op(opWritev, "vlink:writev")
+	return v.post(v.op(false, "vlink:writev"), vec)
+}
+
+// post charges a write's abstraction cost, then hands vec to the driver.
+func (v *VLink) post(op *Op, vec iovec.Vec) *Op {
 	if v.closed {
 		op.complete(0, ErrClosed)
 		return op

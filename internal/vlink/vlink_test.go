@@ -347,22 +347,3 @@ func TestQuickStreamChunking(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestDriversListedSorted pins the determinism rule: Drivers() must not
-// leak map iteration order into observable output, whatever order the
-// drivers were registered in.
-func TestDriversListedSorted(t *testing.T) {
-	tb := newTestbed(t)
-	want := []string{"loopback", "madio", "sysio"}
-	for i := 0; i < 2; i++ {
-		got := tb.ep[i].Drivers()
-		if len(got) != len(want) {
-			t.Fatalf("endpoint %d: drivers = %v", i, got)
-		}
-		for j := range want {
-			if got[j] != want[j] {
-				t.Fatalf("endpoint %d: drivers = %v, want sorted %v", i, got, want)
-			}
-		}
-	}
-}
