@@ -565,23 +565,17 @@ type TCPConn struct {
 	inRecovery bool  // NewReno fast recovery in progress
 	recover    int64 // sndNxt when recovery was entered
 	peerWnd    int
-	// RTO scheduling uses pooled fire-and-forget events instead of a
-	// cancellable Timer: re-arming on every ACK round is the hottest
-	// timer path in the stack. rtoArmed + rtoDeadline identify the
-	// current arm; a fired event that does not match is stale (its arm
-	// was superseded) and ignores itself, which is exactly what the old
-	// Timer.Stop tombstone achieved.
-	rtoArmed    bool
-	rtoDeadline vtime.Time
-	rtoFn       func()
-	rto         time.Duration
-	srtt        time.Duration
-	rttvar      time.Duration
-	finQueued   bool
-	finSeq      int64 // == sndEnd when finQueued
-	writeCond   *vtime.Cond
-	writableCB  func()
-	wasFull     bool
+	// Re-arming the RTO on every ACK round is the hottest timer path in
+	// the stack: an Alarm keeps one heap entry however often it moves.
+	rtoAlarm   vtime.Alarm
+	rto        time.Duration
+	srtt       time.Duration
+	rttvar     time.Duration
+	finQueued  bool
+	finSeq     int64 // == sndEnd when finQueued
+	writeCond  *vtime.Cond
+	writableCB func()
+	wasFull    bool
 
 	// Receiver state.
 	rcvNxt int64
@@ -621,7 +615,7 @@ func newTCPConn(h *Host, remote topology.NodeID, localPort, remotePort int, rt *
 		readCond:  vtime.NewCond(name + ":read"),
 	}
 	c.cwnd = float64(2 * c.mss)
-	c.rtoFn = c.onRTOEvent
+	c.rtoAlarm.Init(h.stack.k, c.onRTO)
 	return c
 }
 
@@ -862,7 +856,7 @@ func (c *TCPConn) Failed() bool { return c.failed }
 // Abort tears the connection down immediately (no FIN exchange).
 func (c *TCPConn) Abort() {
 	c.closed = true
-	c.rtoArmed = false
+	c.rtoAlarm.Stop()
 	c.sndq.reset()
 	c.releaseOOO()
 	delete(c.host.conns, connKey{remote: c.remote, remotePort: c.remotePort, localPort: c.localPort})
@@ -928,26 +922,12 @@ func (c *TCPConn) pump() {
 }
 
 func (c *TCPConn) armRTO() {
-	if c.sndUna == c.sndNxt { // nothing outstanding
-		c.rtoArmed = false
-		return
+	switch {
+	case c.sndUna == c.sndNxt: // nothing outstanding
+		c.rtoAlarm.Stop()
+	case !c.rtoAlarm.Armed():
+		c.rtoAlarm.Set(c.host.stack.k.Now().Add(c.rto))
 	}
-	if c.rtoArmed {
-		return // already armed
-	}
-	c.rtoArmed = true
-	c.rtoDeadline = c.host.stack.k.Now().Add(c.rto)
-	c.host.stack.k.Schedule(c.rto, c.rtoFn)
-}
-
-// onRTOEvent filters stale RTO firings: only the event matching the
-// current arm's deadline acts, every superseded one is a no-op.
-func (c *TCPConn) onRTOEvent() {
-	if !c.rtoArmed || c.host.stack.k.Now() != c.rtoDeadline {
-		return
-	}
-	c.rtoArmed = false
-	c.onRTO()
 }
 
 func (c *TCPConn) onRTO() {
@@ -1087,7 +1067,7 @@ func (c *TCPConn) segment(seg *tcpSeg, payload iovec.Vec) {
 				c.cwnd += float64(c.mss) * float64(acked) / c.cwnd // CA
 			}
 			// Fresh RTO for the remaining flight.
-			c.rtoArmed = false
+			c.rtoAlarm.Stop()
 			c.writeCond.Broadcast()
 			if c.wasFull && c.Writable() {
 				c.wasFull = false

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -27,14 +28,16 @@ func lanPair(k *vtime.Kernel) (*Stack, *Host, *Host) {
 // feeding a fast 8 ms core.
 func wanPair(k *vtime.Kernel) (*Stack, *Host, *Host) {
 	st := New(k)
-	mk := func(seed int64) *netsim.Path {
-		return netsim.NewPath(k, "vthd", seed,
-			&netsim.Hop{Name: "access", Rate: 12.2e6, Latency: 50 * time.Microsecond, QueueCap: 64},
-			&netsim.Hop{Name: "core", Rate: model.VTHDCoreRate, Latency: model.VTHDWireLat, QueueCap: 4096},
-		)
-	}
-	st.ConnectPath(0, 1, mk(11), mk(12), model.EthernetMTU)
+	st.ConnectPath(0, 1, wanPath(k, 11), wanPath(k, 12), model.EthernetMTU)
 	return st, st.Host(0), st.Host(1)
+}
+
+// wanPath is one direction of wanPair.
+func wanPath(k *vtime.Kernel, seed int64) *netsim.Path {
+	return netsim.NewPath(k, "vthd", seed,
+		&netsim.Hop{Name: "access", Rate: 12.2e6, Latency: 50 * time.Microsecond, QueueCap: 64},
+		&netsim.Hop{Name: "core", Rate: model.VTHDCoreRate, Latency: model.VTHDWireLat, QueueCap: 4096},
+	)
 }
 
 // lossyPair wires two hosts across the trans-continental lossy link.
@@ -237,6 +240,46 @@ func TestTCPWANWindowLimited(t *testing.T) {
 	if rate < 7.5e6 || rate > 10.5e6 {
 		t.Fatalf("WAN TCP rate = %.3g MB/s, want ~9", rate/1e6)
 	}
+}
+
+// TestRTOHoldsAtMostTwoHeapEntries: the sender re-arms its RTO on every
+// ACK round, and the event heap must not grow with the rounds: checked
+// after each ACK that arrives with data outstanding, the connection's
+// alarm holds at most two heap entries.
+func TestRTOHoldsAtMostTwoHeapEntries(t *testing.T) {
+	k := vtime.NewKernel()
+	st := New(k)
+	ab, ba := wanPath(k, 11), wanPath(k, 12)
+	st.ConnectPath(0, 1, ab, ba, model.EthernetMTU)
+	ha, hb := st.Host(0), st.Host(1)
+	rounds, most := 0, 0
+	ba.SetDeliver(func(pkt *netsim.Packet) {
+		ha.input(pkt)
+		for _, c := range ha.conns {
+			if c.sndUna != c.sndNxt {
+				rounds++
+				most = max(most, rtoEntries(k, c))
+			}
+		}
+	})
+	transfer(t, k, ha, hb, 16<<20)
+	if rounds < 10000 || most > 2 {
+		t.Fatalf("%d ACK rounds with data outstanding, RTO held up to %d heap entries; want >= 10000 and <= 2", rounds, most)
+	}
+}
+
+// rtoEntries counts the entries c's retransmission alarm holds in k's
+// event heap. The heap is internal to vtime, so it is read by reflection.
+func rtoEntries(k *vtime.Kernel, c *TCPConn) int {
+	alarm := reflect.ValueOf(&c.rtoAlarm).Pointer()
+	events := reflect.ValueOf(k).Elem().FieldByName("events")
+	n := 0
+	for i := 0; i < events.Len(); i++ {
+		if events.Index(i).FieldByName("al").Pointer() == alarm {
+			n++
+		}
+	}
+	return n
 }
 
 func TestTCPLossyLinkCollapses(t *testing.T) {

@@ -58,37 +58,38 @@ func (pkt *Packet) dropped() {
 	}
 }
 
-// deliverStep is a pooled one-shot "hand pkt to deliver" event: fabrics
-// fire one per packet, so allocating a fresh closure each time would
-// dominate the simulation's allocation profile. Each step carries a
-// pre-bound run closure; recycling happens just before delivery.
-type deliverStep struct {
-	pool    *stepPool
+// delivery is one packet on its way to its receiver's DeliverFunc.
+type delivery struct {
 	deliver DeliverFunc
 	pkt     *Packet
-	run     func()
+	tx      time.Duration // a LAN frame's serialization time, for its egress
 }
 
-// stepPool is a per-fabric free list (the kernel is single-threaded, so
-// a plain slice is correct and deterministic).
-type stepPool struct{ free []*deliverStep }
+func deliverPkt(d delivery) { d.deliver(d.pkt) }
 
-func (sp *stepPool) get(deliver DeliverFunc, pkt *Packet) *deliverStep {
-	var st *deliverStep
-	if n := len(sp.free); n > 0 {
-		st = sp.free[n-1]
-		sp.free = sp.free[:n-1]
-	} else {
-		st = &deliverStep{pool: sp}
-		st.run = func() {
-			d, p := st.deliver, st.pkt
-			st.deliver, st.pkt = nil, nil
-			st.pool.free = append(st.pool.free, st)
-			d(p)
-		}
+// port is one end of a serializing link: the time it is free again and
+// the lane its packets leave on, in the order they finish.
+type port struct {
+	free vtime.Time
+	lane vtime.Lane[delivery]
+}
+
+// ports are one side's link ends of a fabric by address, each made on
+// first use with its lane feeding sink.
+type ports struct {
+	k    *vtime.Kernel
+	sink func(delivery)
+	m    map[int]*port
+}
+
+func (ps ports) of(addr int) *port {
+	pt := ps.m[addr]
+	if pt == nil {
+		pt = &port{}
+		pt.lane.Init(ps.k, ps.sink)
+		ps.m[addr] = pt
 	}
-	st.deliver, st.pkt = deliver, pkt
-	return st
+	return pt
 }
 
 // DeliverFunc receives a packet in kernel (event handler) context. It
@@ -122,8 +123,7 @@ type Crossbar struct {
 	pktOverh time.Duration
 	wireLat  time.Duration
 	ports    map[int]DeliverFunc
-	txFree   map[int]vtime.Time // per-source serialization horizon
-	steps    stepPool
+	tx       ports // per source
 
 	// Stats
 	Packets int64
@@ -136,8 +136,7 @@ func NewCrossbar(k *vtime.Kernel, kind topology.NetworkKind, rate float64,
 	pktOverhead, wireLat time.Duration) *Crossbar {
 	return &Crossbar{
 		k: k, kind: kind, rate: rate, pktOverh: pktOverhead, wireLat: wireLat,
-		ports:  make(map[int]DeliverFunc),
-		txFree: make(map[int]vtime.Time),
+		ports: make(map[int]DeliverFunc), tx: ports{k, deliverPkt, map[int]*port{}},
 	}
 }
 
@@ -159,17 +158,12 @@ func (c *Crossbar) Send(pkt *Packet) {
 	if !ok {
 		panic(fmt.Sprintf("netsim: crossbar send to unattached address %d", pkt.Dst))
 	}
-	now := c.k.Now()
-	start := c.txFree[pkt.Src]
-	if start < now {
-		start = now
-	}
+	src := c.tx.of(pkt.Src)
 	txTime := time.Duration(float64(pkt.Wire)/c.rate*1e9) + c.pktOverh
-	end := start.Add(txTime)
-	c.txFree[pkt.Src] = end
+	src.free = max(src.free, c.k.Now()).Add(txTime)
 	c.Packets++
 	c.Bytes += int64(pkt.Wire)
-	c.k.ScheduleAt(end.Add(c.wireLat), c.steps.get(deliver, pkt).run)
+	src.lane.Push(src.free.Add(c.wireLat), delivery{deliver: deliver, pkt: pkt})
 }
 
 // ---------------------------------------------------------------------
@@ -186,68 +180,23 @@ type SwitchedLAN struct {
 	loss    float64
 	rng     *rand.Rand
 	ports   map[int]DeliverFunc
-	inFree  map[int]vtime.Time
-	outFree map[int]vtime.Time
-	steps   lanStepPool
+	in, out ports // ingress per source, egress per destination
 
 	Packets int64
 	Drops   int64
 	Bytes   int64
 }
 
-// lanStep is the switched-LAN counterpart of deliverStep: store-and-
-// forward needs two stages (egress scheduling after full ingress
-// reception, then delivery), so the pooled object carries both
-// pre-bound closures and the per-packet transmit time.
-type lanStep struct {
-	pool    *lanStepPool
-	s       *SwitchedLAN
-	pkt     *Packet
-	deliver DeliverFunc
-	txTime  time.Duration
-	egress  func()
-	final   func()
-}
-
-type lanStepPool struct{ free []*lanStep }
-
-func (sp *lanStepPool) get(s *SwitchedLAN, deliver DeliverFunc, pkt *Packet, txTime time.Duration) *lanStep {
-	var st *lanStep
-	if n := len(sp.free); n > 0 {
-		st = sp.free[n-1]
-		sp.free = sp.free[:n-1]
-	} else {
-		st = &lanStep{pool: sp}
-		st.egress = func() {
-			lan := st.s
-			es := lan.outFree[st.pkt.Dst]
-			if n := lan.k.Now(); es < n {
-				es = n
-			}
-			outEnd := es.Add(st.txTime)
-			lan.outFree[st.pkt.Dst] = outEnd
-			lan.k.ScheduleAt(outEnd.Add(lan.wireLat), st.final)
-		}
-		st.final = func() {
-			d, p := st.deliver, st.pkt
-			st.s, st.deliver, st.pkt = nil, nil, nil
-			st.pool.free = append(st.pool.free, st)
-			d(p)
-		}
-	}
-	st.s, st.deliver, st.pkt, st.txTime = s, deliver, pkt, txTime
-	return st
-}
-
 // NewSwitchedLAN builds an Ethernet-like fabric.
 func NewSwitchedLAN(k *vtime.Kernel, rate float64, frameOverhead int,
 	wireLat time.Duration, loss float64, seed int64) *SwitchedLAN {
-	return &SwitchedLAN{
+	s := &SwitchedLAN{
 		k: k, rate: rate, frameOH: frameOverhead, wireLat: wireLat, loss: loss,
 		rng:   rand.New(rand.NewSource(seed)),
-		ports: make(map[int]DeliverFunc), inFree: make(map[int]vtime.Time),
-		outFree: make(map[int]vtime.Time),
+		ports: make(map[int]DeliverFunc), out: ports{k, deliverPkt, map[int]*port{}},
 	}
+	s.in = ports{k, s.egress, map[int]*port{}}
+	return s
 }
 
 // Kind implements Fabric.
@@ -276,15 +225,10 @@ func (s *SwitchedLAN) Send(pkt *Packet) {
 	}
 	frame := pkt.Wire + s.frameOH
 	txTime := time.Duration(float64(frame) / s.rate * 1e9)
-	now := s.k.Now()
 
 	// Ingress link (host -> switch).
-	start := s.inFree[pkt.Src]
-	if start < now {
-		start = now
-	}
-	inEnd := start.Add(txTime)
-	s.inFree[pkt.Src] = inEnd
+	in := s.in.of(pkt.Src)
+	in.free = max(in.free, s.k.Now()).Add(txTime)
 
 	s.Packets++
 	s.Bytes += int64(frame)
@@ -296,7 +240,14 @@ func (s *SwitchedLAN) Send(pkt *Packet) {
 
 	// Egress link (switch -> host): store-and-forward, so egress starts
 	// after full ingress reception.
-	s.k.ScheduleAt(inEnd, s.steps.get(s, deliver, pkt, txTime).egress)
+	in.lane.Push(in.free, delivery{deliver: deliver, pkt: pkt, tx: txTime})
+}
+
+// egress serializes a fully received frame onto its destination's link.
+func (s *SwitchedLAN) egress(d delivery) {
+	out := s.out.of(d.pkt.Dst)
+	out.free = max(out.free, s.k.Now()).Add(d.tx)
+	out.lane.Push(out.free.Add(s.wireLat), d)
 }
 
 // ---------------------------------------------------------------------
@@ -314,18 +265,16 @@ type Hop struct {
 	Loss     float64 // random loss probability
 	QueueCap int     // max packets queued waiting for the link (0 = 64)
 
-	free    vtime.Time
-	queued  int
-	down    bool
-	dequeue func() // pre-bound queue drain, scheduled once per packet
-
-	// Queue byte accounting: wire sizes of the packets currently
-	// waiting for the link, drained FIFO by dequeue. FIFO order is
-	// correct because free is monotonic — packets finish serializing
-	// in the order they were queued.
-	qbytes int64
-	qsizes []int
-	qhead  int
+	free vtime.Time
+	down bool
+	// drain holds the wire size of each packet waiting for the link, due
+	// when it finishes serializing (free is monotonic, so they finish in
+	// the order they were queued); arrive holds the packets in latency
+	// flight.
+	drain  vtime.Lane[int]
+	arrive vtime.Lane[arrival]
+	qbytes int64 // sum of drain's wire sizes
+	lanes  bool  // drain and arrive are built: by the first Path through the hop
 
 	registered bool // hop metrics bound into a registry (once)
 
@@ -351,7 +300,7 @@ func RegisterHopMetrics(reg *telemetry.Registry, h *Hop) {
 	reg.CounterFunc(prefix+".busy_ns", func() int64 { return h.BusyNs })
 	reg.CounterFunc(prefix+".drops", func() int64 { return h.Drops })
 	reg.GaugeFunc(prefix+".queued_bytes", func() int64 { return h.qbytes })
-	reg.GaugeFunc(prefix+".queued_pkts", func() int64 { return int64(h.queued) })
+	reg.GaugeFunc(prefix+".queued_pkts", func() int64 { return int64(h.drain.Len()) })
 }
 
 // SetRate changes the hop's rate. Packets already serialized (in
@@ -405,40 +354,33 @@ func ScheduleOutage(k *vtime.Kernel, at, restore vtime.Time, h *Hop) {
 // Path is a unidirectional multi-hop route between two fabrics'
 // endpoints — used by ipstack for inter-site traffic.
 type Path struct {
-	k     *vtime.Kernel
-	name  string
-	hops  []*Hop
-	rng   *rand.Rand
-	dst   DeliverFunc
-	steps []*hopStep // free list of pooled per-packet hop steps
+	k    *vtime.Kernel
+	name string
+	hops []*Hop
+	rng  *rand.Rand
+	dst  DeliverFunc
 }
 
-// hopStep is one pooled "packet advances to hop i" event.
-type hopStep struct {
+// arrival is a packet reaching the end of a hop: it goes on to hop i of
+// path p.
+type arrival struct {
 	p   *Path
 	i   int
 	pkt *Packet
-	run func()
 }
 
 // NewPath builds a path delivering to dst through the given hops.
 func NewPath(k *vtime.Kernel, name string, seed int64, hops ...*Hop) *Path {
 	for _, h := range hops {
+		if h.lanes {
+			continue // shared with a path built earlier
+		}
+		h.lanes = true
 		if h.QueueCap == 0 {
 			h.QueueCap = 64
 		}
-		h := h
-		h.dequeue = func() {
-			h.queued--
-			if h.qhead < len(h.qsizes) {
-				h.qbytes -= int64(h.qsizes[h.qhead])
-				h.qhead++
-				if h.qhead == len(h.qsizes) {
-					h.qsizes = h.qsizes[:0]
-					h.qhead = 0
-				}
-			}
-		}
+		h.drain.Init(k, func(wire int) { h.qbytes -= int64(wire) })
+		h.arrive.Init(k, func(a arrival) { a.p.sendHop(a.i, a.pkt) })
 	}
 	return &Path{k: k, name: name, hops: hops, rng: rand.New(rand.NewSource(seed))}
 }
@@ -472,43 +414,21 @@ func (p *Path) sendHop(i int, pkt *Packet) {
 		pkt.dropped()
 		return
 	}
-	now := p.k.Now()
-	start := h.free
-	if start < now {
-		start = now
-	}
 	// Tail-drop if too many packets are already waiting for this link.
-	if h.queued >= h.QueueCap {
+	if h.drain.Len() >= h.QueueCap {
 		h.Drops++
 		pkt.dropped()
 		return
 	}
 	txTime := time.Duration(float64(pkt.Wire) / h.Rate * 1e9)
-	end := start.Add(txTime)
-	h.free = end
+	h.free = max(h.free, p.k.Now()).Add(txTime)
 	h.Bytes += int64(pkt.Wire)
 	h.BusyNs += int64(txTime)
 	// The queue drains when the packet finishes serializing; packets in
 	// propagation (latency) flight do not occupy buffer space.
-	h.queued++
-	h.qsizes = append(h.qsizes, pkt.Wire)
 	h.qbytes += int64(pkt.Wire)
-	p.k.ScheduleAt(end, h.dequeue)
-	var st *hopStep
-	if n := len(p.steps); n > 0 {
-		st = p.steps[n-1]
-		p.steps = p.steps[:n-1]
-	} else {
-		st = &hopStep{p: p}
-		st.run = func() {
-			i, pkt := st.i, st.pkt
-			st.pkt = nil
-			st.p.steps = append(st.p.steps, st)
-			st.p.sendHop(i, pkt)
-		}
-	}
-	st.i, st.pkt = i+1, pkt
-	p.k.ScheduleAt(end.Add(h.Latency), st.run)
+	h.drain.Push(h.free, pkt.Wire)
+	h.arrive.Push(h.free.Add(h.Latency), arrival{p, i + 1, pkt})
 }
 
 // Drops sums drops over all hops (loss + queue overflow).
@@ -528,12 +448,14 @@ type Loopback struct {
 	k     *vtime.Kernel
 	lat   time.Duration
 	ports map[int]DeliverFunc
-	steps stepPool
+	lane  vtime.Lane[delivery]
 }
 
 // NewLoopback builds a loopback fabric with the given (tiny) latency.
 func NewLoopback(k *vtime.Kernel, lat time.Duration) *Loopback {
-	return &Loopback{k: k, lat: lat, ports: make(map[int]DeliverFunc)}
+	l := &Loopback{k: k, lat: lat, ports: make(map[int]DeliverFunc)}
+	l.lane.Init(k, deliverPkt)
+	return l
 }
 
 // Kind implements Fabric.
@@ -548,5 +470,5 @@ func (l *Loopback) Send(pkt *Packet) {
 	if !ok {
 		panic(fmt.Sprintf("netsim: loopback send to unattached address %d", pkt.Dst))
 	}
-	l.k.Schedule(l.lat, l.steps.get(deliver, pkt).run)
+	l.lane.Push(l.k.Now().Add(l.lat), delivery{deliver: deliver, pkt: pkt})
 }

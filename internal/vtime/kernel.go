@@ -144,8 +144,9 @@ func (p *Proc) Now() Time { return p.k.now }
 type event struct {
 	at  Time
 	seq int64
-	fn  func()   // Schedule: the handler; After/At: nil, the handler is tm.fn
+	fn  func()   // Schedule, Lane: the handler; After/At, Alarm: nil
 	tm  *Timer   // cancellable events only; tm.fn == nil marks a tombstone
+	al  *Alarm   // an Alarm's entry; al.due tells whether it fires
 	ctx TraceCtx // scheduler's ambient context, reinstated at fire time
 }
 
@@ -383,8 +384,8 @@ type Timer struct {
 // It returns true if the call prevented the timer from firing.
 // Stopped timers leave a tombstone in the event heap; the kernel
 // compacts the heap when tombstones outnumber live entries, so a
-// workload that arms and cancels timers at a high rate (TCP RTO on
-// every ACK round) cannot grow the heap without bound.
+// workload that arms and cancels timers at a high rate (a polling
+// WaitTimeout) cannot grow the heap without bound; see also Alarm.
 func (t *Timer) Stop() bool {
 	if t.fn == nil {
 		return false
@@ -412,9 +413,9 @@ func (k *Kernel) At(t Time, fn func()) *Timer {
 
 // Schedule is After for fire-and-forget events: no Timer handle is
 // returned, so the event lives in the heap's backing array alone and
-// costs no allocation. Hot paths (per-packet fabric steps,
-// per-operation cost charges) schedule millions of these. Timing and
-// ordering are identical to After.
+// costs no allocation. Hot paths (cost charges, Proc wake-ups; a FIFO
+// of non-decreasing times is a Lane) schedule millions of these.
+// Timing and ordering are identical to After.
 func (k *Kernel) Schedule(d Duration, fn func()) { k.push(d, fn, nil) }
 
 // ScheduleAt is Schedule at absolute virtual time t (clamped to now).
@@ -540,12 +541,17 @@ func (k *Kernel) fireNextEvent() bool {
 	for len(k.events) > 0 {
 		ev := k.events.pop()
 		fn := ev.fn
-		if ev.tm != nil {
+		switch {
+		case ev.tm != nil:
 			if fn = ev.tm.fn; fn == nil {
 				k.tombstones-- // cancelled; its tombstone leaves the heap here
 				continue
 			}
 			ev.tm.fn = nil // fired: a later Stop reports false
+		case ev.al != nil:
+			if fn = ev.al.due(&ev); fn == nil {
+				continue // not the alarm's deadline: re-queued or dropped
+			}
 		}
 		if ev.at > k.now {
 			k.now = ev.at

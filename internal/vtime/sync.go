@@ -302,30 +302,3 @@ func (f *Future[T]) Value() (T, error) {
 	}
 	return f.val, f.err
 }
-
-// DelayLine is Schedule(d, func() { sink(v) }) without a closure per
-// value: the delay is constant, so the events fire in push order and
-// every push can schedule one pre-bound handler that pops a FIFO — same
-// events, same (time, sequence) keys, no allocation in steady state.
-type DelayLine[T any] struct {
-	k    *Kernel
-	d    Duration
-	q    Queue[T]
-	fire func()
-}
-
-// NewDelayLine returns a line of latency d feeding sink (kernel context).
-func NewDelayLine[T any](k *Kernel, d Duration, sink func(T)) *DelayLine[T] {
-	l := &DelayLine[T]{k: k, d: d}
-	l.fire = func() {
-		v, _ := l.q.TryPop()
-		sink(v)
-	}
-	return l
-}
-
-// Push schedules sink(v) d from now.
-func (l *DelayLine[T]) Push(v T) {
-	l.q.items = append(l.q.items, v)
-	l.k.Schedule(l.d, l.fire)
-}
