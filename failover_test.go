@@ -74,9 +74,9 @@ func TestSessionPeerDeathUnblocksRecv(t *testing.T) {
 
 // TestGroupLeaderDeathMidCollective kills a site leader while a
 // multicast is streaming through it. The in-flight operation must
-// return a typed error promptly; after MarkDead, the retry runs over
-// the re-elected tree (next-lowest id of the site takes over) and
-// delivers to every surviving member.
+// return a typed error promptly; the retry runs over a group of the
+// survivors, whose tree re-elects the site's leader (next-lowest id of
+// the site takes over), and delivers to every surviving member.
 func TestGroupLeaderDeathMidCollective(t *testing.T) {
 	g := grid.MultiSiteLoss(3, 2, 0) // site0 {0,1}, site1 {2,3}, site2 {4,5}
 	inj := faults.NewInjector(g)
@@ -114,7 +114,12 @@ func TestGroupLeaderDeathMidCollective(t *testing.T) {
 		if elapsed := g.K.Now().Sub(t0); elapsed > 30*time.Second {
 			t.Fatalf("leader death took %v to surface", elapsed)
 		}
-		grp.MarkDead(2)
+		grp.Close()
+		survivors := []topology.NodeID{0, 1, 3, 4, 5}
+		grp, err = group.New(g.K, g.Topo, g.Session(), survivors, group.Config{})
+		if err != nil {
+			t.Fatalf("survivor group: %v", err)
+		}
 		tr, err = grp.Tree(0)
 		if err != nil {
 			t.Fatalf("rebuilt tree: %v", err)
@@ -126,7 +131,7 @@ func TestGroupLeaderDeathMidCollective(t *testing.T) {
 		if err != nil {
 			t.Fatalf("retry multicast on re-elected tree: %v", err)
 		}
-		for _, m := range grp.Alive() {
+		for _, m := range survivors {
 			if m == 0 {
 				continue
 			}

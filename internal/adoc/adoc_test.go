@@ -10,13 +10,14 @@ import (
 	"padico/internal/adoc"
 	"padico/internal/topology"
 	"padico/internal/vlink"
+	"padico/internal/vlink/vlinktest"
 	"padico/internal/vtime"
 )
 
 // loopPair builds an adoc-wrapped loopback pair on one node.
 func loopPair(k *vtime.Kernel) (*adoc.Driver, *vlink.Endpoint) {
 	ep := vlink.NewEndpoint(topology.NodeID(0))
-	d := adoc.New(k, vlink.NewLoopbackDriver(k, 0))
+	d := adoc.New(k, vlinktest.NewLoopbackDriver(k, 0))
 	ep.AddDriver(d)
 	return d, ep
 }

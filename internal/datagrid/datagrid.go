@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -184,9 +185,9 @@ type DataGrid struct {
 
 	ring    *Ring
 	catalog map[string]*ObjectMeta
-	// downNodes is the failure detector's view (MarkDown/MarkUp): nodes
-	// here are skipped as sources, entry points and repair destinations.
-	// Empty in fault-free runs — every filter short-circuits.
+	// downNodes is the failure detector's view (MarkDown/MarkUp), read
+	// only through live: nodes here are skipped as sources, entry points
+	// and replication or repair destinations.
 	downNodes map[topology.NodeID]bool
 	// lost dedups the object-lost flight dump per outage: set on the
 	// first repair pass that finds no reachable fresh replica, cleared
@@ -266,27 +267,7 @@ func New(k *vtime.Kernel, topo *topology.Grid, mgr *session.Manager, cfg Config)
 
 // Stats returns a consistent copy of the datagrid's counters (each
 // field loaded atomically).
-func (dg *DataGrid) Stats() Stats {
-	return Stats{
-		Puts:             atomic.LoadInt64(&dg.stats.Puts),
-		Gets:             atomic.LoadInt64(&dg.stats.Gets),
-		Jobs:             atomic.LoadInt64(&dg.stats.Jobs),
-		Retries:          atomic.LoadInt64(&dg.stats.Retries),
-		Failures:         atomic.LoadInt64(&dg.stats.Failures),
-		BytesMoved:       atomic.LoadInt64(&dg.stats.BytesMoved),
-		CircuitTransfers: atomic.LoadInt64(&dg.stats.CircuitTransfers),
-		VLinkTransfers:   atomic.LoadInt64(&dg.stats.VLinkTransfers),
-		LocalTransfers:   atomic.LoadInt64(&dg.stats.LocalTransfers),
-		GroupFanouts:     atomic.LoadInt64(&dg.stats.GroupFanouts),
-		WANBytes:         atomic.LoadInt64(&dg.stats.WANBytes),
-		SourceSwitches:   atomic.LoadInt64(&dg.stats.SourceSwitches),
-		Deletes:          atomic.LoadInt64(&dg.stats.Deletes),
-		Quarantines:      atomic.LoadInt64(&dg.stats.Quarantines),
-		Repairs:          atomic.LoadInt64(&dg.stats.Repairs),
-		NodesDown:        atomic.LoadInt64(&dg.stats.NodesDown),
-		LostObjects:      atomic.LoadInt64(&dg.stats.LostObjects),
-	}
-}
+func (dg *DataGrid) Stats() Stats { return telemetry.Load(&dg.stats) }
 
 // MarkDown declares a node unreachable: it stops serving as a GET or
 // repair source, entry point, or replication destination. It is the
@@ -294,7 +275,7 @@ func (dg *DataGrid) Stats() Stats {
 // repair daemon is kicked so re-replication of copies the node held
 // starts on the next pass, not after a full RepairInterval.
 func (dg *DataGrid) MarkDown(n topology.NodeID) {
-	if dg.downNodes[n] {
+	if dg.NodeDown(n) {
 		return
 	}
 	dg.downNodes[n] = true
@@ -308,7 +289,7 @@ func (dg *DataGrid) MarkDown(n topology.NodeID) {
 // immediately count again; the kicked repair pass tops up whatever the
 // outage left under-replicated.
 func (dg *DataGrid) MarkUp(n topology.NodeID) {
-	if !dg.downNodes[n] {
+	if !dg.NodeDown(n) {
 		return
 	}
 	delete(dg.downNodes, n)
@@ -336,19 +317,39 @@ func (dg *DataGrid) NodeStateChanged(n topology.NodeID, down bool) {
 }
 
 // NodeDown reports the failure detector's current view of a node.
-func (dg *DataGrid) NodeDown(n topology.NodeID) bool { return dg.downNodes[n] }
+func (dg *DataGrid) NodeDown(n topology.NodeID) bool {
+	return len(dg.live([]topology.NodeID{n})) == 0
+}
 
-// reachable filters down nodes out of a candidate list. With no
-// failures marked it returns the input slice unchanged — fault-free
-// runs pay nothing.
-func (dg *DataGrid) reachable(nodes []topology.NodeID) []topology.NodeID {
-	if len(dg.downNodes) == 0 {
-		return nodes
-	}
-	out := make([]topology.NodeID, 0, len(nodes))
-	for _, n := range nodes {
+// live is the one reader of the down-set: it filters the nodes the
+// failure detector marked down out of nodes. With none of them down it
+// returns nodes itself — fault-free runs allocate nothing.
+func (dg *DataGrid) live(nodes []topology.NodeID) []topology.NodeID {
+	for i, n := range nodes {
 		if !dg.downNodes[n] {
-			out = append(out, n)
+			continue
+		}
+		out := append(make([]topology.NodeID, 0, len(nodes)-1), nodes[:i]...)
+		for _, m := range nodes[i+1:] {
+			if !dg.downNodes[m] {
+				out = append(out, m)
+			}
+		}
+		return out
+	}
+	return nodes
+}
+
+// sources returns the nodes that can serve an object, sorted by id:
+// live holders of its catalogued version. A holder still on an older
+// version (down during an overwrite, then marked up) is not a source:
+// its bytes could only be rejected.
+func (dg *DataGrid) sources(meta *ObjectMeta) []topology.NodeID {
+	holders := dg.live(dg.Holders(meta.Name))
+	out := holders[:0] // Holders and live return slices of their own
+	for _, h := range holders {
+		if dg.fresh(meta, h) {
+			out = append(out, h)
 		}
 	}
 	return out
@@ -389,7 +390,7 @@ func (dg *DataGrid) Holders(name string) []topology.NodeID {
 			out = append(out, n)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -474,13 +475,13 @@ func (dg *DataGrid) Put(p *vtime.Proc, client topology.NodeID, name string, data
 	if len(targets) == 0 {
 		return ErrEmptyRing
 	}
-	live := dg.reachable(targets)
+	live := dg.live(targets)
 	if len(live) == 0 {
 		return fmt.Errorf("%w: every placement target of %s is down", ErrNoReplica, name)
 	}
 	// Weather-aware placement of the entry copy: among the live targets,
 	// prefer the one behind the healthiest forecast link (static
-	// proximity order without a weather service — identical to nearest).
+	// proximity order without a weather service).
 	entry := dg.rankSources(client, live, false)[0]
 	meta := &ObjectMeta{
 		Name: name, Size: len(data), Sum: dg.hash(data),
@@ -632,15 +633,7 @@ func (dg *DataGrid) Get(p *vtime.Proc, client topology.NodeID, name string) ([]b
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNoObject, name)
 	}
-	// A holder still on an older version (down during an overwrite, then
-	// marked up) is not a source: its bytes could only be rejected.
-	reachable := dg.reachable(dg.Holders(name))
-	holders := reachable[:0] // Holders returns a slice of its own
-	for _, h := range reachable {
-		if dg.fresh(meta, h) {
-			holders = append(holders, h)
-		}
-	}
+	holders := dg.sources(meta)
 	if len(holders) == 0 {
 		return nil, fmt.Errorf("%w: %s", ErrNoReplica, name)
 	}
@@ -668,14 +661,14 @@ func (dg *DataGrid) Get(p *vtime.Proc, client topology.NodeID, name string) ([]b
 // AddMember grows the ring by one node and reschedules replication for
 // every object whose placement changed; it reports the number of
 // transfer jobs submitted. Copies left on nodes that fell out of a
-// placement are removed by TrimExcess after the moves settle.
+// placement stay there and keep serving as sources.
 func (dg *DataGrid) AddMember(n topology.NodeID, zone string) int {
 	dg.ring.Add(n, zone)
 	return dg.rebalance()
 }
 
 // RemoveMember shrinks the ring (the node's stored copies survive as
-// sources until TrimExcess) and reschedules replication.
+// sources) and reschedules replication.
 func (dg *DataGrid) RemoveMember(n topology.NodeID) int {
 	dg.ring.Remove(n)
 	return dg.rebalance()
@@ -693,30 +686,6 @@ func (dg *DataGrid) rebalance() int {
 		meta := dg.catalog[name]
 		meta.Targets = dg.ring.Place(name, dg.cfg.Replicas)
 		n += dg.repairObject(meta)
-	}
-	return n
-}
-
-// TrimExcess drops copies held by nodes outside an object's current
-// placement (run after WaitSettled to finish a rebalance). Durable
-// engines tombstone the dropped needles, charging their write cost to
-// the calling proc.
-func (dg *DataGrid) TrimExcess(p *vtime.Proc) int {
-	n := 0
-	for _, name := range dg.Objects() {
-		meta := dg.catalog[name]
-		target := make(map[topology.NodeID]bool, len(meta.Targets))
-		for _, t := range meta.Targets {
-			target[t] = true
-		}
-		for _, h := range dg.Holders(name) {
-			// An unreachable holder can't serve the delete; its stale
-			// copy is trimmed on a later pass, after it is marked up.
-			if !target[h] && !dg.NodeDown(h) {
-				dg.engines[h].Delete(p, name)
-				n++
-			}
-		}
 	}
 	return n
 }
@@ -745,16 +714,6 @@ func (dg *DataGrid) fresh(meta *ObjectMeta, n topology.NodeID) bool {
 	return ok && sum == meta.Sum && size == meta.Size
 }
 
-// freshCopy returns node n's copy of an object if the node holds the
-// catalogued version (see fresh).
-func (dg *DataGrid) freshCopy(meta *ObjectMeta, n topology.NodeID) ([]byte, bool) {
-	data, ok := dg.ObjectOn(n, meta.Name)
-	if !ok || !dg.fresh(meta, n) {
-		return nil, false
-	}
-	return data, true
-}
-
 // quarantineRotten is the sender's half of a receiver's reject: a wire
 // or injected fault (retry), or src's stored bytes no longer match their
 // recorded digest. One hash of the sent view decides (failure path, no
@@ -772,24 +731,6 @@ func (dg *DataGrid) quarantineRotten(p *vtime.Proc, src topology.NodeID, name st
 	eng.Quarantine(p, name)
 	dg.onQuarantine(p, src, name)
 	return true
-}
-
-// freshHolder picks the up-to-date holder nearest to dst, excluding
-// dst itself.
-func (dg *DataGrid) freshHolder(meta *ObjectMeta, dst topology.NodeID) (topology.NodeID, bool) {
-	var fresh []topology.NodeID
-	for _, h := range dg.Holders(meta.Name) {
-		if h == dst || dg.NodeDown(h) {
-			continue
-		}
-		if _, ok := dg.freshCopy(meta, h); ok {
-			fresh = append(fresh, h)
-		}
-	}
-	if len(fresh) == 0 {
-		return 0, false
-	}
-	return dg.nearest(dst, fresh), true
 }
 
 // VerifyReplicas checks that every placement target holds a copy and
@@ -843,24 +784,6 @@ func (dg *DataGrid) runTransfer(p *vtime.Proc, src, dst topology.NodeID, name st
 	dg.tel.Note("datagrid", "transfer failed", int(src), int64(dst), 0)
 	dg.tel.DumpFlight("datagrid transfer failed: " + name)
 	return nil, fmt.Errorf("%w: %v", ErrJobFailed, lastErr)
-}
-
-// nearest returns the candidate with the cheapest path class from n
-// (ties broken by candidate order, which is placement order).
-func (dg *DataGrid) nearest(n topology.NodeID, cands []topology.NodeID) topology.NodeID {
-	best := cands[0]
-	bestCls := selector.PathLossy + 1
-	for _, c := range cands {
-		cls, err := selector.Classify(dg.topo, n, c)
-		if err != nil {
-			continue
-		}
-		if cls < bestCls {
-			bestCls = cls
-			best = c
-		}
-	}
-	return best
 }
 
 func (dg *DataGrid) classes(n topology.NodeID, cands []topology.NodeID) map[topology.NodeID]selector.PathClass {

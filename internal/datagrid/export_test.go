@@ -20,3 +20,8 @@ func (dg *DataGrid) HashedBytes() int64 {
 func (dg *DataGrid) RunTransfer(p *vtime.Proc, src, dst topology.NodeID, name string, data []byte, sum [32]byte) ([]byte, error) {
 	return dg.runTransfer(p, src, dst, name, data, sum)
 }
+
+// AdoptCatalog hands dg the replica catalog of from: what a grid
+// reopened over from's bundles would know if it kept its catalog
+// durably too (the datagrid keeps it in memory only).
+func (dg *DataGrid) AdoptCatalog(from *DataGrid) { dg.catalog = from.catalog }

@@ -79,17 +79,7 @@ func (dg *DataGrid) RepairNow(p *vtime.Proc) int {
 // its weather-ranked best source — or all of them from one
 // hierarchical multicast when the tree saves WAN crossings.
 func (dg *DataGrid) repairObject(meta *ObjectMeta) int {
-	var fresh []topology.NodeID
-	freshAt := make(map[topology.NodeID]bool)
-	for _, h := range dg.Holders(meta.Name) {
-		if dg.NodeDown(h) {
-			continue // an unreachable copy cannot serve as a source
-		}
-		if _, ok := dg.freshCopy(meta, h); ok {
-			fresh = append(fresh, h)
-			freshAt[h] = true
-		}
-	}
+	fresh := dg.sources(meta)
 	if len(fresh) == 0 {
 		// No reachable fresh copy anywhere: the object is lost — or cut
 		// off behind a partition. Scream — this is the condition the
@@ -105,15 +95,16 @@ func (dg *DataGrid) repairObject(meta *ObjectMeta) int {
 		return 0
 	}
 	delete(dg.lost, meta.Name)
+	freshAt := make(map[topology.NodeID]bool, len(fresh))
+	for _, h := range fresh {
+		freshAt[h] = true
+	}
 	var missing []topology.NodeID
-	for _, t := range meta.Targets {
+	for _, t := range dg.live(meta.Targets) {
 		// An unreachable target can't take a copy; a target already
 		// being served — put replication still in flight, or a repair
 		// from an earlier pass — is not missing: re-submitting would
 		// move the same bytes twice.
-		if dg.NodeDown(t) {
-			continue
-		}
 		if !freshAt[t] && !dg.sched.inflightTo(meta.Name, t) {
 			missing = append(missing, t)
 		}
@@ -143,18 +134,7 @@ func (dg *DataGrid) repairObject(meta *ObjectMeta) int {
 func (dg *DataGrid) LostObjects() []string {
 	var out []string
 	for _, name := range dg.Objects() {
-		meta := dg.catalog[name]
-		lost := true
-		for _, h := range dg.Holders(name) {
-			if dg.NodeDown(h) {
-				continue
-			}
-			if _, ok := dg.freshCopy(meta, h); ok {
-				lost = false
-				break
-			}
-		}
-		if lost {
+		if len(dg.sources(dg.catalog[name])) == 0 {
 			out = append(out, name)
 		}
 	}

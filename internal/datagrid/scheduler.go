@@ -138,15 +138,14 @@ func (s *scheduler) run(p *vtime.Proc, j *job) {
 		dg.tel.Note("datagrid", "job dropped: destination down", int(j.dst), 0, 0)
 		return
 	}
-	if _, ok := dg.freshCopy(meta, j.dst); ok {
+	if dg.fresh(meta, j.dst) {
 		return // destination already converged (duplicate submission)
 	}
 	for {
-		data, ok := s.source(j, meta, j.dst)
-		if !ok {
+		if !s.source(j, meta, j.dst) {
 			return
 		}
-		dg.EngineOn(j.src).Read(p, j.name) // charge the source engine's read
+		data, _ := dg.EngineOn(j.src).Read(p, j.name) // a cold source pays its disk read
 		got, err := dg.runTransfer(p, j.src, j.dst, j.name, data, meta.Sum)
 		if errors.Is(err, errRotten) {
 			continue // the source was quarantined: pick another holder
@@ -161,23 +160,28 @@ func (s *scheduler) run(p *vtime.Proc, j *job) {
 	}
 }
 
-// source returns the bytes a job will send, moving j.src to the fresh
-// holder nearest dst when the submitted one cannot serve (the job may
-// have queued behind a membership change, a newer version, a source
-// crash or a quarantine); any other copy could only be rejected.
-func (s *scheduler) source(j *job, meta *ObjectMeta, dst topology.NodeID) ([]byte, bool) {
+// source makes sure j.src can serve the job, moving it to the source
+// best ranked for dst when the submitted one cannot (the job may have
+// queued behind a membership change, a newer version, a source crash
+// or a quarantine); any other copy could only be rejected.
+func (s *scheduler) source(j *job, meta *ObjectMeta, dst topology.NodeID) bool {
 	dg := s.dg
-	if data, ok := dg.freshCopy(meta, j.src); ok && !dg.NodeDown(j.src) {
-		return data, true
+	var others []topology.NodeID
+	for _, h := range dg.sources(meta) {
+		if h == j.src {
+			return true
+		}
+		if h != dst {
+			others = append(others, h)
+		}
 	}
-	src, found := dg.freshHolder(meta, dst)
-	if !found {
+	if len(others) == 0 {
 		s.fail(fmt.Errorf("%w: %s has no up-to-date source", ErrNoReplica, j.name))
 		atomic.AddInt64(&dg.stats.Failures, 1)
-		return nil, false
+		return false
 	}
-	j.src = src
-	return dg.freshCopy(meta, src)
+	j.src = dg.rankSources(dst, others, false)[0]
+	return true
 }
 
 // runGroup serves one multi-target replication job with hierarchical
@@ -186,20 +190,17 @@ func (s *scheduler) source(j *job, meta *ObjectMeta, dst topology.NodeID) ([]byt
 // they verify, so a partially failed attempt still makes progress.
 func (s *scheduler) runGroup(p *vtime.Proc, j *job, meta *ObjectMeta) {
 	dg := s.dg
+	// A down destination is left to the repair loop, like any other.
 	remaining := make([]topology.NodeID, 0, len(j.dsts))
-	for _, t := range j.dsts {
-		if dg.NodeDown(t) {
-			continue // left to the repair loop, like any down destination
-		}
-		if _, ok := dg.freshCopy(meta, t); !ok {
+	for _, t := range dg.live(j.dsts) {
+		if !dg.fresh(meta, t) {
 			remaining = append(remaining, t)
 		}
 	}
 	if len(remaining) == 0 {
 		return // every destination already converged (or died in queue)
 	}
-	data, ok := s.source(j, meta, remaining[0])
-	if !ok {
+	if !s.source(j, meta, remaining[0]) {
 		return
 	}
 	// Only the submitted full placement set lives in the long-lived
@@ -227,7 +228,7 @@ func (s *scheduler) runGroup(p *vtime.Proc, j *job, meta *ObjectMeta) {
 		return
 	}
 	atomic.AddInt64(&dg.stats.Jobs, 1)
-	dg.EngineOn(j.src).Read(p, j.name)             // charge the source engine's read
+	data, _ := dg.EngineOn(j.src).Read(p, j.name)  // a cold source pays its disk read
 	p.Consume(model.MemcpyPerByte.Cost(len(data))) // checksum pass over the payload
 	var lastErr error
 	for attempt := 1; attempt <= maxRetries; attempt++ {
@@ -253,7 +254,7 @@ func (s *scheduler) runGroup(p *vtime.Proc, j *job, meta *ObjectMeta) {
 		}
 		next := remaining[:0]
 		for _, t := range remaining {
-			if _, ok := dg.freshCopy(meta, t); !ok {
+			if !dg.fresh(meta, t) {
 				next = append(next, t)
 			}
 		}

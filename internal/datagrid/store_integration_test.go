@@ -9,6 +9,7 @@ import (
 
 	"padico/internal/datagrid"
 	"padico/internal/grid"
+	"padico/internal/model"
 	"padico/internal/store"
 	"padico/internal/topology"
 	"padico/internal/vtime"
@@ -132,6 +133,85 @@ func TestDeleteSurvivesPackReopen(t *testing.T) {
 		if !present[h] {
 			t.Fatalf("holder %d lost the surviving object across reopen (present on %v)", h, present)
 		}
+	}
+}
+
+// TestFreshnessChecksStayOffThePlatter reopens a pack-backed grid over
+// its bundles, so every payload is cold. Deciding who is fresh is an
+// index question: a repair scan and a lost-object scan over a fully
+// replicated catalog load no payload. A repair from a cold source pays
+// the disk read its job does: the same repair from the then warm
+// source settles faster by exactly one seek plus one streaming read.
+func TestFreshnessChecksStayOffThePlatter(t *testing.T) {
+	const size = 256 << 10
+	root := t.TempDir()
+	g := grid.Cluster(4)
+	dg := g.NewPackDataGrid(root, store.PackConfig{}, datagrid.Config{Replicas: 2})
+	if err := g.K.Run(func(p *vtime.Proc) {
+		for i := 0; i < 4; i++ {
+			if err := dg.Put(p, 0, fmt.Sprintf("c%d", i), payload(int64(40+i), size)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		dg.WaitSettled(p)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := dg.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	g2 := grid.Cluster(4)
+	dg2 := g2.NewPackDataGrid(root, store.PackConfig{}, datagrid.Config{Replicas: 2})
+	dg2.AdoptCatalog(dg)
+	engines := make([]store.Engine, 4)
+	for n := range engines {
+		engines[n] = dg2.EngineOn(topology.NodeID(n))
+	}
+	coldLoads := func() (n int64) {
+		for _, e := range engines {
+			n += e.(*store.Pack).Stats().ColdLoads
+		}
+		return n
+	}
+	meta, _ := dg2.Meta("c0")
+	src, dst := meta.Targets[0], meta.Targets[1]
+	if err := g2.K.Run(func(p *vtime.Proc) {
+		if n := dg2.RepairNow(p); n != 0 {
+			t.Fatalf("repair scan of a fully replicated catalog scheduled %d jobs", n)
+		}
+		if lost := dg2.LostObjects(); len(lost) != 0 {
+			t.Fatalf("lost objects after reopen: %v", lost)
+		}
+		if n := coldLoads(); n != 0 {
+			t.Fatalf("freshness scans cold-loaded %d payloads", n)
+		}
+		repair := func() time.Duration {
+			engines[dst].Delete(p, "c0")
+			p.Sleep(time.Second) // past the fsync budget of the tombstone
+			t0 := g2.K.Now()
+			if n := dg2.RepairNow(p); n != 1 {
+				t.Fatalf("repair scheduled %d jobs, want 1", n)
+			}
+			dg2.WaitSettled(p)
+			if err := dg2.VerifyReplicas("c0"); err != nil {
+				t.Fatal(err)
+			}
+			p.Sleep(time.Second)
+			return g2.K.Now().Sub(t0) - time.Second
+		}
+		cold := repair()
+		if n := engines[src].(*store.Pack).Stats().ColdLoads; n != 1 {
+			t.Fatalf("source cold loads = %d, want 1", n)
+		}
+		warm := repair()
+		want := model.DiskSeekCost + model.DiskReadPerByte.Cost(size)
+		if cold-warm != want {
+			t.Fatalf("repair from a cold source took %v, from a warm one %v: "+
+				"difference %v, want the disk read %v", cold, warm, cold-warm, want)
+		}
+	}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -11,10 +11,13 @@
 // promptly) plus session.Manager.KillNode (message channels — local
 // pipes, SAN circuits — fail with ErrPeerDown); a partition is
 // netsim.Hop.SetDown on the named core hops, which the weather service
-// observes through its probes and the selector heals around. Layers
-// that keep membership (group trees, the datagrid ring) subscribe to
-// the detector, not the injector, so their reaction pays the same
-// detection delay a real deployment would.
+// observes through its probes and the selector heals around.
+//
+// Liveness has two holders. The injector keeps the ground truth (Down,
+// DownNodes); the datagrid keeps the detected view, fed by a Detector
+// (DataGrid.NodeStateChanged), so its reaction pays the same detection
+// delay a real deployment would. Groups keep none: a group's members
+// are the list its creator passes.
 package faults
 
 import (
@@ -42,7 +45,6 @@ type Injector struct {
 	// subset whose hosts are dead for good (power loss, not partition).
 	down    map[topology.NodeID]bool
 	crashed map[topology.NodeID]bool
-	subs    []Listener
 }
 
 // NewInjector binds an injector to a testbed. Attach telemetry
@@ -57,11 +59,6 @@ func NewInjector(g *grid.Grid) *Injector {
 	}
 }
 
-// Subscribe registers a listener for liveness transitions; listeners
-// fire in registration order, at the instant the fault is injected
-// (the oracle view — use a Detector for the delayed, realistic view).
-func (in *Injector) Subscribe(fn Listener) { in.subs = append(in.subs, fn) }
-
 // Down reports whether a node is currently unreachable.
 func (in *Injector) Down(n topology.NodeID) bool { return in.down[n] }
 
@@ -75,18 +72,12 @@ func (in *Injector) DownNodes() []topology.NodeID {
 	return out
 }
 
-// transition flips one node's liveness and notifies subscribers.
+// transition flips one node's liveness.
 func (in *Injector) transition(n topology.NodeID, down bool) {
-	if in.down[n] == down {
-		return
-	}
 	if down {
 		in.down[n] = true
 	} else {
 		delete(in.down, n)
-	}
-	for _, fn := range in.subs {
-		fn(n, down)
 	}
 }
 
@@ -173,7 +164,7 @@ func (in *Injector) HealCores(cores ...string) {
 
 // PartitionSite cuts a whole site off: its WAN cores (named by the
 // caller, e.g. "core:vthd:site0+site1") go down and its nodes are
-// declared unreachable to subscribers. HealSite reverses it — unlike a
+// declared unreachable (Down). HealSite reverses it — unlike a
 // crash, the site's hosts and their stored state survive.
 func (in *Injector) PartitionSite(site string, cores ...string) {
 	in.tel.Note("faults", "site partitioned: "+site, -1, int64(len(cores)), 0)
@@ -204,11 +195,11 @@ func (in *Injector) ScheduleCrash(at vtime.Time, n topology.NodeID) {
 // Detector: the observer side.
 
 // Detector turns the injector's ground truth into detected transitions
-// after a sweep interval — the failure-detection latency. Membership
-// layers (datagrid ring, group trees) subscribe here so their healing
-// starts when a real monitor would have noticed, not at the fault
-// instant itself. Sweeps and transition callbacks run on one daemon
-// proc in node-id order, so reactions are deterministic.
+// after a sweep interval — the failure-detection latency. The datagrid
+// (down-set and ring) listens here, so its healing starts when a real
+// monitor would have noticed, not at the fault instant itself. Sweeps
+// and transition callbacks run on one daemon proc in node-id order, so
+// reactions are deterministic.
 type Detector struct {
 	in       *Injector
 	interval time.Duration

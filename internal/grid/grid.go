@@ -402,13 +402,14 @@ func (g *Grid) wireCrossSite(wan *topology.Network, access, path string, seed in
 	}
 }
 
-// buildRuntimes creates a Runtime per node with SysIO and the
-// standard VLink drivers (sysio, loopback; madio is added per SAN).
+// buildRuntimes creates a Runtime per node with SysIO and the sysio
+// VLink driver (madio is added per SAN). Same-node pairs never reach a
+// VLink: the selector answers "loopback" and the session layer opens a
+// local pipe.
 func (g *Grid) buildRuntimes() {
 	for _, node := range g.Topo.Nodes() {
 		rt := NewRuntime(g.K, node, g.Stack.Host(node.ID))
 		rt.VLink.AddDriver(vlink.NewSysIODriver(g.K, rt.Host, rt.Sys))
-		rt.VLink.AddDriver(vlink.NewLoopbackDriver(g.K, node.ID))
 		g.RT = append(g.RT, rt)
 	}
 }
@@ -526,8 +527,6 @@ func (g *Grid) buildDriverStack(rt *Runtime, dec selector.Decision) (vlink.Drive
 	case "sysio", "vrp": // vrp has a message API; its stream adapter uses sysio for now
 		d, err = rt.VLink.Driver("sysio")
 		d = pinNetwork(d, dec)
-	case "loopback":
-		d, err = rt.VLink.Driver("loopback")
 	case "pstreams":
 		var inner vlink.Driver
 		inner, err = rt.VLink.Driver("sysio")

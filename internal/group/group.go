@@ -21,6 +21,11 @@
 // — the session layer's SAN substrate is a per-pair circuit serialized
 // by a semaphore, and holding it between operations would starve every
 // other session on that pair.
+//
+// A group keeps no liveness view. Its membership is the member list
+// passed to New; an operation through a dead member fails on its
+// edges, and the caller retries over a new group of the survivors (the
+// datagrid's fan-out retries do exactly that).
 package group
 
 import (
@@ -50,9 +55,6 @@ var (
 	// ErrEdgeFailed reports a tree edge that died or timed out
 	// mid-operation; cached edges are reset, so a retry re-provisions.
 	ErrEdgeFailed = errors.New("group: tree edge failed or timed out")
-	// ErrMemberDown reports an operation rooted at a member the failure
-	// detector declared crashed.
-	ErrMemberDown = errors.New("group: member is down")
 )
 
 // MulticastError reports members whose delivery failed end-to-end
@@ -134,14 +136,10 @@ type Group struct {
 	closedWAN int64                                // WAN bytes of edges already reset
 	sems      map[topology.NodeID]*vtime.Semaphore // per-tree serialization
 	// dirty marks tree roots whose cached tree must be rebuilt (a
-	// wide-area edge's forecast crossed the degraded threshold, or the
-	// membership changed). The flag is consumed lazily at the next Tree
-	// call — never while an operation is running on that tree.
+	// wide-area edge's forecast crossed the degraded threshold). The
+	// flag is consumed lazily at the next Tree call — never while an
+	// operation is running on that tree.
 	dirty map[topology.NodeID]bool
-	// dead marks members the failure detector declared crashed: trees
-	// are built over the survivors only, so the next operation re-elects
-	// site leaders and routes around the body.
-	dead map[topology.NodeID]bool
 
 	stats  Stats
 	hashed int64 // see hash; read through HashedBytes, not a registry metric
@@ -161,18 +159,7 @@ func (g *Group) hash(b []byte) [32]byte {
 func (g *Group) HashedBytes() int64 { return g.hashed }
 
 // Stats returns a consistent copy of the group's counters.
-func (g *Group) Stats() Stats {
-	return Stats{
-		Multicasts:   atomic.LoadInt64(&g.stats.Multicasts),
-		Reduces:      atomic.LoadInt64(&g.stats.Reduces),
-		Barriers:     atomic.LoadInt64(&g.stats.Barriers),
-		Gathers:      atomic.LoadInt64(&g.stats.Gathers),
-		EdgesOpened:  atomic.LoadInt64(&g.stats.EdgesOpened),
-		EdgeReuses:   atomic.LoadInt64(&g.stats.EdgeReuses),
-		Failures:     atomic.LoadInt64(&g.stats.Failures),
-		TreeRebuilds: atomic.LoadInt64(&g.stats.TreeRebuilds),
-	}
-}
+func (g *Group) Stats() Stats { return telemetry.Load(&g.stats) }
 
 // New forms a group over the given members (deduplicated and sorted;
 // order does not matter). Tree construction and channel provisioning
@@ -196,7 +183,6 @@ func New(k *vtime.Kernel, topo *topology.Grid, mgr *session.Manager, members []t
 		edges:   make(map[[3]topology.NodeID]session.Channel),
 		sems:    make(map[topology.NodeID]*vtime.Semaphore),
 		dirty:   make(map[topology.NodeID]bool),
-		dead:    make(map[topology.NodeID]bool),
 	}
 	if h := telemetry.For(k); h != nil {
 		g.tel = h
@@ -243,46 +229,6 @@ func (g *Group) noteWeather(a, b topology.NodeID) {
 	}
 }
 
-// MarkDead records that a member crashed (kernel-context safe: flags
-// only, no virtual-time side effects). Every cached tree is marked for
-// rebuild — the dead node may sit anywhere in a tree, including a
-// site-leader slot — so the next operation re-elects leaders among the
-// survivors. An operation already in flight fails fast through its
-// edges' peer-death errors and succeeds on retry over the new tree.
-func (g *Group) MarkDead(n topology.NodeID) {
-	if !g.isMember(n) || g.dead[n] {
-		return
-	}
-	g.dead[n] = true
-	g.dirtyAll()
-	g.tel.Note("group", "member dead", int(n), int64(len(g.Alive())), 0)
-	if g.tel.Tracing() {
-		g.tel.Instant("group", "member_dead", int(n)).End()
-	}
-}
-
-// dirtyAll flags every cached tree for lazy rebuild.
-func (g *Group) dirtyAll() {
-	for root := range g.trees {
-		g.dirty[root] = true
-	}
-}
-
-// Alive returns the members not marked dead — the full (shared) member
-// slice when none are, so fault-free runs take the exact same path.
-func (g *Group) Alive() []topology.NodeID {
-	if len(g.dead) == 0 {
-		return g.members
-	}
-	out := make([]topology.NodeID, 0, len(g.members))
-	for _, m := range g.members {
-		if !g.dead[m] {
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
 // lockTree serializes operations per tree root; the semaphore is the
 // only lock an operation holds while it queues on the session layer's
 // SAN pair circuits, and it is always taken first.
@@ -319,9 +265,6 @@ func (g *Group) Tree(root topology.NodeID) (*Tree, error) {
 	if !g.isMember(root) {
 		return nil, fmt.Errorf("%w: node %d", ErrNotMember, root)
 	}
-	if g.dead[root] {
-		return nil, fmt.Errorf("%w: node %d", ErrMemberDown, root)
-	}
 	if g.dirty[root] {
 		sem, held := g.sems[root], false
 		if sem != nil && !sem.TryAcquire() {
@@ -344,7 +287,7 @@ func (g *Group) Tree(root topology.NodeID) (*Tree, error) {
 	if t, ok := g.trees[root]; ok {
 		return t, nil
 	}
-	t, err := buildTree(g.topo, g.Alive(), root)
+	t, err := buildTree(g.topo, g.members, root)
 	if err != nil {
 		return nil, err
 	}
@@ -879,11 +822,7 @@ const (
 // the third traversal guarantees no message is still in flight when
 // the per-operation SAN circuits are torn down.
 func (g *Group) Barrier(p *vtime.Proc) error {
-	alive := g.Alive()
-	if len(alive) == 0 {
-		return ErrNoMembers
-	}
-	root := alive[0]
+	root := g.members[0]
 	sp := g.tel.Begin("group", "barrier", int(root)).I64("members", int64(len(g.members)))
 	t0 := g.k.Now()
 	defer func() { g.hOp.Observe(g.k.Now().Sub(t0)); sp.End() }()

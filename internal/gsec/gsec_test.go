@@ -19,7 +19,7 @@ import (
 
 func endpoint(k *vtime.Kernel, key string) *vlink.Endpoint {
 	ep := vlink.NewEndpoint(topology.NodeID(0))
-	ep.AddDriver(gsec.New(k, vlink.NewLoopbackDriver(k, 0),
+	ep.AddDriver(gsec.New(k, vlinktest.NewLoopbackDriver(k, 0),
 		gsec.Credential{ID: "test-ca", Key: []byte(key)}))
 	return ep
 }
@@ -73,7 +73,7 @@ func TestWrongKeyRefused(t *testing.T) {
 	// Two drivers with different PSKs on the same node: the dialer must
 	// be rejected by the acceptor's verification.
 	good := vlink.NewEndpoint(topology.NodeID(0))
-	inner := vlink.NewLoopbackDriver(k, 0)
+	inner := vlinktest.NewLoopbackDriver(k, 0)
 	good.AddDriver(gsec.New(k, inner, gsec.Credential{ID: "ca", Key: []byte("right-key")}))
 	evilDrv := gsec.New(k, inner, gsec.Credential{ID: "ca", Key: []byte("wrong-key")})
 	evil := vlink.NewEndpoint(topology.NodeID(0))
@@ -179,7 +179,7 @@ func TestRecordLayerUnderFragmentation(t *testing.T) {
 			t.Run(fmt.Sprintf("read%d/seed%d", maxRead, seed), func(t *testing.T) {
 				rnd := rand.New(rand.NewSource(seed))
 				k := vtime.NewKernel()
-				hostile := &vlinktest.Driver{Inner: vlink.NewLoopbackDriver(k, 0), K: k, Rand: rnd,
+				hostile := &vlinktest.Driver{Inner: vlinktest.NewLoopbackDriver(k, 0), K: k, Rand: rnd,
 					MaxRead: maxRead, MaxDelay: 50 * time.Microsecond}
 				sizes := []int{rnd.Intn(9000) + 1, 0, rnd.Intn(70000) + 1, 1, rnd.Intn(300)}
 				var sent, got []byte
@@ -239,7 +239,7 @@ func TestBadMACFailsTheConnection(t *testing.T) {
 	hello := 2 + len("test-ca") + 16 + 16
 	flip := int64(hello + (4 + rec + 16) + 4 + rec/2) // mid-ciphertext of record 2
 	k := vtime.NewKernel()
-	hostile := &vlinktest.Driver{Inner: vlink.NewLoopbackDriver(k, 0), K: k,
+	hostile := &vlinktest.Driver{Inner: vlinktest.NewLoopbackDriver(k, 0), K: k,
 		Rand: rand.New(rand.NewSource(3)), MaxRead: 700, MaxDelay: time.Microsecond,
 		Mangle: func(accepted bool, _ int, off int64, p []byte) {
 			if accepted && off <= flip && flip < off+int64(len(p)) {

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"sync/atomic"
 	"time"
 
 	"padico/internal/iovec"
@@ -92,11 +93,17 @@ type Stack struct {
 	// observation, free-riding on whatever traffic already flows.
 	srtt map[[2]topology.NodeID]time.Duration
 
+	stats Stats
 	// Telemetry handles, nil (free no-ops) until SetTelemetry.
-	tel         *telemetry.Hub
-	mRetransmit *telemetry.Counter
-	mSegsSent   *telemetry.Counter
-	hRTT        *telemetry.Histogram
+	tel  *telemetry.Hub
+	hRTT *telemetry.Histogram
+}
+
+// Stats counts the stack's TCP activity, all hosts together; bound
+// into the telemetry registry under "ipstack." by SetTelemetry.
+type Stats struct {
+	TCPSegsSent    int64
+	TCPRetransmits int64
 }
 
 // New creates an empty stack on the kernel.
@@ -115,9 +122,11 @@ func (s *Stack) SetTelemetry(h *telemetry.Hub) {
 		return
 	}
 	s.tel = h
+	// The hub counts from its attach on, like iovec.pool_gets: traffic
+	// the stack carried before is not in its registry.
+	s.stats = Stats{}
 	reg := h.Registry()
-	s.mRetransmit = reg.Counter("ipstack.tcp_retransmits")
-	s.mSegsSent = reg.Counter("ipstack.tcp_segs_sent")
+	reg.BindStruct("ipstack", &s.stats)
 	s.hRTT = reg.Histogram("ipstack.rtt")
 }
 
@@ -705,7 +714,7 @@ func (c *TCPConn) rcvWnd() int {
 // by the receiving host after processing, or by the fabric on a drop.
 func (c *TCPConn) sendSeg(sg tcpSeg, off, n int64) {
 	c.SegsSent++
-	c.host.stack.mSegsSent.Inc()
+	atomic.AddInt64(&c.host.stack.stats.TCPSegsSent, 1)
 	if n > 0 && c.host.stack.tel.Tracing() {
 		// Payload segments inherit the ambient request context, so the
 		// lowest wire events still hang off the originating request root.
@@ -960,7 +969,7 @@ func (c *TCPConn) onRTO() {
 // trace instant on the sender's lane when tracing is on.
 func (c *TCPConn) noteRetransmit(why string) {
 	s := c.host.stack
-	s.mRetransmit.Inc()
+	atomic.AddInt64(&s.stats.TCPRetransmits, 1)
 	if s.tel.Tracing() {
 		s.tel.Instant("ipstack", "tcp.retransmit", int(c.host.id)).
 			Str("why", why).

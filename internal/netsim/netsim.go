@@ -439,36 +439,3 @@ func (p *Path) Drops() int64 {
 	}
 	return d
 }
-
-// ---------------------------------------------------------------------
-// LoopbackFabric: intra-node communication, near-zero latency.
-
-// Loopback is the intra-process fabric.
-type Loopback struct {
-	k     *vtime.Kernel
-	lat   time.Duration
-	ports map[int]DeliverFunc
-	lane  vtime.Lane[delivery]
-}
-
-// NewLoopback builds a loopback fabric with the given (tiny) latency.
-func NewLoopback(k *vtime.Kernel, lat time.Duration) *Loopback {
-	l := &Loopback{k: k, lat: lat, ports: make(map[int]DeliverFunc)}
-	l.lane.Init(k, deliverPkt)
-	return l
-}
-
-// Kind implements Fabric.
-func (l *Loopback) Kind() topology.NetworkKind { return topology.Loopback }
-
-// Attach implements Fabric.
-func (l *Loopback) Attach(addr int, deliver DeliverFunc) { l.ports[addr] = deliver }
-
-// Send implements Fabric.
-func (l *Loopback) Send(pkt *Packet) {
-	deliver, ok := l.ports[pkt.Dst]
-	if !ok {
-		panic(fmt.Sprintf("netsim: loopback send to unattached address %d", pkt.Dst))
-	}
-	l.lane.Push(l.k.Now().Add(l.lat), delivery{deliver: deliver, pkt: pkt})
-}

@@ -322,23 +322,6 @@ func TestPathOutageAndRestore(t *testing.T) {
 	}
 }
 
-func TestLoopback(t *testing.T) {
-	k := vtime.NewKernel()
-	lo := NewLoopback(k, 500*time.Nanosecond)
-	var at vtime.Time
-	lo.Attach(0, func(*Packet) { at = k.Now() })
-	err := k.Run(func(p *vtime.Proc) {
-		lo.Send(&Packet{Dst: 0, Wire: 64})
-		p.Sleep(time.Millisecond)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if at != vtime.Time(500) {
-		t.Fatalf("loopback arrival = %v", at)
-	}
-}
-
 // Property: on a loss-free crossbar, every packet sent is delivered
 // exactly once, in per-source FIFO order.
 func TestQuickCrossbarFIFO(t *testing.T) {

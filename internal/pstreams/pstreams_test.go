@@ -51,7 +51,7 @@ func TestStreamIntegrityUnderFragmentation(t *testing.T) {
 func streamTrial(t *testing.T, maxRead, stripes int, seed int64) {
 	rnd := rand.New(rand.NewSource(seed))
 	k := vtime.NewKernel()
-	hostile := &vlinktest.Driver{Inner: vlink.NewLoopbackDriver(k, 0), K: k, Rand: rnd,
+	hostile := &vlinktest.Driver{Inner: vlinktest.NewLoopbackDriver(k, 0), K: k, Rand: rnd,
 		MaxRead: maxRead, MaxDelay: 50 * time.Microsecond}
 	writes := 1 + rnd.Intn(8)
 	if maxRead < 100 {
@@ -113,7 +113,7 @@ func TestCloseReleasesStashedChunks(t *testing.T) {
 		t.Run(fmt.Sprintf("readPosted=%v", posted), func(t *testing.T) {
 			k := vtime.NewKernel()
 			stuck := false
-			hostile := &vlinktest.Driver{Inner: vlink.NewLoopbackDriver(k, 0), K: k,
+			hostile := &vlinktest.Driver{Inner: vlinktest.NewLoopbackDriver(k, 0), K: k,
 				Rand: rand.New(rand.NewSource(1)), MaxRead: 100, MaxDelay: time.Microsecond,
 				Hold: func(accepted bool, n int) bool { return stuck && accepted && n == 0 }}
 			base := iovec.Outstanding()

@@ -318,20 +318,7 @@ func (m *Manager) Default() selector.QoS { return m.defaults() }
 
 // Stats returns a consistent copy of the manager's counters (each
 // field loaded atomically).
-func (m *Manager) Stats() Stats {
-	return Stats{
-		Opens:          atomic.LoadInt64(&m.stats.Opens),
-		LocalOpens:     atomic.LoadInt64(&m.stats.LocalOpens),
-		CircuitOpens:   atomic.LoadInt64(&m.stats.CircuitOpens),
-		VLinkOpens:     atomic.LoadInt64(&m.stats.VLinkOpens),
-		CircuitsBuilt:  atomic.LoadInt64(&m.stats.CircuitsBuilt),
-		CircuitReuses:  atomic.LoadInt64(&m.stats.CircuitReuses),
-		CircuitsClosed: atomic.LoadInt64(&m.stats.CircuitsClosed),
-		AdaptiveOpens:  atomic.LoadInt64(&m.stats.AdaptiveOpens),
-		Reselects:      atomic.LoadInt64(&m.stats.Reselects),
-		Resumes:        atomic.LoadInt64(&m.stats.Resumes),
-	}
-}
+func (m *Manager) Stats() Stats { return telemetry.Load(&m.stats) }
 
 // SetTelemetry wires the manager into a telemetry hub: the Stats
 // counters join the unified registry under "session.", open latencies

@@ -563,4 +563,4 @@ func (e *Pack) Close() error {
 }
 
 // Stats returns a consistent copy of the engine's counters.
-func (e *Pack) Stats() Stats { return loadStats(&e.stats) }
+func (e *Pack) Stats() Stats { return telemetry.Load(&e.stats) }

@@ -255,21 +255,4 @@ func (m *Memory) Bytes() int64 {
 func (m *Memory) Close() error { return nil }
 
 // Stats returns a consistent copy of the engine's counters.
-func (m *Memory) Stats() Stats { return loadStats(&m.stats) }
-
-func loadStats(s *Stats) Stats {
-	return Stats{
-		Puts:           atomic.LoadInt64(&s.Puts),
-		Reads:          atomic.LoadInt64(&s.Reads),
-		Deletes:        atomic.LoadInt64(&s.Deletes),
-		Verifies:       atomic.LoadInt64(&s.Verifies),
-		Quarantines:    atomic.LoadInt64(&s.Quarantines),
-		NeedlesWritten: atomic.LoadInt64(&s.NeedlesWritten),
-		Tombstones:     atomic.LoadInt64(&s.Tombstones),
-		BundleBytes:    atomic.LoadInt64(&s.BundleBytes),
-		Fsyncs:         atomic.LoadInt64(&s.Fsyncs),
-		BundleRolls:    atomic.LoadInt64(&s.BundleRolls),
-		TornTails:      atomic.LoadInt64(&s.TornTails),
-		ColdLoads:      atomic.LoadInt64(&s.ColdLoads),
-	}
-}
+func (m *Memory) Stats() Stats { return telemetry.Load(&m.stats) }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -81,14 +82,15 @@ func TestHistogramQuantileEdges(t *testing.T) {
 // must format identically.
 func TestFormatSnapshotConcurrent(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("conc.ops")
+	var conc struct{ Ops int64 }
+	r.BindStruct("conc", &conc)
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				c.Inc()
+				atomic.AddInt64(&conc.Ops, 1)
 			}
 		}()
 	}

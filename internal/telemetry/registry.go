@@ -1,11 +1,12 @@
 // Metrics registry: named counters, gauges, and fixed-bucket
 // virtual-time histograms with a deterministic sorted snapshot.
 //
-// The registry is the unification point for the per-layer Stats structs
-// (datagrid, session, group, weather, vrp): each layer keeps its struct
-// of atomically-bumped int64 fields for cheap hot-path accounting and
-// *binds* it into the registry (BindStruct), which walks the fields
-// with reflection only at Snapshot time — registration itself is one
+// A counter is declared once, as an int64 field of a layer's Stats
+// struct (datagrid, session, group, weather, vrp, store, ipstack): the
+// layer bumps it with an atomic add, binds the struct into the registry
+// (BindStruct) and reads it back with Load. A metric over state the
+// layer already keeps is a func (CounterFunc, GaugeFunc). Fields are
+// walked with reflection only at read time — registration itself is one
 // slice append, so attaching telemetry adds no per-operation work and
 // near-zero setup allocations.
 package telemetry
@@ -20,29 +21,6 @@ import (
 
 	"padico/internal/vtime"
 )
-
-// Counter is a monotonically increasing metric. All methods are safe on
-// a nil receiver (disabled telemetry) and safe for concurrent use.
-type Counter struct{ v int64 }
-
-// Add increments the counter by n.
-func (c *Counter) Add(n int64) {
-	if c == nil {
-		return
-	}
-	atomic.AddInt64(&c.v, n)
-}
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Value returns the current count.
-func (c *Counter) Value() int64 {
-	if c == nil {
-		return 0
-	}
-	return atomic.LoadInt64(&c.v)
-}
 
 // defaultBuckets is a 1-2-5 exponential ladder from 1 µs to 100 s —
 // wide enough for NIC-level latencies and WAN-scale transfer times in
@@ -192,12 +170,11 @@ type boundStruct struct {
 	v      reflect.Value // struct value (addressable)
 }
 
-// Registry holds named metrics. Creation methods are idempotent on the
-// name; Snapshot returns every metric sorted by name. All methods are
+// Registry holds named metrics. Histogram is idempotent on the name;
+// Snapshot returns every metric sorted by name. All methods are
 // nil-receiver-safe so layers can instrument unconditionally.
 type Registry struct {
 	mu        sync.Mutex
-	counters  map[string]*Counter
 	hists     map[string]*Histogram
 	funcs     map[string][]func() int64
 	gaugeFns  map[string][]func() int64
@@ -208,27 +185,11 @@ type Registry struct {
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters:  make(map[string]*Counter),
 		hists:     make(map[string]*Histogram),
 		funcs:     make(map[string][]func() int64),
 		gaugeFns:  make(map[string][]func() int64),
 		volatiles: make(map[string]bool),
 	}
-}
-
-// Counter returns the named counter, creating it on first use.
-func (r *Registry) Counter(name string) *Counter {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c := r.counters[name]
-	if c == nil {
-		c = new(Counter)
-		r.counters[name] = c
-	}
-	return c
 }
 
 // Histogram returns the named histogram, creating it with the default
@@ -320,6 +281,73 @@ func (r *Registry) BindStruct(prefix string, s any) {
 	r.bound = append(r.bound, boundStruct{prefix: prefix, v: v.Elem()})
 }
 
+// counterField is one exported int64 field of a Stats struct: its
+// index and metric name ("" for `metric:"-"`).
+type counterField struct {
+	index int
+	name  string
+}
+
+// fieldCache memoizes counterFields per struct type.
+var fieldCache sync.Map // reflect.Type -> []counterField
+
+// counterFields is the one walk over a Stats struct's fields: every
+// exported int64 field, named prefix-less snake_case(field) unless a
+// `metric:"name"` tag overrides it. BindStruct's readers and Load both
+// go through it.
+func counterFields(t reflect.Type) []counterField {
+	if fs, ok := fieldCache.Load(t); ok {
+		return fs.([]counterField)
+	}
+	var fs []counterField
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		if f.Type.Kind() != reflect.Int64 || !f.IsExported() {
+			continue
+		}
+		name := snakeCase(f.Name)
+		if tag, ok := f.Tag.Lookup("metric"); ok {
+			name = tag
+			if tag == "-" {
+				name = ""
+			}
+		}
+		fs = append(fs, counterField{index: i, name: name})
+	}
+	fieldCache.Store(t, fs)
+	return fs
+}
+
+// addr returns the counter field's address inside the addressable
+// struct value v.
+func (f counterField) addr(v reflect.Value) *int64 {
+	return v.Field(f.index).Addr().Interface().(*int64)
+}
+
+// Load returns a copy of *s whose exported int64 fields — tagged
+// `metric:"-"` or not — are each read atomically; other fields read
+// zero. It is the Stats() of every layer that binds a Stats struct.
+func Load[T any](s *T) T {
+	var out T
+	src, dst := reflect.ValueOf(s).Elem(), reflect.ValueOf(&out).Elem()
+	for _, f := range counterFields(src.Type()) {
+		*f.addr(dst) = atomic.LoadInt64(f.addr(src))
+	}
+	return out
+}
+
+// eachBound calls fn with the prefix, metric name and current value of
+// every metric field of every bound struct (r.mu held).
+func (r *Registry) eachBound(fn func(prefix, name string, v int64)) {
+	for _, bs := range r.bound {
+		for _, f := range counterFields(bs.v.Type()) {
+			if f.name != "" {
+				fn(bs.prefix, f.name, atomic.LoadInt64(f.addr(bs.v)))
+			}
+		}
+	}
+}
+
 // snakeCase converts a Go field name to a metric name component:
 // "CircuitOpens" -> "circuit_opens", "WANBytes" -> "wan_bytes".
 func snakeCase(s string) string {
@@ -339,10 +367,10 @@ func snakeCase(s string) string {
 	return b.String()
 }
 
-// Value returns the summed value of the named counter across direct
-// counters, counter funcs and bound-struct fields — the same total the
-// snapshot would report, read for one name (the SLO monitor's tick
-// path). Unknown names read 0.
+// Value returns the summed value of the named counter across counter
+// funcs and bound-struct fields — the same total the snapshot would
+// report, read for one name (the SLO monitor's tick path). Unknown
+// names read 0.
 func (r *Registry) Value(name string) int64 {
 	if r == nil {
 		return 0
@@ -350,35 +378,15 @@ func (r *Registry) Value(name string) int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var sum int64
-	if c := r.counters[name]; c != nil {
-		sum += c.Value()
-	}
 	for _, fn := range r.funcs[name] {
 		sum += fn()
 	}
-	for _, bs := range r.bound {
-		if !strings.HasPrefix(name, bs.prefix) || len(name) <= len(bs.prefix) || name[len(bs.prefix)] != '.' {
-			continue
+	r.eachBound(func(prefix, field string, v int64) {
+		if len(name) == len(prefix)+1+len(field) && name[len(prefix)] == '.' &&
+			strings.HasPrefix(name, prefix) && strings.HasSuffix(name, field) {
+			sum += v
 		}
-		want := name[len(bs.prefix)+1:]
-		t := bs.v.Type()
-		for i := 0; i < t.NumField(); i++ {
-			f := t.Field(i)
-			if f.Type.Kind() != reflect.Int64 || !f.IsExported() {
-				continue
-			}
-			fname := snakeCase(f.Name)
-			if tag, ok := f.Tag.Lookup("metric"); ok {
-				if tag == "-" {
-					continue
-				}
-				fname = tag
-			}
-			if fname == want {
-				sum += atomic.LoadInt64(bs.v.Field(i).Addr().Interface().(*int64))
-			}
-		}
-	}
+	})
 	return sum
 }
 
@@ -393,32 +401,14 @@ func (r *Registry) Snapshot() []Metric {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	sums := make(map[string]int64)
-	for name, c := range r.counters {
-		sums[name] += c.Value()
-	}
 	for name, fns := range r.funcs {
 		for _, fn := range fns {
 			sums[name] += fn()
 		}
 	}
-	for _, bs := range r.bound {
-		t := bs.v.Type()
-		for i := 0; i < t.NumField(); i++ {
-			f := t.Field(i)
-			if f.Type.Kind() != reflect.Int64 || !f.IsExported() {
-				continue
-			}
-			name := snakeCase(f.Name)
-			if tag, ok := f.Tag.Lookup("metric"); ok {
-				if tag == "-" {
-					continue
-				}
-				name = tag
-			}
-			addr := bs.v.Field(i).Addr().Interface().(*int64)
-			sums[bs.prefix+"."+name] += atomic.LoadInt64(addr)
-		}
-	}
+	r.eachBound(func(prefix, name string, v int64) {
+		sums[prefix+"."+name] += v
+	})
 	gaugeSums := make(map[string]int64, len(r.gaugeFns))
 	for name, fns := range r.gaugeFns {
 		for _, fn := range fns {

@@ -43,22 +43,23 @@ func TestSamplerScrapesKinds(t *testing.T) {
 	k := vtime.NewKernel()
 	h := Attach(k)
 	reg := h.Registry()
-	c := reg.Counter("layer.ops")
+	layer := struct{ Ops, Wobbly int64 }{Wobbly: 7}
+	reg.BindStruct("layer", &layer)
 	var depth int64
 	reg.GaugeFunc("layer.depth", func() int64 { return depth })
 	hist := reg.Histogram("layer.lat")
-	reg.Counter("layer.wobbly").Add(7)
 	reg.MarkVolatile("layer.wobbly")
-	reg.Counter("link.busy_ns")
+	var busyNS int64
+	reg.CounterFunc("link.busy_ns", func() int64 { return busyNS })
 
 	sam := h.StartSampler(vtime.Duration(100 * time.Millisecond))
 	err := k.Run(func(p *vtime.Proc) {
 		for i := 0; i < 10; i++ {
-			c.Add(5)
+			atomic.AddInt64(&layer.Ops, 5)
 			depth = int64(i)
 			hist.Observe(vtime.Duration(time.Millisecond))
 			// Half an interval of "serialization" per interval.
-			reg.Counter("link.busy_ns").Add(50e6)
+			busyNS += 50e6
 			p.Sleep(100 * time.Millisecond)
 		}
 	})
@@ -112,7 +113,8 @@ func TestSamplerConcurrentBumps(t *testing.T) {
 	k := vtime.NewKernel()
 	h := Attach(k)
 	reg := h.Registry()
-	c := reg.Counter("hot.ops")
+	var hot struct{ Ops int64 }
+	reg.BindStruct("hot", &hot)
 	var depth int64
 	reg.GaugeFunc("hot.depth", func() int64 { return atomic.LoadInt64(&depth) })
 	hist := reg.Histogram("hot.lat")
@@ -129,7 +131,7 @@ func TestSamplerConcurrentBumps(t *testing.T) {
 				case <-done:
 					return
 				default:
-					c.Inc()
+					atomic.AddInt64(&hot.Ops, 1)
 					atomic.AddInt64(&depth, 1)
 					hist.Observe(vtime.Duration(atomic.AddInt64(&spin, 1) % 1e6))
 				}

@@ -53,8 +53,9 @@ func TestHistogramEmpty(t *testing.T) {
 
 func TestSnapshotSortedAndDeterministic(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("zeta.ops").Add(3)
-	r.Counter("alpha.ops").Add(1)
+	zeta, alpha := struct{ Ops int64 }{3}, struct{ Ops int64 }{1}
+	r.BindStruct("zeta", &zeta)
+	r.BindStruct("alpha", &alpha)
 	r.GaugeFunc("mid.depth", func() int64 { return 7 })
 	r.Histogram("beta.lat").Observe(time.Millisecond)
 	s1 := r.Snapshot()
@@ -95,12 +96,23 @@ func TestBindStruct(t *testing.T) {
 		VLinkTransfers int64 `metric:"vlink_transfers"`
 		Hidden         int64 `metric:"-"`
 		NotAMetric     string
+		unexported     int64
 	}
 	var st stats
 	atomic.AddInt64(&st.Opens, 4)
 	atomic.AddInt64(&st.WANBytes, 1024)
 	atomic.AddInt64(&st.VLinkTransfers, 2)
 	st.Hidden = 99
+	st.NotAMetric = "x"
+	st.unexported = 7
+	// Load copies every exported int64 field, the unbound one too; the
+	// rest read zero.
+	if got, want := Load(&st), (stats{Opens: 4, WANBytes: 1024, VLinkTransfers: 2, Hidden: 99}); got != want {
+		t.Fatalf("Load = %+v, want %+v", got, want)
+	}
+	if n := testing.AllocsPerRun(100, func() { Load(&st) }); n > 1 {
+		t.Errorf("Load allocates %v times, want at most once (its result)", n)
+	}
 	r := NewRegistry()
 	r.BindStruct("session", &st)
 	got := map[string]int64{}
@@ -115,6 +127,12 @@ func TestBindStruct(t *testing.T) {
 		if got[k] != v {
 			t.Errorf("%s = %d, want %d", k, got[k], v)
 		}
+		if r.Value(k) != v {
+			t.Errorf("Value(%s) = %d, want %d", k, r.Value(k), v)
+		}
+	}
+	if r.Value("session.hidden") != 0 || r.Value("session.opensx") != 0 || r.Value("sessionx.opens") != 0 {
+		t.Error("Value matched a name no metric has")
 	}
 	// Second instance under the same prefix aggregates.
 	var st2 stats
@@ -248,7 +266,9 @@ func TestNilSafety(t *testing.T) {
 		t.Error("nil hub must be inert")
 	}
 	var r *Registry
-	r.Counter("x").Inc()
+	if r.Value("x") != 0 {
+		t.Error("nil registry value must be 0")
+	}
 	r.GaugeFunc("x", nil)
 	r.Histogram("x").Observe(1)
 	r.CounterFunc("x", nil)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"time"
 
 	"padico/internal/iovec"
 	"padico/internal/ipstack"
@@ -476,139 +475,4 @@ func (c *madConn) Close() {
 	hdr[9] = c.isDialer()
 	c.d.mio.SendVec(c.peer, c.d.logical, [][]byte{hdr[:]}, iovec.Vec{})
 	c.shut()
-}
-
-// ---------------------------------------------------------------------
-// Loopback driver: intra-node links (§4.2 lists loopback among the
-// VLink drivers).
-
-// LoopbackDriver implements Driver inside one node.
-type LoopbackDriver struct {
-	k     *vtime.Kernel
-	node  topology.NodeID
-	ports map[int]*loopListener
-}
-
-// NewLoopbackDriver builds the loopback driver for one node.
-func NewLoopbackDriver(k *vtime.Kernel, node topology.NodeID) *LoopbackDriver {
-	return &LoopbackDriver{k: k, node: node, ports: make(map[int]*loopListener)}
-}
-
-// Name implements Driver.
-func (d *LoopbackDriver) Name() string { return "loopback" }
-
-// Listen implements Driver.
-func (d *LoopbackDriver) Listen(port int) (Listener, error) {
-	if _, dup := d.ports[port]; dup {
-		return nil, ipstack.ErrPortInUse
-	}
-	l := &loopListener{d: d, port: port}
-	d.ports[port] = l
-	return l, nil
-}
-
-type loopListener struct {
-	d      *LoopbackDriver
-	port   int
-	accept func(Conn)
-}
-
-func (l *loopListener) SetAcceptHandler(fn func(Conn)) { l.accept = fn }
-func (l *loopListener) Close()                         { delete(l.d.ports, l.port) }
-
-// Dial implements Driver.
-func (d *LoopbackDriver) Dial(addr Addr, cb func(Conn, error)) {
-	if addr.Node != d.node {
-		cb(nil, fmt.Errorf("vlink/loopback: %v is not the local node", addr.Node))
-		return
-	}
-	l, ok := d.ports[addr.Port]
-	if !ok || l.accept == nil {
-		cb(nil, ErrRefused)
-		return
-	}
-	a, b := newLoopPair(d)
-	d.k.Schedule(500*time.Nanosecond, func() {
-		l.accept(b)
-		cb(a, nil)
-	})
-}
-
-// loopConn is one end of an in-memory pipe.
-type loopConn struct {
-	d    *LoopbackDriver
-	peer *loopConn
-	rx   []byte
-	eof  bool
-	rbuf []byte
-	rcb  func(int, error)
-}
-
-func newLoopPair(d *LoopbackDriver) (*loopConn, *loopConn) {
-	a := &loopConn{d: d}
-	b := &loopConn{d: d}
-	a.peer, b.peer = b, a
-	return a, b
-}
-
-// Kernel lets VLink charge costs on the right kernel.
-func (c *loopConn) Kernel() *vtime.Kernel { return c.d.k }
-
-// Peer implements Conn.
-func (c *loopConn) Peer() topology.NodeID { return c.d.node }
-
-// PostRead implements Conn.
-func (c *loopConn) PostRead(buf []byte, cb func(int, error)) {
-	if c.rcb != nil {
-		panic("vlink/loopback: overlapping PostRead")
-	}
-	c.rbuf, c.rcb = buf, cb
-	c.tryComplete()
-}
-
-// Fail implements Failer: crash injection on an in-memory pipe simply
-// completes the pending read with the error.
-func (c *loopConn) Fail(err error) {
-	if cb := c.rcb; cb != nil {
-		c.rcb, c.rbuf = nil, nil
-		cb(0, err)
-	}
-}
-
-func (c *loopConn) tryComplete() {
-	if c.rcb == nil || (len(c.rx) == 0 && !c.eof) {
-		return
-	}
-	n := copy(c.rbuf, c.rx)
-	c.rx = c.rx[n:]
-	cb := c.rcb
-	c.rcb, c.rbuf = nil, nil
-	var err error
-	if n == 0 && c.eof {
-		err = io.EOF
-	}
-	cb(n, err)
-}
-
-// PostWritev implements Conn: the bytes are captured into a pooled
-// buffer at post time (the borrow ends when cb fires, which is
-// immediately here) and delivered after the memcpy-scale latency.
-func (c *loopConn) PostWritev(v iovec.Vec, cb func(int, error)) {
-	peer := c.peer
-	buf := v.Flatten()
-	c.d.k.Schedule(200*time.Nanosecond, func() { // memcpy-scale latency
-		peer.rx = append(peer.rx, buf.Bytes()...)
-		buf.Release()
-		peer.tryComplete()
-	})
-	cb(v.Len(), nil)
-}
-
-// Close implements Conn.
-func (c *loopConn) Close() {
-	peer := c.peer
-	c.d.k.Schedule(200*time.Nanosecond, func() {
-		peer.eof = true
-		peer.tryComplete()
-	})
 }

@@ -17,6 +17,7 @@ import (
 	"padico/internal/netsim"
 	"padico/internal/topology"
 	"padico/internal/vlink"
+	"padico/internal/vlink/vlinktest"
 	"padico/internal/vtime"
 )
 
@@ -55,7 +56,7 @@ func newTestbed(t *testing.T) *testbed {
 		ep := vlink.NewEndpoint(node)
 		ep.AddDriver(vlink.NewSysIODriver(k, st.Host(node), sys))
 		ep.AddDriver(vlink.NewMadIODriver(k, node, mio, madioLogical, rankOf, nodeOf))
-		ep.AddDriver(vlink.NewLoopbackDriver(k, node))
+		ep.AddDriver(vlinktest.NewLoopbackDriver(k, node))
 		tb.ep[i], tb.mio[i] = ep, mio
 	}
 	return tb

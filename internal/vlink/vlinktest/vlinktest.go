@@ -1,6 +1,7 @@
 // Package vlinktest is test support for VLink wrapper drivers (pstreams,
-// gsec, adoc): a Driver decorator that makes an in-memory inner
-// connection behave like a hostile network path. Inner reads are cut to
+// gsec, adoc): LoopbackDriver, the in-memory inner connection they stack
+// on, and a Driver decorator that makes such a connection behave like a
+// hostile network path. Inner reads are cut to
 // random sizes, so every header and body of the wrapper's framing splits
 // at every offset; they are posted after random delays, so the stripes
 // of one link progress at different paces and deliver out of order; one

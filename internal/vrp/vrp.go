@@ -70,14 +70,7 @@ type Conn struct {
 }
 
 // Stats returns a consistent copy of the connection's counters.
-func (c *Conn) Stats() Stats {
-	return Stats{
-		Sent:          atomic.LoadInt64(&c.stats.Sent),
-		Delivered:     atomic.LoadInt64(&c.stats.Delivered),
-		Skipped:       atomic.LoadInt64(&c.stats.Skipped),
-		Retransmitted: atomic.LoadInt64(&c.stats.Retransmitted),
-	}
-}
+func (c *Conn) Stats() Stats { return telemetry.Load(&c.stats) }
 
 // Message is one delivered datagram. Seq gaps indicate tolerated
 // losses.

@@ -138,16 +138,7 @@ type Service struct {
 }
 
 // Stats returns a consistent copy of the service's counters.
-func (s *Service) Stats() Stats {
-	return Stats{
-		Pings:            atomic.LoadInt64(&s.stats.Pings),
-		ProbeFailures:    atomic.LoadInt64(&s.stats.ProbeFailures),
-		BandwidthProbes:  atomic.LoadInt64(&s.stats.BandwidthProbes),
-		PassiveBandwidth: atomic.LoadInt64(&s.stats.PassiveBandwidth),
-		PassiveRTT:       atomic.LoadInt64(&s.stats.PassiveRTT),
-		Publishes:        atomic.LoadInt64(&s.stats.Publishes),
-	}
-}
+func (s *Service) Stats() Stats { return telemetry.Load(&s.stats) }
 
 // New builds a weather service over a testbed's session manager. The
 // stack, when non-nil, is swept for passive TCP RTT estimates. Call
