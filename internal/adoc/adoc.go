@@ -12,7 +12,7 @@ package adoc
 import (
 	"bytes"
 	"compress/flate"
-	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 
@@ -25,6 +25,10 @@ import (
 
 // ChunkSize bounds the unit of compression.
 const ChunkSize = 32 << 10
+
+// ErrCorrupt ends every read on a connection that received a frame that
+// does not decode.
+var ErrCorrupt = errors.New("adoc: corrupt frame")
 
 // Driver decorates an inner VLink driver with adaptive compression.
 type Driver struct {
@@ -106,6 +110,7 @@ type conn struct {
 	fp   iovec.Fifo
 	rx   iovec.Fifo
 	eof  bool
+	err  error // ErrCorrupt once a frame failed to decode
 	rbuf []byte
 	rcb  func(int, error)
 }
@@ -171,18 +176,8 @@ func (c *conn) PostWritev(v iovec.Vec, cb func(int, error)) {
 			end = total
 		}
 		chunk := contiguous(v, off, end-off, &stage)
-		lvl := c.level()
-		comp, ok := c.deflateChunk(chunk, lvl)
-		if !ok {
-			lvl = 0
-			comp = chunk
-		}
-		frame := iovec.Get(chunkHdrLen + len(comp))
+		frame, lvl := c.frame(chunk)
 		fb := frame.Bytes()
-		fb[0] = byte(lvl)
-		binary.BigEndian.PutUint32(fb[1:], uint32(len(chunk)))
-		binary.BigEndian.PutUint32(fb[5:], uint32(len(comp)))
-		copy(fb[chunkHdrLen:], comp)
 		c.d.BytesIn += int64(len(chunk))
 		c.d.BytesWire += int64(len(fb))
 		c.backlog += len(fb)
@@ -212,6 +207,19 @@ func (c *conn) PostWritev(v iovec.Vec, cb func(int, error)) {
 	}
 }
 
+// frame deflates one chunk at the backlog's level (or, when that does
+// not shrink it, copies it verbatim at level 0) into a pooled wire frame.
+func (c *conn) frame(chunk []byte) (*iovec.Buf, int) {
+	lvl := c.level()
+	comp, ok := c.deflateChunk(chunk, lvl)
+	if !ok {
+		lvl, comp = 0, chunk
+	}
+	frame := iovec.Get(chunkHdrLen + len(comp))
+	iovec.NewWriter(frame.Bytes()[:0]).PutU8(byte(lvl)).PutU32(uint32(len(chunk))).PutU32(uint32(len(comp))).Put(comp)
+	return frame, lvl
+}
+
 // contiguous returns chunk [off, off+n) of v as one byte slice: a
 // direct view when the range sits inside one segment, otherwise a copy
 // into a reused pooled staging buffer (*stage).
@@ -234,55 +242,69 @@ func contiguous(v iovec.Vec, off, n int, stage **iovec.Buf) []byte {
 	}
 	dst := (*stage).Bytes()[:n]
 	sl := v.Slice(off, n)
-	sl.CopyTo(dst)
+	sl.CopyToFrom(dst, 0)
 	sl.Release()
 	return dst
 }
 
-// feed parses inbound frames and inflates them.
+// feed parses inbound frames and inflates them. A frame that cannot be
+// one (a length beyond ChunkSize, compressed bytes that do not inflate
+// to their stated length) breaks the connection: the pending read and
+// every later one fail with ErrCorrupt.
 func (c *conn) feed(data []byte) {
+	if c.err != nil {
+		return
+	}
 	c.fp.Write(data)
-	for c.fp.Len() >= chunkHdrLen {
-		fb := c.fp.Bytes()
-		lvl := int(fb[0])
-		orig := int(binary.BigEndian.Uint32(fb[1:]))
-		clen := int(binary.BigEndian.Uint32(fb[5:]))
-		if c.fp.Len() < chunkHdrLen+clen {
+	for {
+		r := iovec.NewReader(c.fp.Bytes())
+		lvl, orig, clen := r.U8(), int(r.U32()), int(r.U32())
+		if orig > ChunkSize || clen > ChunkSize {
+			c.err = ErrCorrupt
 			break
 		}
-		comp := fb[chunkHdrLen : chunkHdrLen+clen]
+		comp := r.Next(clen)
+		if r.Err() != nil {
+			break // the frame is still arriving
+		}
 		if lvl == 0 {
 			c.rx.Write(comp)
-		} else {
-			// Inflate straight into the reassembly buffer through the
-			// cached inflater (no intermediate chunk materialization).
-			c.crd.Reset(comp)
-			if c.fr == nil {
-				c.fr = flate.NewReader(&c.crd)
-			} else if err := c.fr.(flate.Resetter).Reset(&c.crd, nil); err != nil {
-				panic(fmt.Sprintf("adoc: inflater reset: %v", err))
-			}
-			if _, err := io.ReadFull(c.fr, c.rx.Grow(orig)); err != nil {
-				panic(fmt.Sprintf("adoc: corrupt frame: %v", err))
-			}
+		} else if err := c.inflate(comp, c.rx.Grow(orig)); err != nil {
+			c.err = fmt.Errorf("%w: %v", ErrCorrupt, err)
+			break
 		}
 		c.fp.Consume(chunkHdrLen + clen)
 	}
 	c.tryComplete()
 }
 
+// inflate decompresses comp to fill dst through the cached inflater (no
+// intermediate chunk materialization).
+func (c *conn) inflate(comp, dst []byte) error {
+	c.crd.Reset(comp)
+	if c.fr == nil {
+		c.fr = flate.NewReader(&c.crd)
+	} else if err := c.fr.(flate.Resetter).Reset(&c.crd, nil); err != nil {
+		return err
+	}
+	_, err := io.ReadFull(c.fr, dst)
+	return err
+}
+
 func (c *conn) tryComplete() {
-	if c.rcb == nil || (c.rx.Len() == 0 && !c.eof) {
+	if c.rcb == nil || (c.rx.Len() == 0 && !c.eof && c.err == nil) {
 		return
 	}
-	n := copy(c.rbuf, c.rx.Bytes())
-	c.rx.Consume(n)
+	n, err := 0, c.err
+	if err == nil {
+		n = copy(c.rbuf, c.rx.Bytes())
+		c.rx.Consume(n)
+		if n == 0 && c.eof {
+			err = io.EOF
+		}
+	}
 	cb := c.rcb
 	c.rcb, c.rbuf = nil, nil
-	var err error
-	if n == 0 && c.eof {
-		err = io.EOF
-	}
 	cb(n, err)
 }
 

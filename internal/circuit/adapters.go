@@ -1,7 +1,6 @@
 package circuit
 
 import (
-	"encoding/binary"
 	"time"
 
 	"padico/internal/iovec"
@@ -53,13 +52,11 @@ func NewMadIOPort(mio *netaccess.MadIO, logical uint16, circ *Circuit,
 		// Express header first (reserved byte + count), then all lengths
 		// in one express segment, then the payload segments — express
 		// never follows cheaper, per the Madeleine protocol.
-		hdr := in.Unpack(5, madapi.ReceiveExpress)
-		nsegs := int(binary.BigEndian.Uint32(hdr[1:]))
-		lens := in.Unpack(4*nsegs, madapi.ReceiveExpress)
+		nsegs := int(iovec.NewReader(in.Unpack(5, madapi.ReceiveExpress)[1:]).U32())
+		lens := iovec.NewReader(in.Unpack(4*nsegs, madapi.ReceiveExpress))
 		segs := p.segs[:0]
 		for i := 0; i < nsegs; i++ {
-			n := int(binary.BigEndian.Uint32(lens[4*i:]))
-			segs = append(segs, in.Unpack(n, madapi.ReceiveCheaper))
+			segs = append(segs, in.Unpack(int(lens.U32()), madapi.ReceiveCheaper))
 		}
 		in.EndUnpacking()
 		circ.Deliver(circRank(src), segs)
@@ -89,20 +86,17 @@ func (l *madioLink) Close() { l.p.Close() }
 // the same hardware message.
 func (l *madioLink) Send(segs [][]byte) {
 	p := l.p
-	n := 5 + 4*len(segs)
-	if cap(p.meta) < n {
+	if n := 5 + 4*len(segs); cap(p.meta) < n {
 		p.meta = make([]byte, n)
 	}
-	meta := p.meta[:n]
-	hdr, lens := meta[:5], meta[5:]
-	hdr[0] = 0
-	binary.BigEndian.PutUint32(hdr[1:], uint32(len(segs)))
+	w := iovec.NewWriter(p.meta[:0]).PutU8(0).PutU32(uint32(len(segs)))
 	vec := p.vec[:0]
-	for i, s := range segs {
-		binary.BigEndian.PutUint32(lens[4*i:], uint32(len(s)))
+	for _, s := range segs {
+		w.PutU32(uint32(len(s)))
 		vec = append(vec, iovec.Seg{B: s})
 	}
-	p.mio.SendVec(p.madRank(l.dst), p.logical, [][]byte{hdr, lens}, iovec.Vec{Segs: vec})
+	meta := w.Bytes()
+	p.mio.SendVec(p.madRank(l.dst), p.logical, [][]byte{meta[:5], meta[5:]}, iovec.Vec{Segs: vec})
 	clear(vec)
 	p.vec = vec
 }
@@ -120,15 +114,11 @@ func frameMessage(segs [][]byte) []byte {
 	for _, s := range segs {
 		total += 4 + len(s)
 	}
-	out := make([]byte, 5, total)
-	binary.BigEndian.PutUint32(out[1:], uint32(len(segs)))
-	var lenb [4]byte
+	w := iovec.NewWriter(make([]byte, 0, total)).PutU8(0).PutU32(uint32(len(segs)))
 	for _, s := range segs {
-		binary.BigEndian.PutUint32(lenb[:], uint32(len(s)))
-		out = append(out, lenb[:]...)
-		out = append(out, s...)
+		w.PutU32(uint32(len(s))).Put(s)
 	}
-	return out
+	return w.Bytes()
 }
 
 // frameParser incrementally decodes frames from stream chunks. Every
@@ -150,7 +140,7 @@ func (fp *frameParser) feed(data []byte, emit func(segs [][]byte)) {
 			if !iovec.Fill(fp.hdr[:], &fp.got, &data) {
 				return
 			}
-			fp.nsegs = int(binary.BigEndian.Uint32(fp.hdr[1:]))
+			fp.nsegs = int(iovec.NewReader(fp.hdr[1:]).U32()) // past the reserved byte
 			fp.segs, fp.got = make([][]byte, 0, fp.nsegs), 0
 		}
 		for len(fp.segs) < fp.nsegs {
@@ -158,7 +148,7 @@ func (fp *frameParser) feed(data []byte, emit func(segs [][]byte)) {
 				if !iovec.Fill(fp.hdr[:4], &fp.got, &data) {
 					return
 				}
-				fp.seg, fp.got = make([]byte, binary.BigEndian.Uint32(fp.hdr[:])), 0
+				fp.seg, fp.got = make([]byte, iovec.NewReader(fp.hdr[:4]).U32()), 0
 			}
 			if !iovec.Fill(fp.seg, &fp.got, &data) {
 				return

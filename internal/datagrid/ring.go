@@ -12,10 +12,10 @@ package datagrid
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"fmt"
 	"sort"
 
+	"padico/internal/iovec"
 	"padico/internal/topology"
 )
 
@@ -64,7 +64,7 @@ func RingFromTopology(g *topology.Grid, vnodes int) *Ring {
 // must land uniformly, which weak string hashes do not deliver.
 func ringHash(key string) uint64 {
 	sum := sha256.Sum256([]byte(key))
-	return binary.BigEndian.Uint64(sum[:8])
+	return iovec.NewReader(sum[:8]).U64()
 }
 
 // hashName hashes an object name onto the ring.

@@ -1,12 +1,12 @@
 package datagrid
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
 
+	"padico/internal/iovec"
 	"padico/internal/model"
 	"padico/internal/selector"
 	"padico/internal/session"
@@ -40,18 +40,13 @@ const (
 )
 
 func encodeHeader(name string, size int, sum [32]byte) []byte {
-	hdr := make([]byte, hdrFixedLen)
-	binary.BigEndian.PutUint16(hdr, uint16(len(name)))
-	binary.BigEndian.PutUint64(hdr[2:], uint64(size))
-	copy(hdr[10:], sum[:])
-	return hdr
+	return iovec.NewWriter(make([]byte, 0, hdrFixedLen)).PutU16(uint16(len(name))).PutU64(uint64(size)).Put(sum[:]).Bytes()
 }
 
 // sendFrame sends one reverse frame out of the receiver's scratch
 // buffer (Channel.Send ends the borrow before it returns).
 func sendFrame(q *vtime.Proc, ch session.Channel, scratch []byte, typ byte, val uint64) error {
-	scratch[0] = typ
-	binary.BigEndian.PutUint64(scratch[1:], val)
+	iovec.NewWriter(scratch[:0]).PutU8(typ).PutU64(val)
 	return ch.Send(q, scratch[:1], scratch[1:frameLen])
 }
 
@@ -135,7 +130,7 @@ func (dg *DataGrid) transferOnce(p *vtime.Proc, src, dst topology.NodeID,
 				return
 			}
 			typ := v.Segs[0].B[0]
-			val := binary.BigEndian.Uint64(v.Segs[1].B)
+			val := iovec.NewReader(v.Segs[1].B).U64()
 			v.Release()
 			if typ == frameCredit {
 				acked = int(val)
@@ -215,11 +210,10 @@ func (dg *DataGrid) recvTransfer(q *vtime.Proc, ch session.Channel, attempt int,
 	if err != nil {
 		return
 	}
-	fixed := hdr[0]
-	nameLen := int(binary.BigEndian.Uint16(fixed))
-	size := int(binary.BigEndian.Uint64(fixed[2:]))
+	r := iovec.NewReader(hdr[0])
+	nameLen, size := int(r.U16()), int(r.U64())
 	var want [32]byte
-	copy(want[:], fixed[10:])
+	copy(want[:], r.Next(len(want)))
 	nameSeg, err := ch.Recv(q, nameLen)
 	if err != nil {
 		return

@@ -30,7 +30,6 @@ package group
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -38,6 +37,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"padico/internal/iovec"
 	"padico/internal/model"
 	"padico/internal/selector"
 	"padico/internal/session"
@@ -457,26 +457,22 @@ func downChannels(t *Tree, chans map[[2]topology.NodeID]session.Channel, n topol
 const mcastHdrLen = 2 + 8 + 32 + 2
 
 func encodeMcastHeader(tag string, size int, sum [32]byte, attempt int) []byte {
-	hdr := make([]byte, mcastHdrLen)
-	binary.BigEndian.PutUint16(hdr, uint16(len(tag)))
-	binary.BigEndian.PutUint64(hdr[2:], uint64(size))
-	copy(hdr[10:], sum[:])
-	binary.BigEndian.PutUint16(hdr[42:], uint16(attempt))
-	return hdr
+	return iovec.NewWriter(make([]byte, 0, mcastHdrLen)).
+		PutU16(uint16(len(tag))).PutU64(uint64(size)).Put(sum[:]).PutU16(uint16(attempt)).Bytes()
 }
 
 func sendStatus(q *vtime.Proc, ch session.Channel, failed []topology.NodeID) error {
 	var f [3]byte // both fixed segments in one scratch: Send ends the borrow
-	binary.BigEndian.PutUint16(f[1:], uint16(len(failed)))
+	iovec.NewWriter(f[:1]).PutU16(uint16(len(failed)))
 	if len(failed) == 0 {
 		f[0] = 1
 		return ch.Send(q, f[:1], f[1:])
 	}
-	ids := make([]byte, 4*len(failed))
-	for i, n := range failed {
-		binary.BigEndian.PutUint32(ids[4*i:], uint32(n))
+	ids := iovec.NewWriter(make([]byte, 0, 4*len(failed)))
+	for _, n := range failed {
+		ids.PutU32(uint32(n))
 	}
-	return ch.Send(q, f[:1], f[1:], ids)
+	return ch.Send(q, f[:1], f[1:], ids.Bytes())
 }
 
 func recvStatus(q *vtime.Proc, ch session.Channel) (ok bool, failed []topology.NodeID, err error) {
@@ -484,15 +480,16 @@ func recvStatus(q *vtime.Proc, ch session.Channel) (ok bool, failed []topology.N
 	if err != nil {
 		return false, nil, err
 	}
-	n := int(binary.BigEndian.Uint16(segs[1]))
-	if n > 0 {
+	r := iovec.NewReader(segs[1])
+	if n := int(r.U16()); n > 0 {
 		ids, err := ch.Recv(q, 4*n)
 		if err != nil {
 			return false, nil, err
 		}
+		r = iovec.NewReader(ids[0])
 		failed = make([]topology.NodeID, n)
 		for i := range failed {
-			failed[i] = topology.NodeID(binary.BigEndian.Uint32(ids[0][4*i:]))
+			failed[i] = topology.NodeID(r.U32())
 		}
 	}
 	return segs[0][0] == 1, failed, nil
@@ -644,17 +641,16 @@ func (g *Group) relayMulticast(q *vtime.Proc, self topology.NodeID,
 	if err != nil {
 		return
 	}
-	fixed := hdr[0]
-	taglen := int(binary.BigEndian.Uint16(fixed))
-	size := int(binary.BigEndian.Uint64(fixed[2:]))
+	r := iovec.NewReader(hdr[0])
+	taglen, size := int(r.U16()), int(r.U64())
 	var want [32]byte
-	copy(want[:], fixed[10:])
-	attempt := int(binary.BigEndian.Uint16(fixed[42:]))
+	copy(want[:], r.Next(len(want)))
+	attempt := int(r.U16())
 	tagSeg, err := up.Recv(q, taglen)
 	if err != nil {
 		return
 	}
-	fwd := [][]byte{fixed, tagSeg[0]}
+	fwd := [][]byte{hdr[0], tagSeg[0]}
 	if g.tel.Tracing() {
 		ctxSeg, err := up.Recv(q, telemetry.CtxWireLen)
 		if err != nil {
@@ -764,9 +760,13 @@ func (g *Group) Reduce(p *vtime.Proc, root topology.NodeID, contrib func(topolog
 				if err != nil {
 					return
 				}
-				fold(acc, DecodeF64(seg[0]), op)
+				fold(acc, seg[0], op)
 			}
-			up.Send(q, EncodeF64(acc))
+			w := iovec.NewWriter(make([]byte, 0, 8*len(acc)))
+			for _, f := range acc {
+				w.PutU64(math.Float64bits(f))
+			}
+			up.Send(q, w.Bytes())
 		})
 	}
 	acc := append([]float64(nil), contrib(root)...)
@@ -777,34 +777,19 @@ func (g *Group) Reduce(p *vtime.Proc, root topology.NodeID, contrib func(topolog
 			atomic.AddInt64(&g.stats.Failures, 1)
 			return nil, fmt.Errorf("%w: reduce", ErrEdgeFailed)
 		}
-		fold(acc, DecodeF64(seg[0]), op)
+		fold(acc, seg[0], op)
 	}
 	atomic.AddInt64(&g.stats.Reduces, 1)
 	return acc, nil
 }
 
-func fold(acc, v []float64, op ReduceOp) {
+// fold combines a child's partial result — Reduce's wire vector, one
+// big-endian IEEE 754 double per element — into acc.
+func fold(acc []float64, wire []byte, op ReduceOp) {
+	r := iovec.NewReader(wire)
 	for i := range acc {
-		acc[i] = op(acc[i], v[i])
+		acc[i] = op(acc[i], math.Float64frombits(r.U64()))
 	}
-}
-
-// EncodeF64 is Reduce's float64 vector wire format (big-endian IEEE 754).
-func EncodeF64(v []float64) []byte {
-	out := make([]byte, 8*len(v))
-	for i, f := range v {
-		binary.BigEndian.PutUint64(out[8*i:], math.Float64bits(f))
-	}
-	return out
-}
-
-// DecodeF64 inverts EncodeF64.
-func DecodeF64(b []byte) []float64 {
-	out := make([]float64, len(b)/8)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.BigEndian.Uint64(b[8*i:]))
-	}
-	return out
 }
 
 // ---------------------------------------------------------------------
@@ -974,10 +959,7 @@ func (g *Group) Gather(p *vtime.Proc, root topology.NodeID, contrib func(topolog
 
 // gather frame: one message of two segments, [4B id][4B len] + payload.
 func gatherFrameHdr(n topology.NodeID, size int) []byte {
-	hdr := make([]byte, 8)
-	binary.BigEndian.PutUint32(hdr, uint32(n))
-	binary.BigEndian.PutUint32(hdr[4:], uint32(size))
-	return hdr
+	return iovec.NewWriter(make([]byte, 0, 8)).PutU32(uint32(n)).PutU32(uint32(size)).Bytes()
 }
 
 func recvGatherFrame(q *vtime.Proc, ch session.Channel) (topology.NodeID, []byte, error) {
@@ -985,8 +967,8 @@ func recvGatherFrame(q *vtime.Proc, ch session.Channel) (topology.NodeID, []byte
 	if err != nil {
 		return 0, nil, err
 	}
-	id := topology.NodeID(binary.BigEndian.Uint32(hdr[0]))
-	size := int(binary.BigEndian.Uint32(hdr[0][4:]))
+	r := iovec.NewReader(hdr[0])
+	id, size := topology.NodeID(r.U32()), int(r.U32())
 	payload, err := ch.Recv(q, size)
 	if err != nil {
 		return 0, nil, err

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"padico/internal/grid"
@@ -296,25 +295,6 @@ func TestReduceMatchesSerialFold(t *testing.T) {
 func TestReduceOps(t *testing.T) {
 	if group.OpSum(2, 3) != 5 || group.OpMax(2, 3) != 3 {
 		t.Fatal("reduce ops wrong")
-	}
-}
-
-// Property: Reduce's float64 codec round-trips.
-func TestQuickF64Codec(t *testing.T) {
-	f := func(v []float64) bool {
-		got := group.DecodeF64(group.EncodeF64(v))
-		if len(got) != len(v) {
-			return false
-		}
-		for i := range v {
-			if got[i] != v[i] && !(v[i] != v[i] && got[i] != got[i]) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 	"crypto/cipher"
 	"crypto/hmac"
 	"crypto/sha256"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -131,16 +130,15 @@ func (d *Driver) handshake(c vlink.Conn, dialer bool, cb func(vlink.Conn, error)
 			cb(nil, err)
 			return
 		}
-		idLen := int(binary.BigEndian.Uint16(hdr))
+		idLen := int(iovec.NewReader(hdr).U16())
 		rest := make([]byte, idLen+nonceLen+macLen)
 		readFull(c, rest, func(err error) {
 			if err != nil {
 				cb(nil, err)
 				return
 			}
-			peerID := string(rest[:idLen])
-			peerNonce := rest[idLen : idLen+nonceLen]
-			proof := rest[idLen+nonceLen:]
+			r := iovec.NewReader(rest)
+			peerID, peerNonce, proof := string(r.Next(idLen)), r.Next(nonceLen), r.Next(macLen)
 			if !verifyHello(d.cred, peerID, peerNonce, proof) {
 				d.AuthFails++
 				cb(nil, ErrAuth)
@@ -167,12 +165,8 @@ func buildHello(cred Credential, nonce []byte) []byte {
 	mac.Write([]byte(cred.ID))
 	mac.Write(nonce)
 	proof := mac.Sum(nil)[:macLen]
-	out := make([]byte, 2+len(cred.ID)+nonceLen+macLen)
-	binary.BigEndian.PutUint16(out, uint16(len(cred.ID)))
-	copy(out[2:], cred.ID)
-	copy(out[2+len(cred.ID):], nonce)
-	copy(out[2+len(cred.ID)+nonceLen:], proof)
-	return out
+	return iovec.NewWriter(make([]byte, 0, 2+len(cred.ID)+nonceLen+macLen)).
+		PutU16(uint16(len(cred.ID))).Put([]byte(cred.ID)).Put(nonce).Put(proof).Bytes()
 }
 
 func verifyHello(cred Credential, id string, nonce, proof []byte) bool {
@@ -266,15 +260,14 @@ func (c *secConn) Peer() topology.NodeID { return c.inner.Peer() }
 // from the record counter).
 func (c *secConn) ctrStream(ctr uint64) cipher.Stream {
 	var iv [aes.BlockSize]byte
-	binary.BigEndian.PutUint64(iv[8:], ctr)
+	iovec.NewWriter(iv[:8]).PutU64(ctr)
 	return cipher.NewCTR(c.block, iv[:])
 }
 
 func (c *secConn) mac(ctr uint64, ct []byte) []byte {
 	m := hmac.New(sha256.New, c.macKey)
 	var ctrb [8]byte
-	binary.BigEndian.PutUint64(ctrb[:], ctr)
-	m.Write(ctrb[:])
+	m.Write(iovec.NewWriter(ctrb[:0]).PutU64(ctr).Bytes())
 	m.Write(ct)
 	return m.Sum(nil)[:macLen]
 }
@@ -291,7 +284,7 @@ func (c *secConn) PostWritev(v iovec.Vec, cb func(int, error)) {
 	total := v.Len()
 	rec := iovec.Get(recHdrLen + total + macLen)
 	rb := rec.Bytes()
-	binary.BigEndian.PutUint32(rb, uint32(total))
+	iovec.NewWriter(rb[:0]).PutU32(uint32(total))
 	stream := c.ctrStream(ctr)
 	off := recHdrLen
 	for _, s := range v.Segs {
@@ -322,7 +315,7 @@ func (c *secConn) feed(data []byte) {
 			if !iovec.Fill(c.hdr[:], &c.got, &data) {
 				break
 			}
-			c.rec, c.got = iovec.Get(int(binary.BigEndian.Uint32(c.hdr[:]))+macLen), 0
+			c.rec, c.got = iovec.Get(int(iovec.NewReader(c.hdr[:]).U32())+macLen), 0
 		}
 		if !iovec.Fill(c.rec.Bytes(), &c.got, &data) {
 			break

@@ -196,15 +196,6 @@ func (v Vec) Len() int {
 	return n
 }
 
-// Retain adds one reference to every owned segment.
-func (v Vec) Retain() {
-	for _, s := range v.Segs {
-		if s.Owner != nil {
-			s.Owner.Retain()
-		}
-	}
-}
-
 // Release drops one reference from every owned segment.
 func (v Vec) Release() {
 	for _, s := range v.Segs {
@@ -217,11 +208,6 @@ func (v Vec) Release() {
 func (v *Vec) Append(owner *Buf, view []byte) {
 	v.Segs = append(v.Segs, Seg{B: view, Owner: owner})
 }
-
-// Reset empties the vector, keeping the segment array for reuse. It
-// does NOT release segments — callers release before resetting when
-// they own the references.
-func (v *Vec) Reset() { v.Segs = v.Segs[:0] }
 
 // SliceInto appends retained views of v's byte range [off, off+n) to
 // dst. Owned source segments are retained once per contributing
@@ -297,19 +283,6 @@ func (v Vec) WriteTo(w io.Writer) (int64, error) {
 	return total, nil
 }
 
-// CopyTo copies the vector's bytes into dst and returns the count
-// (min of lengths).
-func (v Vec) CopyTo(dst []byte) int {
-	total := 0
-	for _, s := range v.Segs {
-		if total >= len(dst) {
-			break
-		}
-		total += copy(dst[total:], s.B)
-	}
-	return total
-}
-
 // AppendFrom appends the vector's bytes starting at offset off to dst
 // and returns the extended slice.
 func (v Vec) AppendFrom(dst []byte, off int) []byte {
@@ -329,7 +302,7 @@ func (v Vec) AppendFrom(dst []byte, off int) []byte {
 // that need contiguous bytes.
 func (v Vec) Flatten() *Buf {
 	b := Get(v.Len())
-	v.CopyTo(b.Bytes())
+	v.CopyToFrom(b.Bytes(), 0)
 	return b
 }
 

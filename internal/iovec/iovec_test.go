@@ -141,8 +141,8 @@ func TestFlattenAndCopyTo(t *testing.T) {
 		t.Fatalf("flatten = %q", b.Bytes())
 	}
 	dst := make([]byte, 5)
-	if n := v.CopyTo(dst); n != 5 || string(dst) != "hello" {
-		t.Fatalf("CopyTo = %d %q", n, dst)
+	if n := v.CopyToFrom(dst, 0); n != 5 || string(dst) != "hello" {
+		t.Fatalf("CopyToFrom = %d %q", n, dst)
 	}
 	b.Release()
 }

@@ -14,10 +14,10 @@
 package mpi
 
 import (
-	"encoding/binary"
 	"fmt"
 	"slices"
 
+	"padico/internal/iovec"
 	"padico/internal/madapi"
 	"padico/internal/model"
 	"padico/internal/vtime"
@@ -46,8 +46,8 @@ type Request struct {
 	buf      []byte // a receive's destination
 	dst      int    // a send, held over its middleware cost
 	data     []byte
-	hdr      [8]byte
-	send     func() // transmit, bound once
+	hdr      [8]byte // the wire header: [4B tag][4B len]
+	send     func()  // transmit, bound once
 }
 
 // Wait blocks until completion.
@@ -95,9 +95,8 @@ func (c *Comm) Size() int { return c.size }
 func (c *Comm) progress(p *vtime.Proc) {
 	for {
 		in := c.ch.BeginUnpacking(p)
-		hdr := in.Unpack(8, madapi.ReceiveExpress)
-		tag := int(int32(binary.BigEndian.Uint32(hdr)))
-		n := int(binary.BigEndian.Uint32(hdr[4:]))
+		hdr := iovec.NewReader(in.Unpack(8, madapi.ReceiveExpress))
+		tag, n := int(int32(hdr.U32())), int(hdr.U32())
 		var data []byte
 		if n > 0 {
 			data = in.Unpack(n, madapi.ReceiveCheaper)
@@ -161,8 +160,7 @@ func (c *Comm) Isend(dst, tag int, data []byte) *Request {
 	}
 	r := c.request("mpi:isend")
 	r.dst, r.tag, r.data = dst, tag, data
-	binary.BigEndian.PutUint32(r.hdr[:], uint32(int32(tag)))
-	binary.BigEndian.PutUint32(r.hdr[4:], uint32(len(data)))
+	iovec.NewWriter(r.hdr[:0]).PutU32(uint32(int32(tag))).PutU32(uint32(len(data)))
 	c.MsgsSent++
 	c.BytesOut += int64(len(data))
 	c.k.Schedule(model.MPICost+model.MPIPerByte.Cost(len(data)), r.send)

@@ -26,7 +26,6 @@
 package netaccess
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"padico/internal/iovec"
@@ -253,7 +252,7 @@ type packed struct{ hdr, body madapi.OutMessage }
 
 func (m *MadIO) begin(dst int, logical uint16) packed {
 	m.MsgsSent++
-	binary.BigEndian.PutUint16(m.hdr[:], logical)
+	iovec.NewWriter(m.hdr[:0]).PutU16(logical)
 	out := m.ch.BeginPacking(dst)
 	out.Pack(m.hdr[:], madapi.SendSafer)
 	if m.combining {
@@ -282,17 +281,14 @@ func (m *MadIO) DispatchOne(p *vtime.Proc) bool {
 	p.Consume(cost)
 	src := in.Src()
 	if m.combining {
-		hdr := in.Unpack(2, madapi.ReceiveExpress)
-		logical := binary.BigEndian.Uint16(hdr)
-		m.dispatch(p, logical, src, in)
+		m.dispatch(p, iovec.NewReader(in.Unpack(2, madapi.ReceiveExpress)).U16(), src, in)
 		return true
 	}
 	// Separate-header mode: header and payload messages alternate per
 	// source (MadIO controls both sides of the protocol).
 	if !m.pendingOK[src] {
-		hdr := in.Unpack(2, madapi.ReceiveExpress)
+		m.pendingID[src] = iovec.NewReader(in.Unpack(2, madapi.ReceiveExpress)).U16()
 		in.EndUnpacking()
-		m.pendingID[src] = binary.BigEndian.Uint16(hdr)
 		m.pendingOK[src] = true
 		return true
 	}

@@ -15,7 +15,6 @@ package orb
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -56,42 +55,25 @@ var (
 // ---------------------------------------------------------------------
 // CDR marshalling (big-endian subset).
 
-// Encoder marshals values CDR-style.
-type Encoder struct{ buf []byte }
+// Encoder marshals values CDR-style: the cursor's fixed-width puts
+// (PutU32, PutU64) plus CDR's doubles and sequences.
+type Encoder struct{ iovec.Writer }
 
 // NewEncoder returns an empty encoder.
 func NewEncoder() *Encoder { return &Encoder{} }
-
-// Bytes returns the marshalled body.
-func (e *Encoder) Bytes() []byte { return e.buf }
-
-// PutU32 appends an unsigned long.
-func (e *Encoder) PutU32(v uint32) {
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], v)
-	e.buf = append(e.buf, b[:]...)
-}
-
-// PutU64 appends an unsigned long long.
-func (e *Encoder) PutU64(v uint64) {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], v)
-	e.buf = append(e.buf, b[:]...)
-}
 
 // PutF64 appends a double.
 func (e *Encoder) PutF64(v float64) { e.PutU64(math.Float64bits(v)) }
 
 // PutString appends a length-prefixed string.
-func (e *Encoder) PutString(s string) {
-	e.PutU32(uint32(len(s)))
-	e.buf = append(e.buf, s...)
-}
+func (e *Encoder) PutString(s string) { e.PutBytes([]byte(s)) }
 
-// PutBytes appends a length-prefixed octet sequence.
+// PutBytes appends a length-prefixed octet sequence. The octets go in
+// by append: a bulk argument is copied once, into an array that is not
+// zeroed first.
 func (e *Encoder) PutBytes(b []byte) {
 	e.PutU32(uint32(len(b)))
-	e.buf = append(e.buf, b...)
+	e.Writer = *iovec.NewWriter(append(e.Bytes(), b...))
 }
 
 // PutF64Seq appends a sequence<double>.
@@ -102,54 +84,31 @@ func (e *Encoder) PutF64Seq(v []float64) {
 	}
 }
 
-// Decoder unmarshals CDR bodies.
-type Decoder struct {
-	buf []byte
-	off int
-}
+// Decoder unmarshals CDR bodies: the cursor's fixed-width reads (U32,
+// U64) plus CDR's doubles and sequences. A truncated body reads as zero
+// values from the point it runs out, and Err reports it.
+type Decoder struct{ iovec.Reader }
 
 // NewDecoder wraps a marshalled body.
-func NewDecoder(b []byte) *Decoder { return &Decoder{buf: b} }
-
-// U32 reads an unsigned long.
-func (d *Decoder) U32() uint32 {
-	v := binary.BigEndian.Uint32(d.buf[d.off:])
-	d.off += 4
-	return v
-}
-
-// U64 reads an unsigned long long.
-func (d *Decoder) U64() uint64 {
-	v := binary.BigEndian.Uint64(d.buf[d.off:])
-	d.off += 8
-	return v
-}
+func NewDecoder(b []byte) *Decoder { return &Decoder{*iovec.NewReader(b)} }
 
 // F64 reads a double.
 func (d *Decoder) F64() float64 { return math.Float64frombits(d.U64()) }
 
 // String reads a string.
-func (d *Decoder) String() string {
-	n := int(d.U32())
-	s := string(d.buf[d.off : d.off+n])
-	d.off += n
-	return s
-}
+func (d *Decoder) String() string { return string(d.Bytes()) }
 
-// Bytes reads an octet sequence.
-func (d *Decoder) Bytes() []byte {
-	n := int(d.U32())
-	b := d.buf[d.off : d.off+n]
-	d.off += n
-	return b
-}
+// Bytes reads an octet sequence (a view into the body).
+func (d *Decoder) Bytes() []byte { return d.Next(int(d.U32())) }
 
-// F64Seq reads a sequence<double>.
+// F64Seq reads a sequence<double>. Its length is checked against the
+// body before anything is allocated: one the body does not hold reads
+// as empty.
 func (d *Decoder) F64Seq() []float64 {
-	n := int(d.U32())
-	out := make([]float64, n)
+	r := iovec.NewReader(d.Next(8 * int(d.U32())))
+	out := make([]float64, r.Len()/8)
 	for i := range out {
-		out[i] = d.F64()
+		out[i] = math.Float64frombits(r.U64())
 	}
 	return out
 }
@@ -247,19 +206,9 @@ func (o *ORB) Activate() error {
 
 // serveConn pumps one inbound connection.
 func (o *ORB) serveConn(v *vlink.VLink) {
-	fr := &framer{}
-	buf := make([]byte, 64<<10)
-	var pump func(n int, err error)
-	pump = func(n int, err error) {
-		fr.feed(buf[:n], func(kind msgKind, reqID uint32, body []byte) {
-			o.dispatch(v, kind, reqID, body)
-		})
-		if err != nil {
-			return
-		}
-		v.PostRead(buf).SetHandler(pump)
-	}
-	v.PostRead(buf).SetHandler(pump)
+	readMessages(v, func(kind msgKind, reqID uint32, body []byte) {
+		o.dispatch(v, kind, reqID, body)
+	})
 }
 
 // dispatch runs one request through the servant and replies.
@@ -286,7 +235,7 @@ func (o *ORB) dispatch(v *vlink.VLink, kind msgKind, reqID uint32, body []byte) 
 			} else if m, ok := srv[op]; !ok {
 				status = kindException
 				reply.PutString(ErrNoOp.Error())
-			} else if err := m(p, dec, reply); err != nil {
+			} else if err := errors.Join(m(p, dec, reply), dec.Err()); err != nil {
 				status = kindException
 				reply = NewEncoder()
 				reply.PutString(err.Error())
@@ -346,25 +295,15 @@ func (o *ORB) connTo(p *vtime.Proc, node topology.NodeID, port int) (*clientConn
 	}
 	cc := &clientConn{v: v, waiters: make(map[uint32]*vtime.Future[replyMsg])}
 	o.conns[addr] = cc
-	fr := &framer{}
-	buf := make([]byte, 64<<10)
-	var pump func(n int, err error)
-	pump = func(n int, err error) {
-		fr.feed(buf[:n], func(kind msgKind, reqID uint32, body []byte) {
-			if f, ok := cc.waiters[reqID]; ok {
-				delete(cc.waiters, reqID)
-				if o.profile.Copying {
-					body = append([]byte(nil), body...)
-				}
-				f.Complete(replyMsg{status: kind, body: body}, nil)
+	readMessages(v, func(kind msgKind, reqID uint32, body []byte) {
+		if f, ok := cc.waiters[reqID]; ok {
+			delete(cc.waiters, reqID)
+			if o.profile.Copying {
+				body = append([]byte(nil), body...)
 			}
-		})
-		if err != nil {
-			return
+			f.Complete(replyMsg{status: kind, body: body}, nil)
 		}
-		v.PostRead(buf).SetHandler(pump)
-	}
-	v.PostRead(buf).SetHandler(pump)
+	})
 	return cc, nil
 }
 
@@ -376,15 +315,15 @@ func (r *ObjectRef) Invoke(p *vtime.Proc, op string, args *Encoder) (*Decoder, e
 		return nil, err
 	}
 	o.Requests++
-	target := &Encoder{buf: make([]byte, 0, 8+len(r.key)+len(op))}
+	target := &Encoder{*iovec.NewWriter(make([]byte, 0, 8+len(r.key)+len(op)))}
 	target.PutString(r.key)
 	target.PutString(op)
 	// The marshalled arguments ride behind the target as a second
 	// segment, by reference: the caller's encoder is lent until the
 	// reply is in, which is when Invoke returns.
-	payload, size := [][]byte{target.buf}, len(target.buf)
+	payload, size := [][]byte{target.Bytes()}, len(target.Bytes())
 	if args != nil {
-		payload, size = append(payload, args.buf), size+len(args.buf)
+		payload, size = append(payload, args.Bytes()), size+len(args.Bytes())
 	}
 	if o.profile.Copying {
 		payload = [][]byte{bytes.Join(payload, nil)}
@@ -414,19 +353,32 @@ func (r *ObjectRef) Invoke(p *vtime.Proc, op string, args *Encoder) (*Decoder, e
 // segment list share one allocation.
 func message(kind msgKind, reqID uint32, parts ...[]byte) iovec.Vec {
 	f := &frame{}
-	f.hdr[0] = byte(kind)
-	binary.BigEndian.PutUint32(f.hdr[1:], reqID)
 	v := iovec.Vec{Segs: append(f.segs[:0], iovec.Seg{B: f.hdr[:]})}
 	for _, b := range parts {
 		v.Segs = append(v.Segs, iovec.Seg{B: b})
 	}
-	binary.BigEndian.PutUint32(f.hdr[5:], uint32(v.Len()-msgHdrLen))
+	iovec.NewWriter(f.hdr[:0]).PutU8(byte(kind)).PutU32(reqID).PutU32(uint32(v.Len() - msgHdrLen))
 	return v
 }
 
 type frame struct {
 	hdr  [msgHdrLen]byte
 	segs [3]iovec.Seg // a request's header, target and arguments
+}
+
+// readMessages pumps v's byte stream through a framer and hands every
+// complete message to emit.
+func readMessages(v *vlink.VLink, emit func(kind msgKind, reqID uint32, body []byte)) {
+	fr := &framer{}
+	buf := make([]byte, 64<<10)
+	var pump func(n int, err error)
+	pump = func(n int, err error) {
+		fr.feed(buf[:n], emit)
+		if err == nil {
+			v.PostRead(buf).SetHandler(pump)
+		}
+	}
+	v.PostRead(buf).SetHandler(pump)
 }
 
 // framer reassembles messages from stream chunks: the header first,
@@ -444,13 +396,14 @@ func (fr *framer) feed(data []byte, emit func(kind msgKind, reqID uint32, body [
 			if !iovec.Fill(fr.hdr[:], &fr.got, &data) {
 				return
 			}
-			fr.body, fr.got = make([]byte, binary.BigEndian.Uint32(fr.hdr[5:])), 0
+			fr.body, fr.got = make([]byte, iovec.NewReader(fr.hdr[5:]).U32()), 0
 		}
 		if !iovec.Fill(fr.body, &fr.got, &data) {
 			return
 		}
 		body := fr.body
 		fr.body, fr.got = nil, 0
-		emit(msgKind(fr.hdr[0]), binary.BigEndian.Uint32(fr.hdr[1:]), body)
+		hdr := iovec.NewReader(fr.hdr[:])
+		emit(msgKind(hdr.U8()), hdr.U32(), body)
 	}
 }

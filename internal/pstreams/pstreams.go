@@ -12,7 +12,6 @@
 package pstreams
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 
@@ -87,9 +86,8 @@ func (l *listener) onInner(c vlink.Conn) {
 			c.PostRead(buf[got:], pump)
 			return
 		}
-		lid := binary.BigEndian.Uint64(buf)
-		idx := int(buf[8])
-		total := int(buf[9])
+		r := iovec.NewReader(buf)
+		lid, idx, total := r.U64(), int(r.U8()), int(r.U8())
 		pl, ok := l.pending[lid]
 		if !ok {
 			pl = &pendingLink{want: total, conns: make([]vlink.Conn, total)}
@@ -133,11 +131,8 @@ func (d *Driver) Dial(addr vlink.Addr, cb func(vlink.Conn, error)) {
 				}
 				return
 			}
-			pre := make([]byte, preambleLen)
-			binary.BigEndian.PutUint64(pre, lid)
-			pre[8] = byte(i)
-			pre[9] = byte(d.streams)
-			c.PostWritev(iovec.Make(pre), func(int, error) {})
+			pre := iovec.NewWriter(make([]byte, 0, preambleLen)).PutU64(lid).PutU8(byte(i)).PutU8(byte(d.streams))
+			c.PostWritev(iovec.Make(pre.Bytes()), func(int, error) {})
 			conns[i] = c
 			remaining--
 			if remaining == 0 && !failed {
@@ -212,12 +207,12 @@ func (c *conn) startReader(i int) {
 				if !iovec.Fill(hdr[:], &got, &data) {
 					break
 				}
-				c.filling[i], got = iovec.Get(int(binary.BigEndian.Uint32(hdr[8:]))), 0
+				c.filling[i], got = iovec.Get(int(iovec.NewReader(hdr[8:]).U32())), 0
 			}
 			if !iovec.Fill(c.filling[i].Bytes(), &got, &data) {
 				break
 			}
-			c.stash[binary.BigEndian.Uint64(hdr[:])] = c.filling[i]
+			c.stash[iovec.NewReader(hdr[:]).U64()] = c.filling[i]
 			c.filling[i], got = nil, 0
 		}
 		c.drain()
@@ -313,8 +308,7 @@ func (c *conn) PostWritev(v iovec.Vec, cb func(int, error)) {
 			end = total
 		}
 		hdr := iovec.Get(chunkHdrLen)
-		binary.BigEndian.PutUint64(hdr.Bytes(), c.seqW)
-		binary.BigEndian.PutUint32(hdr.Bytes()[8:], uint32(end-off))
+		iovec.NewWriter(hdr.Bytes()[:0]).PutU64(c.seqW).PutU32(uint32(end - off))
 		c.seqW++
 		frame := iovec.Owned(hdr)
 		v.SliceInto(&frame, off, end-off)

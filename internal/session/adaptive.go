@@ -29,7 +29,6 @@ package session
 // cannot hold here.
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 	"sync/atomic"
@@ -319,17 +318,14 @@ func recPayloadLen(rec record) int {
 // expects one back): both ends share the manager's hub, so the flag is
 // consistent by construction and the untraced wire stays byte-identical.
 func writeRecord(q *vtime.Proc, ch Channel, rec record, traced bool) error {
-	hdr := make([]byte, recHdrLen)
-	hdr[0] = rec.kind
-	binary.BigEndian.PutUint64(hdr[1:], rec.seq)
-	binary.BigEndian.PutUint16(hdr[9:], uint16(len(rec.segs)))
-	sizes := make([]byte, 4*len(rec.segs))
-	segs := make([][]byte, 0, 3+len(rec.segs))
-	segs = append(segs, hdr, sizes)
-	for i, s := range rec.segs {
-		binary.BigEndian.PutUint32(sizes[4*i:], uint32(len(s)))
+	hdr := iovec.NewWriter(make([]byte, 0, recHdrLen)).PutU8(rec.kind).PutU64(rec.seq).PutU16(uint16(len(rec.segs)))
+	sizes := iovec.NewWriter(make([]byte, 0, 4*len(rec.segs)))
+	segs := make([][]byte, 2, 3+len(rec.segs))
+	for _, s := range rec.segs {
+		sizes.PutU32(uint32(len(s)))
 		segs = append(segs, s)
 	}
+	segs[0], segs[1] = hdr.Bytes(), sizes.Bytes()
 	if traced {
 		segs = append(segs, telemetry.EncodeCtx(rec.ctx))
 	}
@@ -341,16 +337,17 @@ func readRecord(q *vtime.Proc, ch Channel, traced bool) (record, error) {
 	if err != nil {
 		return record{}, err
 	}
-	hdr := hdrSeg[0]
-	rec := record{kind: hdr[0], seq: binary.BigEndian.Uint64(hdr[1:])}
-	n := int(binary.BigEndian.Uint16(hdr[9:]))
+	r := iovec.NewReader(hdrSeg[0])
+	rec := record{kind: r.U8(), seq: r.U64()}
+	n := int(r.U16())
 	sizesSeg, err := ch.Recv(q, 4*n)
 	if err != nil {
 		return record{}, err
 	}
+	r = iovec.NewReader(sizesSeg[0])
 	sizes := make([]int, n)
 	for i := range sizes {
-		sizes[i] = int(binary.BigEndian.Uint32(sizesSeg[0][4*i:]))
+		sizes[i] = int(r.U32())
 	}
 	rec.segs, err = ch.Recv(q, sizes...)
 	if err != nil {
@@ -548,11 +545,7 @@ func (st *adaptiveState) handshake(p *vtime.Proc, inner Channel) (resumePoint, b
 }
 
 func resumeFrame(epoch, sendNext, recvNext uint64) []byte {
-	f := make([]byte, resumeLen)
-	binary.BigEndian.PutUint64(f, epoch)
-	binary.BigEndian.PutUint64(f[8:], sendNext)
-	binary.BigEndian.PutUint64(f[16:], recvNext)
-	return f
+	return iovec.NewWriter(make([]byte, 0, resumeLen)).PutU64(epoch).PutU64(sendNext).PutU64(recvNext).Bytes()
 }
 
 func readResume(q *vtime.Proc, ch Channel) (epoch, sendNext, recvNext uint64, err error) {
@@ -560,9 +553,8 @@ func readResume(q *vtime.Proc, ch Channel) (epoch, sendNext, recvNext uint64, er
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	return binary.BigEndian.Uint64(segs[0]),
-		binary.BigEndian.Uint64(segs[0][8:]),
-		binary.BigEndian.Uint64(segs[0][16:]), nil
+	r := iovec.NewReader(segs[0])
+	return r.U64(), r.U64(), r.U64(), nil
 }
 
 // replay resends both directions' gaps on the fresh substrate, oldest

@@ -1,7 +1,6 @@
 package session
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 
@@ -176,7 +175,7 @@ func (c *msgChannel) write(data []byte, lend bool) (int, error) {
 		return 0, ErrClosed
 	}
 	var lenSeg [streamLenSeg]byte
-	binary.BigEndian.PutUint32(lenSeg[:], uint32(len(data)))
+	iovec.NewWriter(lenSeg[:0]).PutU32(uint32(len(data)))
 	c.info.Sends++
 	c.info.BytesOut += int64(len(data))
 	c.sent++
@@ -197,7 +196,7 @@ func (c *msgChannel) Read(p *vtime.Proc, buf []byte) (int, error) {
 		if len(msg) != 2 || len(msg[0]) != streamLenSeg {
 			return 0, fmt.Errorf("%w: stream read on a %d-segment message", ErrProtocol, len(msg))
 		}
-		if n := int(binary.BigEndian.Uint32(msg[0])); n != len(msg[1]) {
+		if n := int(iovec.NewReader(msg[0]).U32()); n != len(msg[1]) {
 			return 0, fmt.Errorf("%w: framed length %d != payload %d", ErrProtocol, n, len(msg[1]))
 		}
 		c.stream = msg[1]

@@ -3,7 +3,6 @@ package store
 import (
 	"bufio"
 	"crypto/sha256"
-	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -30,7 +29,8 @@ import (
 // single file grows unboundedly and a torn tail only ever costs the
 // final file's last record.
 //
-// Needle layout (all integers little-endian):
+// Needle layout (all integers big-endian, like every other format in
+// the stack):
 //
 //	offset  size  field
 //	0       4     magic  "PNdl"
@@ -44,10 +44,10 @@ import (
 //
 // The trailing header CRC is what makes the open-time scan
 // crash-safe: a torn final needle (header cut short, CRC mismatch, or
-// body extending past EOF) ends the scan, the tail is truncated away,
-// and the engine keeps appending from the last valid record.
+// key and body extending past EOF) ends the scan, the tail is truncated
+// away, and the engine keeps appending from the last valid record.
 const (
-	needleMagic   = 0x506c644e // "PNdl" read little-endian
+	needleMagic   = 0x504e646c // "PNdl"
 	needleHdrLen  = 51
 	flagTombstone = 0x01
 )
@@ -217,20 +217,11 @@ func (e *Pack) scanBundle(bundle int, f *os.File) (int64, error) {
 		var keyLen, size int
 		var flags byte
 		var sum [32]byte
-		if off+needleHdrLen <= fileLen {
+		if room := fileLen - off - needleHdrLen; room >= 0 {
 			if _, err := f.ReadAt(hdr[:], off); err != nil {
 				return 0, err
 			}
-			if binary.LittleEndian.Uint32(hdr[0:4]) == needleMagic &&
-				crc32.ChecksumIEEE(hdr[:47]) == binary.LittleEndian.Uint32(hdr[47:51]) {
-				flags = hdr[4]
-				keyLen = int(binary.LittleEndian.Uint16(hdr[5:7]))
-				size = int(binary.LittleEndian.Uint64(hdr[7:15]))
-				copy(sum[:], hdr[15:47])
-				if off+needleHdrLen+int64(keyLen)+int64(size) <= fileLen {
-					valid = true
-				}
-			}
+			flags, keyLen, size, sum, valid = decodeHeader(&hdr, room)
 		}
 		if !valid {
 			// Torn tail: the record was cut mid-write. Drop it and
@@ -289,12 +280,22 @@ func (e *Pack) rollBundle() error {
 
 // encodeHeader fills hdr for one needle.
 func encodeHeader(hdr *[needleHdrLen]byte, flags byte, key string, size int, sum [32]byte) {
-	binary.LittleEndian.PutUint32(hdr[0:4], needleMagic)
-	hdr[4] = flags
-	binary.LittleEndian.PutUint16(hdr[5:7], uint16(len(key)))
-	binary.LittleEndian.PutUint64(hdr[7:15], uint64(size))
-	copy(hdr[15:47], sum[:])
-	binary.LittleEndian.PutUint32(hdr[47:51], crc32.ChecksumIEEE(hdr[:47]))
+	w := iovec.NewWriter(hdr[:0]).PutU32(needleMagic).PutU8(flags).PutU16(uint16(len(key))).PutU64(uint64(size)).Put(sum[:])
+	w.PutU32(crc32.ChecksumIEEE(w.Bytes()))
+}
+
+// decodeHeader parses one needle header. ok holds only when the magic
+// and the CRC match and the key and payload it announces fit in the
+// room the file has left after it: a size field no write produced
+// (beyond the file, or negative as an int) is a torn tail too.
+func decodeHeader(hdr *[needleHdrLen]byte, room int64) (flags byte, keyLen, size int, sum [32]byte, ok bool) {
+	r := iovec.NewReader(hdr[:])
+	magic, flags, keyLen, n := r.U32(), r.U8(), int(r.U16()), r.U64()
+	copy(sum[:], r.Next(len(sum)))
+	crc := r.U32()
+	ok = magic == needleMagic && crc == crc32.ChecksumIEEE(hdr[:needleHdrLen-4]) &&
+		int64(keyLen) <= room && n <= uint64(room-int64(keyLen))
+	return flags, keyLen, int(n), sum, ok
 }
 
 // appendNeedle writes one needle through the buffered writer as a

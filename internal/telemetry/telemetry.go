@@ -26,7 +26,6 @@ package telemetry
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"sort"
@@ -50,18 +49,14 @@ const CtxWireLen = 8 + 8
 // that carry it in tracing-gated wire headers (datagrid transfer
 // headers, group multicast headers, adaptive session records).
 func EncodeCtx(c Ctx) []byte {
-	b := make([]byte, CtxWireLen)
-	binary.BigEndian.PutUint64(b, uint64(c.Trace))
-	binary.BigEndian.PutUint64(b[8:], uint64(c.Span))
-	return b
+	return iovec.NewWriter(make([]byte, 0, CtxWireLen)).PutU64(uint64(c.Trace)).PutU64(uint64(c.Span)).Bytes()
 }
 
-// DecodeCtx parses a context encoded by EncodeCtx.
+// DecodeCtx parses a context encoded by EncodeCtx; a field cut short
+// decodes as zero.
 func DecodeCtx(b []byte) Ctx {
-	if len(b) < CtxWireLen {
-		return Ctx{}
-	}
-	return Ctx{Trace: int64(binary.BigEndian.Uint64(b)), Span: int64(binary.BigEndian.Uint64(b[8:]))}
+	r := iovec.NewReader(b)
+	return Ctx{Trace: int64(r.U64()), Span: int64(r.U64())}
 }
 
 // Hub is the per-kernel telemetry instance: tracer + registry + flight

@@ -1,7 +1,6 @@
 package vlink
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 	"slices"
@@ -201,6 +200,14 @@ const (
 	madClose
 )
 
+// Every driver message starts with one header: [1B kind][4B cid][4B arg:
+// the port on connect, the length on data][1B sender-is-dialer].
+const madHdrLen = 10
+
+func putMadHdr(hdr *[madHdrLen]byte, kind byte, cid, arg uint32, dialer byte) []byte {
+	return iovec.NewWriter(hdr[:0]).PutU8(kind).PutU32(cid).PutU32(arg).PutU8(dialer).Bytes()
+}
+
 // MadIODriver implements Driver over a MadIO logical channel. All
 // MadIODriver instances of a fabric share logical channel `logical`.
 type MadIODriver struct {
@@ -263,33 +270,25 @@ func (d *MadIODriver) Dial(addr Addr, cb func(Conn, error)) {
 	d.nextCID++
 	cid := d.nextCID
 	d.dials[cid] = cb
-	var hdr [10]byte
-	hdr[0] = madConnect
-	binary.BigEndian.PutUint32(hdr[1:], cid)
-	binary.BigEndian.PutUint32(hdr[5:], uint32(addr.Port))
-	d.mio.SendVec(rank, d.logical, [][]byte{hdr[:]}, iovec.Vec{})
+	var hdr [madHdrLen]byte
+	d.mio.SendVec(rank, d.logical, [][]byte{putMadHdr(&hdr, madConnect, cid, uint32(addr.Port), 0)}, iovec.Vec{})
 }
 
 // onMessage demultiplexes one MadIO message for this driver.
 func (d *MadIODriver) onMessage(p *vtime.Proc, src int, in madapi.InMessage) {
-	hdr := in.Unpack(10, madapi.ReceiveExpress)
-	kind := hdr[0]
-	cid := binary.BigEndian.Uint32(hdr[1:])
-	arg := binary.BigEndian.Uint32(hdr[5:])
+	hdr := iovec.NewReader(in.Unpack(madHdrLen, madapi.ReceiveExpress))
+	kind, cid, arg, dialer := hdr.U8(), hdr.U32(), hdr.U32(), hdr.U8()
 	switch kind {
 	case madConnect:
 		in.EndUnpacking()
 		l, ok := d.ports[int(arg)]
-		var reply [10]byte
-		binary.BigEndian.PutUint32(reply[1:], cid)
+		var reply [madHdrLen]byte
 		if !ok || l.accept == nil {
-			reply[0] = madRefuse
-			d.mio.SendVec(src, d.logical, [][]byte{reply[:]}, iovec.Vec{})
+			d.mio.SendVec(src, d.logical, [][]byte{putMadHdr(&reply, madRefuse, cid, 0, 0)}, iovec.Vec{})
 			return
 		}
 		c := d.newConn(connKeyOf(src, cid), src)
-		reply[0] = madAccept
-		d.mio.SendVec(src, d.logical, [][]byte{reply[:]}, iovec.Vec{})
+		d.mio.SendVec(src, d.logical, [][]byte{putMadHdr(&reply, madAccept, cid, 0, 0)}, iovec.Vec{})
 		l.accept(c)
 	case madAccept:
 		in.EndUnpacking()
@@ -307,11 +306,11 @@ func (d *MadIODriver) onMessage(p *vtime.Proc, src int, in madapi.InMessage) {
 		// the reference is ours now.
 		data := in.(madapi.SegUnpacker).UnpackSeg(int(arg), madapi.ReceiveCheaper)
 		in.EndUnpacking()
-		// hdr[9] flags "sender is the dialer"; our matching link is then
+		// dialer flags "sender is the dialer"; our matching link is then
 		// the accepted one (and vice versa), which disambiguates colliding
 		// connection ids from symmetric dials.
 		key := connKeyOf(src, cid)
-		if hdr[9] == 0 {
+		if dialer == 0 {
 			key |= dialerBit
 		}
 		if c, ok := d.conns[key]; ok && len(data.B) > 0 {
@@ -322,7 +321,7 @@ func (d *MadIODriver) onMessage(p *vtime.Proc, src int, in madapi.InMessage) {
 	case madClose:
 		in.EndUnpacking()
 		key := connKeyOf(src, cid)
-		if hdr[9] == 0 {
+		if dialer == 0 {
 			key |= dialerBit
 		}
 		if c, ok := d.conns[key]; ok {
@@ -353,7 +352,7 @@ type madConn struct {
 	rbuf   []byte
 	rcb    func(int, error)
 	closed bool
-	hdr    [10]byte // a data message's header, built here for SendVec to copy
+	hdr    [madHdrLen]byte // a data message's header, built here for SendVec to copy
 }
 
 // Kernel lets VLink charge costs on the right kernel.
@@ -455,11 +454,7 @@ func (c *madConn) PostWritev(v iovec.Vec, cb func(int, error)) {
 	}
 	buf := v.Flatten()
 	n := len(buf.Bytes())
-	hdr := c.hdr[:] // MadIO copies it
-	hdr[0] = madData
-	binary.BigEndian.PutUint32(hdr[1:], c.cid())
-	binary.BigEndian.PutUint32(hdr[5:], uint32(n))
-	hdr[9] = c.isDialer()
+	hdr := putMadHdr(&c.hdr, madData, c.cid(), uint32(n), c.isDialer()) // MadIO copies it
 	c.d.mio.SendVec(c.peer, c.d.logical, [][]byte{hdr}, iovec.Owned(buf))
 	cb(n, nil)
 }
@@ -469,10 +464,7 @@ func (c *madConn) Close() {
 	if c.closed {
 		return
 	}
-	var hdr [10]byte
-	hdr[0] = madClose
-	binary.BigEndian.PutUint32(hdr[1:], c.cid())
-	hdr[9] = c.isDialer()
-	c.d.mio.SendVec(c.peer, c.d.logical, [][]byte{hdr[:]}, iovec.Vec{})
+	var hdr [madHdrLen]byte
+	c.d.mio.SendVec(c.peer, c.d.logical, [][]byte{putMadHdr(&hdr, madClose, c.cid(), 0, c.isDialer())}, iovec.Vec{})
 	c.shut()
 }

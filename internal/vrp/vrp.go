@@ -15,11 +15,11 @@
 package vrp
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sync/atomic"
 	"time"
 
+	"padico/internal/iovec"
 	"padico/internal/ipstack"
 	"padico/internal/telemetry"
 	"padico/internal/topology"
@@ -150,12 +150,10 @@ func (c *Conn) sendNow(kind pktKind, seq uint64, data []byte) {
 	c.udp.SendTo(c.peer, c.peerPort, c.packet(kind, seq, data))
 }
 
+// packet frames one datagram: [1B kind][8B seq][data], where an ack's
+// seq is the receiver's base and its data the 8-byte hole bitmap.
 func (c *Conn) packet(kind pktKind, seq uint64, data []byte) []byte {
-	pkt := make([]byte, 9+len(data))
-	pkt[0] = byte(kind)
-	binary.BigEndian.PutUint64(pkt[1:], seq)
-	copy(pkt[9:], data)
-	return pkt
+	return iovec.NewWriter(make([]byte, 0, 9+len(data))).PutU8(byte(kind)).PutU64(seq).Put(data).Bytes()
 }
 
 // rxLoop handles inbound packets (data on the receiver role, acks on
@@ -174,11 +172,14 @@ func (c *Conn) rxLoop(p *vtime.Proc) {
 			}
 			continue
 		}
-		kind := pktKind(dg.Data[0])
-		seq := binary.BigEndian.Uint64(dg.Data[1:])
+		r := iovec.NewReader(dg.Data)
+		kind, seq := pktKind(r.U8()), r.U64()
+		if r.Err() != nil {
+			continue // a datagram shorter than its header is dropped
+		}
 		switch kind {
 		case pktData:
-			c.onData(seq, dg.Data[9:])
+			c.onData(seq, r.Next(r.Len()))
 			sinceAck++
 			if sinceAck >= ackEvery || now.Sub(lastAck) > ackInterval {
 				c.sendAckSummary()
@@ -188,7 +189,9 @@ func (c *Conn) rxLoop(p *vtime.Proc) {
 		case pktSkip:
 			c.onSkip(seq)
 		case pktAck:
-			c.onAck(seq, dg.Data[9:])
+			if bitmap := r.U64(); r.Err() == nil {
+				c.onAck(seq, bitmap)
+			}
 		}
 	}
 }
@@ -234,18 +237,12 @@ func (c *Conn) sendAckSummary() {
 		}
 	}
 	var payload [8]byte
-	binary.BigEndian.PutUint64(payload[:], bitmap)
-	pkt := make([]byte, 9+8)
-	pkt[0] = byte(pktAck)
-	binary.BigEndian.PutUint64(pkt[1:], c.rcvNext)
-	copy(pkt[9:], payload[:])
-	c.udp.SendTo(c.peer, c.peerPort, pkt)
+	c.sendNow(pktAck, c.rcvNext, iovec.NewWriter(payload[:0]).PutU64(bitmap).Bytes())
 }
 
 // onAck decides, hole by hole, between retransmission and an explicit
 // skip, keeping skipped/sent under the tolerance.
-func (c *Conn) onAck(base uint64, payload []byte) {
-	bitmap := binary.BigEndian.Uint64(payload)
+func (c *Conn) onAck(base, bitmap uint64) {
 	// Everything below base is done.
 	for seq := range c.sendBuf {
 		if seq < base {

@@ -16,10 +16,10 @@ package weather
 // and the prober keeps re-dialing until the link answers again.
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sync/atomic"
 
+	"padico/internal/iovec"
 	"padico/internal/selector"
 	"padico/internal/vtime"
 )
@@ -43,11 +43,8 @@ type probeReply struct {
 // replies with requests, so a stale reply from a timed-out round can
 // never be mistaken for the current one.
 func probeFrame(kind byte, seq, val uint64) [][]byte {
-	sq := make([]byte, 8)
-	binary.BigEndian.PutUint64(sq, seq)
-	v := make([]byte, 8)
-	binary.BigEndian.PutUint64(v, val)
-	return [][]byte{{kind}, sq, v}
+	b := iovec.NewWriter(make([]byte, 0, 1+8+8)).PutU8(kind).PutU64(seq).PutU64(val).Bytes()
+	return [][]byte{b[:1], b[1:9], b[9:]}
 }
 
 // probeDecision pins a probe channel to the entry's network: plain
@@ -86,7 +83,7 @@ func (s *Service) openProbe(p *vtime.Proc, e *entry) error {
 					return
 				}
 			case probeBW:
-				left := int(binary.BigEndian.Uint64(segs[2]))
+				left := int(iovec.NewReader(segs[2]).U64())
 				for left > 0 {
 					n := left
 					if n > len(buf) {
@@ -112,8 +109,7 @@ func (s *Service) openProbe(p *vtime.Proc, e *entry) error {
 				return
 			}
 			replies.Push(probeReply{kind: segs[0][0],
-				seq: binary.BigEndian.Uint64(segs[1]),
-				val: binary.BigEndian.Uint64(segs[2])})
+				seq: iovec.NewReader(segs[1]).U64(), val: iovec.NewReader(segs[2]).U64()})
 		}
 	})
 	return nil
