@@ -32,8 +32,8 @@ var ErrCorrupt = errors.New("adoc: corrupt frame")
 
 // Driver decorates an inner VLink driver with adaptive compression.
 type Driver struct {
-	k     *vtime.Kernel
-	inner vlink.Driver
+	vlink.Wrapper
+	k *vtime.Kernel
 
 	// Stats
 	BytesIn   int64 // pre-compression
@@ -42,7 +42,11 @@ type Driver struct {
 
 // New builds an AdOC driver over inner.
 func New(k *vtime.Kernel, inner vlink.Driver) *Driver {
-	return &Driver{k: k, inner: inner}
+	d := &Driver{k: k}
+	d.Wrapper = vlink.Wrapper{Inner: inner, Wrap: func(c vlink.Conn, _ bool, done func(vlink.Conn, error)) {
+		done(newConn(d, c), nil)
+	}}
+	return d
 }
 
 // Name implements vlink.Driver.
@@ -56,43 +60,9 @@ func (d *Driver) Ratio() float64 {
 	return float64(d.BytesIn) / float64(d.BytesWire)
 }
 
-// Listen implements vlink.Driver.
-func (d *Driver) Listen(port int) (vlink.Listener, error) {
-	il, err := d.inner.Listen(port)
-	if err != nil {
-		return nil, err
-	}
-	l := &listener{d: d, il: il}
-	il.SetAcceptHandler(func(c vlink.Conn) {
-		if l.accept != nil {
-			l.accept(newConn(d, c))
-		}
-	})
-	return l, nil
-}
-
-type listener struct {
-	d      *Driver
-	il     vlink.Listener
-	accept func(vlink.Conn)
-}
-
-func (l *listener) SetAcceptHandler(fn func(vlink.Conn)) { l.accept = fn }
-func (l *listener) Close()                               { l.il.Close() }
-
-// Dial implements vlink.Driver.
-func (d *Driver) Dial(addr vlink.Addr, cb func(vlink.Conn, error)) {
-	d.inner.Dial(addr, func(c vlink.Conn, err error) {
-		if err != nil {
-			cb(nil, err)
-			return
-		}
-		cb(newConn(d, c), nil)
-	})
-}
-
 // conn compresses writes and decompresses reads.
 type conn struct {
+	vlink.Inbox
 	d        *Driver
 	inner    vlink.Conn
 	backlog  int        // bytes accepted but not yet flushed to inner
@@ -106,31 +76,13 @@ type conn struct {
 	cbuf bytes.Buffer
 	fr   io.ReadCloser
 	crd  bytes.Reader
-
-	fp   iovec.Fifo
-	rx   iovec.Fifo
-	eof  bool
-	err  error // ErrCorrupt once a frame failed to decode
-	rbuf []byte
-	rcb  func(int, error)
 }
 
 const chunkHdrLen = 9
 
 func newConn(d *Driver, inner vlink.Conn) *conn {
 	c := &conn{d: d, inner: inner}
-	buf := make([]byte, 64<<10)
-	var pump func(n int, err error)
-	pump = func(n int, err error) {
-		c.feed(buf[:n])
-		if err != nil {
-			c.eof = true
-			c.tryComplete()
-			return
-		}
-		inner.PostRead(buf, pump)
-	}
-	inner.PostRead(buf, pump)
+	c.ReadFrames(inner, 64<<10, chunkHdrLen, frameLen, c.open)
 	return c
 }
 
@@ -247,35 +199,37 @@ func contiguous(v iovec.Vec, off, n int, stage **iovec.Buf) []byte {
 	return dst
 }
 
-// feed parses inbound frames and inflates them. A frame that cannot be
-// one (a length beyond ChunkSize, compressed bytes that do not inflate
-// to their stated length) breaks the connection: the pending read and
-// every later one fail with ErrCorrupt.
-func (c *conn) feed(data []byte) {
-	if c.err != nil {
-		return
+// frameLen is a frame's compressed length. A frame that claims more
+// than ChunkSize on either side of the compression breaks the
+// connection: once what came before it is read, every read fails with
+// ErrCorrupt.
+func frameLen(hdr []byte) (int, error) {
+	r := iovec.NewReader(hdr[1:])
+	orig, clen := r.U32(), r.U32()
+	if orig > ChunkSize || clen > ChunkSize {
+		return 0, ErrCorrupt
 	}
-	c.fp.Write(data)
-	for {
-		r := iovec.NewReader(c.fp.Bytes())
-		lvl, orig, clen := r.U8(), int(r.U32()), int(r.U32())
-		if orig > ChunkSize || clen > ChunkSize {
-			c.err = ErrCorrupt
-			break
+	return int(clen), nil
+}
+
+// open queues a received frame's bytes: a stored frame's body as it is,
+// a deflated one inflated into a pooled buffer of its stated length.
+// Compressed bytes that do not inflate to that length break the
+// connection like an over-long frame.
+func (c *conn) open(hdr []byte, body *iovec.Buf) error {
+	r := iovec.NewReader(hdr)
+	if lvl, orig := r.U8(), int(r.U32()); lvl != 0 {
+		out := iovec.Get(orig)
+		err := c.inflate(body.Bytes(), out.Bytes())
+		body.Release()
+		if err != nil {
+			out.Release()
+			return fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
-		comp := r.Next(clen)
-		if r.Err() != nil {
-			break // the frame is still arriving
-		}
-		if lvl == 0 {
-			c.rx.Write(comp)
-		} else if err := c.inflate(comp, c.rx.Grow(orig)); err != nil {
-			c.err = fmt.Errorf("%w: %v", ErrCorrupt, err)
-			break
-		}
-		c.fp.Consume(chunkHdrLen + clen)
+		body = out
 	}
-	c.tryComplete()
+	c.Push(body, body.Bytes())
+	return nil
 }
 
 // inflate decompresses comp to fill dst through the cached inflater (no
@@ -291,34 +245,12 @@ func (c *conn) inflate(comp, dst []byte) error {
 	return err
 }
 
-func (c *conn) tryComplete() {
-	if c.rcb == nil || (c.rx.Len() == 0 && !c.eof && c.err == nil) {
-		return
-	}
-	n, err := 0, c.err
-	if err == nil {
-		n = copy(c.rbuf, c.rx.Bytes())
-		c.rx.Consume(n)
-		if n == 0 && c.eof {
-			err = io.EOF
-		}
-	}
-	cb := c.rcb
-	c.rcb, c.rbuf = nil, nil
-	cb(n, err)
+// Close implements vlink.Conn. A read still posted completes as if the
+// conn were open; everything else received goes back to the pool.
+func (c *conn) Close() {
+	c.CloseRead()
+	c.inner.Close()
 }
-
-// PostRead implements vlink.Conn.
-func (c *conn) PostRead(buf []byte, cb func(int, error)) {
-	if c.rcb != nil {
-		panic("adoc: overlapping PostRead")
-	}
-	c.rbuf, c.rcb = buf, cb
-	c.tryComplete()
-}
-
-// Close implements vlink.Conn.
-func (c *conn) Close() { c.inner.Close() }
 
 // deflateChunk compresses data into the connection's reused staging
 // buffer; ok is false when compression does not pay (incompressible

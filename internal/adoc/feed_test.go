@@ -6,6 +6,9 @@ import (
 	"testing"
 
 	"padico/internal/iovec"
+	"padico/internal/vlink"
+	"padico/internal/vlink/vlinktest"
+	"padico/internal/vtime"
 )
 
 // frames encodes chunks as the write side does: each deflated at the
@@ -22,10 +25,21 @@ func frames(chunks ...[]byte) []byte {
 }
 
 // readAll posts one read on c and returns what it completed with.
-func readAll(c *conn) (int, error) {
+func readAll(c vlink.Conn) (int, error) {
 	n, err := -1, error(nil)
 	c.PostRead(make([]byte, 1<<16), func(m int, e error) { n, err = m, e })
 	return n, err
+}
+
+// accepted returns an AdOC conn accepted over an inner conn whose bytes
+// feed hands over.
+func accepted() (c vlink.Conn, feed func([]byte)) {
+	k := vtime.NewKernel()
+	raw := vlinktest.NewLoopbackDriver(k, 0)
+	ln, _ := New(k, raw).Listen(1)
+	ln.SetAcceptHandler(func(ac vlink.Conn) { c = ac })
+	in := raw.Inject(1)
+	return c, func(b []byte) { in.Push(nil, b); in.Deliver() }
 }
 
 // TestCorruptFrameEndsTheRead feeds frames that cannot decode: deflated
@@ -50,53 +64,16 @@ func TestCorruptFrameEndsTheRead(t *testing.T) {
 		"orig too large":  hdr(0, ChunkSize+1, 1, []byte{0}),
 		"clen too large":  hdr(1, 1, 0xFFFFFFFF, nil),
 	} {
-		c := &conn{}
+		c, feed := accepted()
 		n, err := -1, error(nil)
 		c.PostRead(make([]byte, 64), func(m int, e error) { n, err = m, e })
-		c.feed(wire)
+		feed(wire)
 		if n != 0 || !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("%s: read completed with (%d, %v), want (0, ErrCorrupt)", name, n, err)
 		}
-		c.feed(frames([]byte("after")))
+		feed(frames([]byte("after")))
 		if n, err := readAll(c); n != 0 || !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("%s: a later read got (%d, %v), want (0, ErrCorrupt)", name, n, err)
 		}
 	}
-}
-
-// FuzzAdocFeed feeds arbitrary bytes to the frame parser, whole and
-// split in two at an arbitrary point. It must not panic; both feeds must
-// agree on whether the stream broke and, if it did not, on the bytes
-// decoded; those must be no more than ChunkSize per frame header the
-// input could hold. And the input itself, framed by the write side,
-// must decode back to itself.
-func FuzzAdocFeed(f *testing.F) {
-	text := bytes.Repeat([]byte("adaptive online compression "), 100)
-	f.Add(frames(text), uint16(3))
-	f.Add(frames([]byte("tiny"), text), uint16(200))
-	f.Add(frames(text)[:40], uint16(0))
-	f.Fuzz(func(t *testing.T, data []byte, split uint16) {
-		whole, parts := &conn{}, &conn{}
-		whole.feed(data)
-		cut := int(split) % (len(data) + 1)
-		parts.feed(data[:cut])
-		parts.feed(data[cut:])
-		if (whole.err == nil) != (parts.err == nil) {
-			t.Fatalf("whole feed err %v, split at %d err %v", whole.err, cut, parts.err)
-		}
-		if whole.err == nil && !bytes.Equal(whole.rx.Bytes(), parts.rx.Bytes()) {
-			t.Fatalf("split at %d decodes differently", cut)
-		}
-		if max := ChunkSize * (len(data)/chunkHdrLen + 1); whole.rx.Len() > max {
-			t.Fatalf("%d input bytes decoded to %d", len(data), whole.rx.Len())
-		}
-		if len(data) > ChunkSize {
-			return
-		}
-		c := &conn{}
-		c.feed(frames(data))
-		if c.err != nil || !bytes.Equal(c.rx.Bytes(), data) {
-			t.Fatalf("round trip of %d bytes: err %v, got %d bytes", len(data), c.err, c.rx.Len())
-		}
-	})
 }

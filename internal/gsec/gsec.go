@@ -16,7 +16,6 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
-	"io"
 
 	"padico/internal/iovec"
 	"padico/internal/model"
@@ -29,8 +28,9 @@ import (
 var ErrAuth = errors.New("gsec: authentication failed")
 
 // ErrIntegrity fails a connection that received a record whose MAC does
-// not verify: nothing from that record on is delivered, and the pending
-// and every later read complete with it.
+// not verify, or whose header claims more than a record carries:
+// nothing from that record on is delivered, and once the records before
+// it are read every later read completes with it.
 var ErrIntegrity = errors.New("gsec: record integrity failure")
 
 const (
@@ -38,6 +38,11 @@ const (
 	macLen    = 16 // truncated HMAC-SHA256
 	recHdrLen = 4
 )
+
+// maxRecord is the most plaintext one record carries: a whole record
+// fits the largest pooled buffer. A longer write goes out as several
+// records, and a header claiming more ends the stream with ErrIntegrity.
+const maxRecord = 1<<20 - recHdrLen - macLen
 
 // Credential is a pre-shared-key "certificate" (the paper leaves full
 // GSI certificate chains and delegation as future work).
@@ -49,10 +54,10 @@ type Credential struct {
 // Driver decorates an inner VLink driver with authentication and
 // encryption.
 type Driver struct {
-	k     *vtime.Kernel
-	inner vlink.Driver
-	cred  Credential
-	seq   uint64
+	vlink.Wrapper
+	k    *vtime.Kernel
+	cred Credential
+	seq  uint64
 
 	Handshakes int64
 	AuthFails  int64
@@ -61,52 +66,13 @@ type Driver struct {
 // New builds a gsec driver over inner with the given credential. Both
 // ends must hold the same key.
 func New(k *vtime.Kernel, inner vlink.Driver, cred Credential) *Driver {
-	return &Driver{k: k, inner: inner, cred: cred}
+	d := &Driver{k: k, cred: cred}
+	d.Wrapper = vlink.Wrapper{Inner: inner, Wrap: d.handshake}
+	return d
 }
 
 // Name implements vlink.Driver.
 func (d *Driver) Name() string { return "gsec" }
-
-// Listen implements vlink.Driver.
-func (d *Driver) Listen(port int) (vlink.Listener, error) {
-	il, err := d.inner.Listen(port)
-	if err != nil {
-		return nil, err
-	}
-	l := &listener{d: d, il: il}
-	il.SetAcceptHandler(func(c vlink.Conn) {
-		d.handshake(c, false, func(sc vlink.Conn, err error) {
-			if err != nil {
-				c.Close()
-				return
-			}
-			if l.accept != nil {
-				l.accept(sc)
-			}
-		})
-	})
-	return l, nil
-}
-
-type listener struct {
-	d      *Driver
-	il     vlink.Listener
-	accept func(vlink.Conn)
-}
-
-func (l *listener) SetAcceptHandler(fn func(vlink.Conn)) { l.accept = fn }
-func (l *listener) Close()                               { l.il.Close() }
-
-// Dial implements vlink.Driver.
-func (d *Driver) Dial(addr vlink.Addr, cb func(vlink.Conn, error)) {
-	d.inner.Dial(addr, func(c vlink.Conn, err error) {
-		if err != nil {
-			cb(nil, err)
-			return
-		}
-		d.handshake(c, true, cb)
-	})
-}
 
 // handshake: both sides send [idLen][id][nonce][HMAC(key, id||nonce)],
 // verify the peer's proof, and derive the session key
@@ -125,14 +91,14 @@ func (d *Driver) handshake(c vlink.Conn, dialer bool, cb func(vlink.Conn, error)
 
 	// Read the peer hello (variable length: read header then rest).
 	hdr := make([]byte, 2)
-	readFull(c, hdr, func(err error) {
+	vlink.PostReadFull(c, hdr, func(err error) {
 		if err != nil {
 			cb(nil, err)
 			return
 		}
 		idLen := int(iovec.NewReader(hdr).U16())
 		rest := make([]byte, idLen+nonceLen+macLen)
-		readFull(c, rest, func(err error) {
+		vlink.PostReadFull(c, rest, func(err error) {
 			if err != nil {
 				cb(nil, err)
 				return
@@ -177,29 +143,14 @@ func verifyHello(cred Credential, id string, nonce, proof []byte) bool {
 	return hmac.Equal(want, proof)
 }
 
-// readFull reads exactly len(buf) bytes through chained PostReads.
-func readFull(c vlink.Conn, buf []byte, done func(error)) {
-	got := 0
-	var pump func(n int, err error)
-	pump = func(n int, err error) {
-		got += n
-		if err != nil {
-			done(err)
-			return
-		}
-		if got < len(buf) {
-			c.PostRead(buf[got:], pump)
-			return
-		}
-		done(nil)
-	}
-	c.PostRead(buf, pump)
-}
-
 // secConn is the record layer: AES-CTR with a per-record IV counter per
 // direction, HMAC-SHA256 (truncated) per record. Records are strictly
-// ordered per direction, so counters need no negotiation.
+// ordered per direction, so counters need no negotiation. Receiving,
+// the 4-byte length sizes the pooled buffer the record's ciphertext and
+// MAC are received into; a verified record is decrypted in place and
+// queues in the inbox.
 type secConn struct {
+	vlink.Inbox
 	d      *Driver
 	inner  vlink.Conn
 	encKey []byte
@@ -212,18 +163,6 @@ type secConn struct {
 	// so a small record's (cheaper) cost event must never overtake a
 	// large one's when an upper wrapper pipelines writes.
 	wHorizon vtime.Time
-
-	// Reassembly: the 4-byte length sizes the pooled buffer the record's
-	// ciphertext and MAC are then received into; a verified record is
-	// decrypted in place and queues in rx, where reads consume it.
-	hdr    [recHdrLen]byte
-	got    int        // bytes so far of hdr, then of rec
-	rec    *iovec.Buf // the record being received; nil between records
-	rx     iovec.Queue
-	rerr   error // io.EOF or ErrIntegrity once the inbound stream ended
-	closed bool
-	rbuf   []byte
-	rcb    func(int, error)
 }
 
 func newSecConn(d *Driver, inner vlink.Conn, session []byte) (*secConn, error) {
@@ -233,21 +172,33 @@ func newSecConn(d *Driver, inner vlink.Conn, session []byte) (*secConn, error) {
 		return nil, err
 	}
 	c.block = block
-	buf := make([]byte, 64<<10)
-	var pump func(n int, err error)
-	pump = func(n int, err error) {
-		c.feed(buf[:n])
-		if c.rerr != nil {
-			return // integrity failure: feed closed the inner conn
-		}
-		if err != nil {
-			c.endRead(io.EOF)
-			return
-		}
-		inner.PostRead(buf, pump)
-	}
-	inner.PostRead(buf, pump)
+	c.ReadFrames(inner, 64<<10, recHdrLen, recordLen, c.open)
 	return c, nil
+}
+
+// recordLen is a record's ciphertext and MAC length.
+func recordLen(hdr []byte) (int, error) {
+	n := iovec.NewReader(hdr).U32()
+	if n > maxRecord {
+		return 0, ErrIntegrity
+	}
+	return int(n) + macLen, nil
+}
+
+// open verifies a received record, decrypts it in place and queues the
+// plaintext. A record whose MAC does not verify ends the stream.
+func (c *secConn) open(_ []byte, rec *iovec.Buf) error {
+	rb := rec.Bytes()
+	ct, mac := rb[:len(rb)-macLen], rb[len(rb)-macLen:]
+	ctr := c.rIV
+	c.rIV++
+	if !hmac.Equal(mac, c.mac(ctr, ct)) {
+		rec.Release()
+		return ErrIntegrity
+	}
+	c.ctrStream(ctr).XORKeyStream(ct, ct)
+	c.Push(rec, ct)
+	return nil
 }
 
 // Kernel lets VLink charge costs on the right kernel.
@@ -277,23 +228,43 @@ func (c *secConn) mac(ctr uint64, ct []byte) []byte {
 // AES-CTR runs segment by segment (the keystream is positional, so the
 // ciphertext equals that of the flattened plaintext) straight into the
 // pooled record buffer, which is released once the inner driver
-// accepted it.
+// accepted it. A write longer than maxRecord goes out as several
+// records.
 func (c *secConn) PostWritev(v iovec.Vec, cb func(int, error)) {
+	total := v.Len()
+	if total <= maxRecord {
+		c.seal(v, total, cb)
+		return
+	}
+	left := (total + maxRecord - 1) / maxRecord
+	for off := 0; off < total; off += maxRecord {
+		part := v.Slice(off, min(maxRecord, total-off))
+		c.seal(part, part.Len(), func(int, error) {
+			if left--; left == 0 {
+				cb(total, nil)
+			}
+		})
+		part.Release() // seal copied it
+	}
+}
+
+// seal encrypts v, n bytes, into one record and hands it to the inner
+// driver after the encryption cost; cb(n, nil) runs once it accepted it.
+func (c *secConn) seal(v iovec.Vec, n int, cb func(int, error)) {
 	ctr := c.wIV
 	c.wIV++
-	total := v.Len()
-	rec := iovec.Get(recHdrLen + total + macLen)
+	rec := iovec.Get(recHdrLen + n + macLen)
 	rb := rec.Bytes()
-	iovec.NewWriter(rb[:0]).PutU32(uint32(total))
+	iovec.NewWriter(rb[:0]).PutU32(uint32(n))
 	stream := c.ctrStream(ctr)
 	off := recHdrLen
 	for _, s := range v.Segs {
 		stream.XORKeyStream(rb[off:off+len(s.B)], s.B)
 		off += len(s.B)
 	}
-	ct := rb[recHdrLen : recHdrLen+total]
-	copy(rb[recHdrLen+total:], c.mac(ctr, ct))
-	cost := model.EncryptPerByte.Cost(total)
+	ct := rb[recHdrLen : recHdrLen+n]
+	copy(rb[recHdrLen+n:], c.mac(ctr, ct))
+	cost := model.EncryptPerByte.Cost(n)
 	now := c.d.k.Now()
 	if c.wHorizon < now {
 		c.wHorizon = now
@@ -302,93 +273,15 @@ func (c *secConn) PostWritev(v iovec.Vec, cb func(int, error)) {
 	c.d.k.ScheduleAt(c.wHorizon, func() {
 		c.inner.PostWritev(iovec.Make(rec.Bytes()), func(int, error) {
 			rec.Release()
-			cb(total, nil)
+			cb(n, nil)
 		})
 	})
-}
-
-// feed consumes stream bytes: each is copied once, into the header or
-// into the record buffer it is verified, decrypted and read from.
-func (c *secConn) feed(data []byte) {
-	for !c.orphaned() {
-		if c.rec == nil {
-			if !iovec.Fill(c.hdr[:], &c.got, &data) {
-				break
-			}
-			c.rec, c.got = iovec.Get(int(iovec.NewReader(c.hdr[:]).U32())+macLen), 0
-		}
-		if !iovec.Fill(c.rec.Bytes(), &c.got, &data) {
-			break
-		}
-		rb := c.rec.Bytes()
-		ct, mac := rb[:len(rb)-macLen], rb[len(rb)-macLen:]
-		ctr := c.rIV
-		c.rIV++
-		if !hmac.Equal(mac, c.mac(ctr, ct)) {
-			c.inner.Close()
-			c.endRead(ErrIntegrity)
-			return
-		}
-		c.ctrStream(ctr).XORKeyStream(ct, ct)
-		c.rx.Push(c.rec, ct)
-		c.rec, c.got = nil, 0
-	}
-	c.tryComplete()
-}
-
-// endRead ends the inbound stream: a half-received record is dropped,
-// and reads complete with err once what is queued has been consumed.
-func (c *secConn) endRead(err error) {
-	c.rerr = err
-	c.dropPartial()
-	c.tryComplete()
-}
-
-func (c *secConn) dropPartial() {
-	if c.rec != nil {
-		c.rec.Release()
-		c.rec = nil
-	}
-}
-
-// orphaned reports that nobody is left to read: the conn was closed and
-// the read posted before that, if any, has completed. (The wrappers
-// that pump a conn re-post from inside the completion; VLink posts
-// nothing after Close.) The inner conn is still read to its EOF, but
-// what arrives is dropped.
-func (c *secConn) orphaned() bool { return c.closed && c.rcb == nil }
-
-func (c *secConn) tryComplete() {
-	if c.rcb != nil && (c.rx.Len() > 0 || c.rerr != nil) {
-		n := c.rx.Read(c.rbuf)
-		cb := c.rcb
-		c.rcb, c.rbuf = nil, nil
-		var err error
-		if n == 0 {
-			err = c.rerr
-		}
-		cb(n, err)
-	}
-	if c.orphaned() {
-		c.dropPartial()
-		c.rx.Release()
-	}
-}
-
-// PostRead implements vlink.Conn.
-func (c *secConn) PostRead(buf []byte, cb func(int, error)) {
-	if c.rcb != nil {
-		panic("gsec: overlapping PostRead")
-	}
-	c.rbuf, c.rcb = buf, cb
-	c.tryComplete()
 }
 
 // Close implements vlink.Conn. A read still posted completes as if the
 // conn were open (with the next bytes, or the error that ends the
 // stream); everything else received goes back to the pool.
 func (c *secConn) Close() {
-	c.closed = true
-	c.tryComplete()
+	c.CloseRead()
 	c.inner.Close()
 }

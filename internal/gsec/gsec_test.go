@@ -24,11 +24,11 @@ func endpoint(k *vtime.Kernel, key string) *vlink.Endpoint {
 	return ep
 }
 
-func TestAuthenticatedEncryptedRoundTrip(t *testing.T) {
+// roundTrip writes payload through one ciphered loopback link and
+// returns what the acceptor read before EOF.
+func roundTrip(t *testing.T, payload []byte) []byte {
 	k := vtime.NewKernel()
 	ep := endpoint(k, "shared-secret")
-	payload := make([]byte, 60000)
-	rand.New(rand.NewSource(2)).Read(payload)
 	var got []byte
 	if err := k.Run(func(p *vtime.Proc) {
 		ln, err := ep.Listen("gsec", 1)
@@ -63,8 +63,24 @@ func TestAuthenticatedEncryptedRoundTrip(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, payload) {
+	return got
+}
+
+func TestAuthenticatedEncryptedRoundTrip(t *testing.T) {
+	payload := make([]byte, 60000)
+	rand.New(rand.NewSource(2)).Read(payload)
+	if got := roundTrip(t, payload); !bytes.Equal(got, payload) {
 		t.Fatal("ciphered stream corrupted")
+	}
+}
+
+// One write longer than a record may carry goes out as several records:
+// the receiver, which ends the stream on a longer one, reads it intact.
+func TestLongWriteSplitsIntoRecords(t *testing.T) {
+	payload := make([]byte, 3<<20+5)
+	rand.New(rand.NewSource(5)).Read(payload)
+	if got := roundTrip(t, payload); !bytes.Equal(got, payload) {
+		t.Fatalf("%d bytes written in one write, %d read back intact", len(payload), len(got))
 	}
 }
 

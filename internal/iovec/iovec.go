@@ -306,9 +306,10 @@ func (v Vec) Flatten() *Buf {
 	return b
 }
 
-// Fifo is a byte staging buffer with head-indexed consumption: stream
-// reassemblers append at the tail and consume from the front, and the
-// backing array is reused once drained. The re-slicing idiom
+// Fifo is a byte staging buffer with head-indexed consumption, for a
+// stream with no frame size to wait for (ipstack's in-order TCP receive
+// buffer): bytes are appended at the tail and consumed from the front,
+// and the backing array is reused once drained. The re-slicing idiom
 // (buf = buf[n:]) it replaces strands capacity on every consume and
 // reallocates on nearly every append under steady traffic.
 type Fifo struct {
@@ -316,14 +317,10 @@ type Fifo struct {
 	off int
 }
 
-// Write appends p's bytes.
-func (f *Fifo) Write(p []byte) { copy(f.Grow(len(p)), p) }
-
 // Grow appends n uninitialized bytes and returns that region for the
-// caller to fill (decompressors, decryptors). When the tail is full,
-// the unconsumed bytes are first compacted to the front so capacity
-// (and any reallocation) is sized by live data, not by the consumed
-// prefix.
+// caller to fill. When the tail is full, the unconsumed bytes are first
+// compacted to the front so capacity (and any reallocation) is sized by
+// live data, not by the consumed prefix.
 func (f *Fifo) Grow(n int) []byte {
 	if f.off > 0 && len(f.buf)+n > cap(f.buf) {
 		live := copy(f.buf, f.buf[f.off:])
@@ -372,10 +369,11 @@ type Queue struct {
 }
 
 // Push appends view, a region of owner's bytes, and takes over the
-// caller's reference to owner. An empty view is released on the spot.
+// caller's reference to owner (nil for plain memory). An empty view is
+// released on the spot.
 func (q *Queue) Push(owner *Buf, view []byte) {
 	if len(view) == 0 {
-		owner.Release()
+		Seg{Owner: owner}.Release()
 		return
 	}
 	if q.head > 0 && len(q.segs) == cap(q.segs) {
@@ -398,7 +396,7 @@ func (q *Queue) Read(dst []byte) int {
 		n := copy(dst[total:], s.B)
 		total += n
 		if s.B = s.B[n:]; len(s.B) == 0 {
-			s.Owner.Release()
+			s.Release()
 			*s = Seg{}
 			q.head++
 		}
@@ -413,7 +411,7 @@ func (q *Queue) Read(dst []byte) int {
 // Release drops every unread buffer and empties the queue.
 func (q *Queue) Release() {
 	for _, s := range q.segs[q.head:] {
-		s.Owner.Release()
+		s.Release()
 	}
 	*q = Queue{}
 }

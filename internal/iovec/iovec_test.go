@@ -201,8 +201,9 @@ func TestUnpooledLargeBuffer(t *testing.T) {
 
 func TestFifoReusesBackingOnceDrained(t *testing.T) {
 	var f Fifo
-	f.Write([]byte("hello"))
-	f.Write([]byte(" world"))
+	write := func(p string) { copy(f.Grow(len(p)), p) }
+	write("hello")
+	write(" world")
 	if f.Len() != 11 || string(f.Bytes()) != "hello world" {
 		t.Fatalf("fifo = %q (len %d)", f.Bytes(), f.Len())
 	}
@@ -218,7 +219,7 @@ func TestFifoReusesBackingOnceDrained(t *testing.T) {
 	// not grow capacity beyond what the first round established.
 	c0 := cap(f.buf)
 	for i := 0; i < 100; i++ {
-		f.Write([]byte("0123456789"))
+		write("0123456789")
 		f.Consume(10)
 	}
 	if cap(f.buf) != c0 {

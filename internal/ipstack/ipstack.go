@@ -1039,12 +1039,12 @@ func (c *TCPConn) segment(seg *tcpSeg, payload iovec.Vec) {
 		switch {
 		case seg.ackNo > c.sndUna:
 			acked := seg.ackNo - c.sndUna
-			dataAcked := acked
 			if c.finQueued && seg.ackNo > c.finSeq {
-				dataAcked = c.finSeq - c.sndUna
-			}
-			if dataAcked > 0 {
-				c.sndq.drop(int(dataAcked))
+				// The FIN is acked, so every byte is: the partly filled
+				// tail block, which drop never frees, goes back too.
+				c.sndq.reset()
+			} else {
+				c.sndq.drop(int(acked))
 			}
 			c.sndUna = seg.ackNo
 			if c.sndNxt < c.sndUna {

@@ -71,7 +71,8 @@ func (q *sendQueue) growVec(v iovec.Vec, from, n int) {
 
 // drop trims n acked bytes from the head, releasing fully-consumed
 // blocks (their bytes stay alive while in-flight views hold
-// references).
+// references). The tail block is never full before the FIN, so it goes
+// back through reset once the FIN is acked.
 func (q *sendQueue) drop(n int) {
 	q.n -= n
 	for n > 0 {
@@ -118,7 +119,7 @@ func (q *sendQueue) view(off, n int, dst *iovec.Vec) {
 	}
 }
 
-// reset releases every block (connection abort/teardown).
+// reset releases every block (FIN acked, abort or teardown).
 func (q *sendQueue) reset() {
 	for i := range q.blocks {
 		q.blocks[i].buf.Release()

@@ -12,8 +12,8 @@
 package pstreams
 
 import (
+	"errors"
 	"fmt"
-	"io"
 
 	"padico/internal/iovec"
 	"padico/internal/topology"
@@ -45,74 +45,48 @@ func New(k *vtime.Kernel, node topology.NodeID, inner vlink.Driver, n int) *Driv
 // Name implements vlink.Driver.
 func (d *Driver) Name() string { return "pstreams" }
 
+// ErrCorrupt ends the reads of a striped link that received a chunk
+// header claiming more than ChunkSize.
+var ErrCorrupt = errors.New("pstreams: corrupt chunk header")
+
 // Listen implements vlink.Driver: inbound inner connections are grouped
 // by link id from their preamble until the announced width is reached.
 func (d *Driver) Listen(port int) (vlink.Listener, error) {
-	il, err := d.inner.Listen(port)
-	if err != nil {
-		return nil, err
-	}
-	l := &listener{d: d, il: il, pending: make(map[uint64]*pendingLink)}
-	il.SetAcceptHandler(l.onInner)
-	return l, nil
-}
-
-type listener struct {
-	d       *Driver
-	il      vlink.Listener
-	accept  func(vlink.Conn)
-	pending map[uint64]*pendingLink
-}
-
-type pendingLink struct {
-	want  int
-	conns []vlink.Conn
+	pending := make(map[uint64][]vlink.Conn) // link id -> stripes by index
+	return vlink.Wrapper{Inner: d.inner, Wrap: func(c vlink.Conn, _ bool, accept func(vlink.Conn, error)) {
+		buf := make([]byte, preambleLen)
+		vlink.PostReadFull(c, buf, func(err error) {
+			if err != nil {
+				c.Close()
+				return
+			}
+			r := iovec.NewReader(buf)
+			lid, idx, total := r.U64(), int(r.U8()), int(r.U8())
+			conns, ok := pending[lid]
+			if !ok && total > 0 {
+				conns = make([]vlink.Conn, total)
+				pending[lid] = conns
+			}
+			// A stripe that cannot be one of the link's closes, and the
+			// link waits on.
+			if idx >= total || total != len(conns) || conns[idx] != nil {
+				c.Close()
+				return
+			}
+			conns[idx] = c
+			for _, cc := range conns {
+				if cc == nil {
+					return
+				}
+			}
+			delete(pending, lid)
+			accept(newConn(d, conns), nil)
+		})
+	}}.Listen(port)
 }
 
 // preamble: [8B linkID][1B index][1B total]
 const preambleLen = 10
-
-func (l *listener) onInner(c vlink.Conn) {
-	buf := make([]byte, preambleLen)
-	got := 0
-	var pump func(n int, err error)
-	pump = func(n int, err error) {
-		got += n
-		if err != nil {
-			c.Close()
-			return
-		}
-		if got < preambleLen {
-			c.PostRead(buf[got:], pump)
-			return
-		}
-		r := iovec.NewReader(buf)
-		lid, idx, total := r.U64(), int(r.U8()), int(r.U8())
-		pl, ok := l.pending[lid]
-		if !ok {
-			pl = &pendingLink{want: total, conns: make([]vlink.Conn, total)}
-			l.pending[lid] = pl
-		}
-		pl.conns[idx] = c
-		for _, cc := range pl.conns {
-			if cc == nil {
-				return
-			}
-		}
-		delete(l.pending, lid)
-		pc := newConn(l.d, pl.conns)
-		if l.accept != nil {
-			l.accept(pc)
-		}
-	}
-	c.PostRead(buf, pump)
-}
-
-// SetAcceptHandler implements vlink.Listener.
-func (l *listener) SetAcceptHandler(fn func(vlink.Conn)) { l.accept = fn }
-
-// Close implements vlink.Listener.
-func (l *listener) Close() { l.il.Close() }
 
 // Dial implements vlink.Driver.
 func (d *Driver) Dial(addr vlink.Addr, cb func(vlink.Conn, error)) {
@@ -142,32 +116,22 @@ func (d *Driver) Dial(addr vlink.Addr, cb func(vlink.Conn, error)) {
 	}
 }
 
-// conn is the striped logical connection.
+// conn is the striped logical connection. Each stripe's pump fills the
+// chunk it is receiving in place and files it by sequence number in the
+// inbox, which queues chunks in stream order.
 type conn struct {
+	vlink.Inbox
 	d       *Driver
 	streams []vlink.Conn
 	nextW   int    // round-robin writer cursor
 	seqW    uint64 // next chunk sequence number
-
-	// Reassembly: each stripe fills the chunk it is receiving in place
-	// (filling), complete chunks wait in stash for their turn, then
-	// queue in rx, where reads consume them head-first.
-	nextSeq uint64
-	filling []*iovec.Buf // per stripe; nil between chunks
-	stash   map[uint64]*iovec.Buf
-	rx      iovec.Queue
-	eofs    int
-	closed  bool
-	rbuf    []byte
-	rcb     func(int, error)
 }
 
 // chunk header: [8B seq][4B len]
 const chunkHdrLen = 12
 
 func newConn(d *Driver, streams []vlink.Conn) *conn {
-	c := &conn{d: d, streams: streams, stash: make(map[uint64]*iovec.Buf),
-		filling: make([]*iovec.Buf, len(streams))}
+	c := &conn{d: d, streams: streams}
 	// Size per-stripe socket windows so the aggregate slightly exceeds
 	// the path BDP instead of multiplying the default window by the
 	// stripe count (which would just fill bottleneck queues and drop).
@@ -179,10 +143,26 @@ func newConn(d *Driver, streams []vlink.Conn) *conn {
 			}
 		}
 	}
-	for i := range streams {
-		c.startReader(i)
+	file := c.file
+	for _, s := range streams {
+		c.ReadFrames(s, ChunkSize+chunkHdrLen, chunkHdrLen, chunkLen, file)
 	}
 	return c
+}
+
+// chunkLen is a chunk's body length, at most ChunkSize.
+func chunkLen(hdr []byte) (int, error) {
+	n := iovec.NewReader(hdr[8:]).U32()
+	if n > ChunkSize {
+		return 0, ErrCorrupt
+	}
+	return int(n), nil
+}
+
+// file hands a received chunk to the inbox under its sequence number.
+func (c *conn) file(hdr []byte, chunk *iovec.Buf) error {
+	c.PushSeq(iovec.NewReader(hdr).U64(), chunk)
+	return nil
 }
 
 // Kernel lets VLink charge costs on the right kernel.
@@ -190,103 +170,6 @@ func (c *conn) Kernel() *vtime.Kernel { return c.d.k }
 
 // Peer implements vlink.Conn.
 func (c *conn) Peer() topology.NodeID { return c.streams[0].Peer() }
-
-// startReader pumps stripe i into the reassembler. The 12-byte header
-// says how long the body is before the body arrives, so every byte read
-// off the stripe is copied once, straight into the pooled chunk it will
-// be consumed from.
-func (c *conn) startReader(i int) {
-	s := c.streams[i]
-	var hdr [chunkHdrLen]byte
-	got := 0 // bytes so far of the header, then of the body
-	buf := make([]byte, ChunkSize+chunkHdrLen)
-	var pump func(n int, err error)
-	pump = func(n int, err error) {
-		for data := buf[:n]; !c.orphaned(); {
-			if c.filling[i] == nil {
-				if !iovec.Fill(hdr[:], &got, &data) {
-					break
-				}
-				c.filling[i], got = iovec.Get(int(iovec.NewReader(hdr[8:]).U32())), 0
-			}
-			if !iovec.Fill(c.filling[i].Bytes(), &got, &data) {
-				break
-			}
-			c.stash[iovec.NewReader(hdr[:]).U64()] = c.filling[i]
-			c.filling[i], got = nil, 0
-		}
-		c.drain()
-		if err != nil {
-			c.eofs++
-			if c.eofs == len(c.streams) {
-				c.dropPartial()
-				c.drain() // deliver EOF if a read is pending
-			}
-			return
-		}
-		s.PostRead(buf, pump)
-	}
-	s.PostRead(buf, pump)
-}
-
-// dropPartial releases what can no longer become stream bytes: chunks
-// stashed behind a gap and half-received bodies.
-func (c *conn) dropPartial() {
-	for _, b := range c.stash {
-		b.Release()
-	}
-	clear(c.stash)
-	for i, b := range c.filling {
-		if b != nil {
-			b.Release()
-			c.filling[i] = nil
-		}
-	}
-}
-
-// orphaned reports that nobody is left to read: the conn was closed and
-// the read posted before that, if any, has completed. (The wrappers
-// that pump a conn re-post from inside the completion; VLink posts
-// nothing after Close.) The stripes are still read to their EOF, as
-// TCP's half-close has it, but what arrives is dropped.
-func (c *conn) orphaned() bool { return c.closed && c.rcb == nil }
-
-// drain moves in-order chunks to rx and completes a pending read with
-// everything queued, up to the size of its buffer.
-func (c *conn) drain() {
-	for {
-		chunk, ok := c.stash[c.nextSeq]
-		if !ok {
-			break
-		}
-		delete(c.stash, c.nextSeq)
-		c.nextSeq++
-		c.rx.Push(chunk, chunk.Bytes())
-	}
-	if c.rcb != nil && (c.rx.Len() > 0 || c.eofs == len(c.streams)) {
-		var err error
-		if c.rx.Len() == 0 {
-			err = io.EOF
-		}
-		n := c.rx.Read(c.rbuf)
-		cb := c.rcb
-		c.rcb, c.rbuf = nil, nil
-		cb(n, err)
-	}
-	if c.orphaned() {
-		c.dropPartial()
-		c.rx.Release()
-	}
-}
-
-// PostRead implements vlink.Conn.
-func (c *conn) PostRead(buf []byte, cb func(int, error)) {
-	if c.rcb != nil {
-		panic("pstreams: overlapping PostRead")
-	}
-	c.rbuf, c.rcb = buf, cb
-	c.drain()
-}
 
 // PostWritev implements vlink.Conn: stripe the vector round-robin in
 // ChunkSize units with sequence headers. Striping transforms no bytes,
@@ -328,8 +211,7 @@ func (c *conn) PostWritev(v iovec.Vec, cb func(int, error)) {
 // conn were open (with the next bytes, or io.EOF once every stripe has
 // reported its own); everything else received goes back to the pool.
 func (c *conn) Close() {
-	c.closed = true
-	c.drain()
+	c.CloseRead()
 	for _, s := range c.streams {
 		s.Close()
 	}

@@ -159,3 +159,42 @@ func TestCloseReleasesStashedChunks(t *testing.T) {
 		})
 	}
 }
+
+// A preamble that cannot belong to the link it names closes its stripe
+// instead of panicking the listener: an index beyond the announced
+// count, a count of zero, a count other than the one the link's first
+// stripe announced, an index already taken. The link then completes
+// with its real stripes.
+func TestBadPreambleClosesTheStripe(t *testing.T) {
+	k := vtime.NewKernel()
+	raw := vlinktest.NewLoopbackDriver(k, 0)
+	ln, err := pstreams.New(k, 0, raw, 2).Listen(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var link vlink.Conn
+	ln.SetAcceptHandler(func(c vlink.Conn) { link = c })
+	for _, s := range []struct {
+		name         string
+		lid          uint64
+		index, total uint8
+		closed       bool
+	}{
+		{"stripe 3 of 2", 1, 3, 2, true},
+		{"stripe 0 of 0", 2, 0, 0, true},
+		{"stripe 0 of 2", 1, 0, 2, false},
+		{"stripe 1 of 3 on a link of 2", 1, 1, 3, true},
+		{"stripe 0 of 2 again", 1, 0, 2, true},
+		{"stripe 1 of 2", 1, 1, 2, false},
+	} {
+		in := raw.Inject(1)
+		in.Push(nil, iovec.NewWriter(nil).PutU64(s.lid).PutU8(s.index).PutU8(s.total).Bytes())
+		in.Deliver()
+		if in.Closed() != s.closed {
+			t.Fatalf("%s: stripe closed = %v, want %v", s.name, in.Closed(), s.closed)
+		}
+	}
+	if link == nil {
+		t.Fatal("the link's two real stripes did not make a link")
+	}
+}

@@ -86,16 +86,16 @@ func TestRunReturnsPanicsAndDeadlocks(t *testing.T) {
 }
 
 // A fault-free pack-engine scenario leaves nothing behind: the bundle
-// directory is removed and every pooled buffer is back. The testbed is
-// one cluster on purpose: a closed WAN channel still strands its gsec
-// and pstreams receive buffers (stripes+1 per channel, measured at this
-// test's introduction) — a leak below the harness, tracked in ROADMAP
-// item 3(c), that this test must not paper over with a tolerance.
+// directory is removed and every pooled buffer is back. The testbed
+// spans the WAN, so the closed channels are pstreams stripes under gsec
+// over TCP: every receive buffer they hold and every TCP send block,
+// the partly filled last one included, must be released by the time
+// the run ends. No tolerance.
 func TestRunCleansUp(t *testing.T) {
 	baseline := iovec.Outstanding()
 	env, err := New(Spec{
 		Name:     "clean",
-		Testbed:  grid.Cluster(4),
+		Testbed:  grid.TwoClusterWAN(2, 2),
 		DataGrid: &datagrid.Config{Replicas: 2},
 		Pack:     true,
 	}, Observers{})

@@ -3,7 +3,6 @@ package vlink
 import (
 	"fmt"
 	"io"
-	"slices"
 
 	"padico/internal/iovec"
 	"padico/internal/ipstack"
@@ -314,7 +313,8 @@ func (d *MadIODriver) onMessage(p *vtime.Proc, src int, in madapi.InMessage) {
 			key |= dialerBit
 		}
 		if c, ok := d.conns[key]; ok && len(data.B) > 0 {
-			c.deliver(data)
+			c.Push(data.Owner, data.B)
+			c.Deliver()
 		} else {
 			data.Release() // no bytes, or the link already closed here: nothing to read
 		}
@@ -325,7 +325,7 @@ func (d *MadIODriver) onMessage(p *vtime.Proc, src int, in madapi.InMessage) {
 			key |= dialerBit
 		}
 		if c, ok := d.conns[key]; ok {
-			c.deliverEOF()
+			c.End(io.EOF)
 		}
 	}
 }
@@ -340,19 +340,15 @@ func (d *MadIODriver) newConn(key uint32, peerRank int) *madConn {
 	return c
 }
 
+// madConn is one link. Its inbox queues received data segments by
+// reference; each holds the sender's pooled buffer until its bytes have
+// been copied into a posted read.
 type madConn struct {
+	Inbox
 	d    *MadIODriver
 	key  uint32
 	peer int
-	// rx queues received data segments by reference, oldest first; each
-	// holds the sender's pooled buffer until its bytes have been copied
-	// into a posted read.
-	rx     []iovec.Seg
-	eof    bool
-	rbuf   []byte
-	rcb    func(int, error)
-	closed bool
-	hdr    [madHdrLen]byte // a data message's header, built here for SendVec to copy
+	hdr  [madHdrLen]byte // a data message's header, built here for SendVec to copy
 }
 
 // Kernel lets VLink charge costs on the right kernel.
@@ -370,73 +366,15 @@ func (c *madConn) isDialer() byte {
 	return 0
 }
 
-func (c *madConn) deliver(data iovec.Seg) {
-	c.rx = append(c.rx, data)
-	c.tryComplete()
-}
-
-func (c *madConn) deliverEOF() {
-	c.eof = true
-	c.tryComplete()
-}
-
-// tryComplete copies queued segments straight into the posted read
-// buffer — the receive side's one copy — releasing each pooled buffer
-// as its last byte leaves.
-func (c *madConn) tryComplete() {
-	if c.rcb == nil || (len(c.rx) == 0 && !c.eof) {
-		return
-	}
-	n, used := 0, 0
-	for used < len(c.rx) && n < len(c.rbuf) {
-		s := &c.rx[used]
-		m := copy(c.rbuf[n:], s.B)
-		n += m
-		if s.B = s.B[m:]; len(s.B) > 0 {
-			break
-		}
-		s.Release()
-		used++
-	}
-	c.rx = slices.Delete(c.rx, 0, used) // clears the vacated slots: they pin no buffer
-	cb := c.rcb
-	c.rcb, c.rbuf = nil, nil
-	var err error
-	if n == 0 && c.eof {
-		err = io.EOF
-	}
-	cb(n, err)
-}
-
-// PostRead implements Conn.
-func (c *madConn) PostRead(buf []byte, cb func(int, error)) {
-	if c.rcb != nil {
-		panic("vlink/madio: overlapping PostRead")
-	}
-	c.rbuf, c.rcb = buf, cb
-	c.tryComplete()
-}
-
-// shut unbinds the link: late data is released on arrival (onMessage)
-// and what was queued unread goes back to the pool now.
-func (c *madConn) shut() {
-	c.closed = true
-	delete(c.d.conns, c.key)
-	iovec.Vec{Segs: c.rx}.Release()
-	c.rx = nil
-}
-
 // Fail implements Failer: a crashed peer's pending read completes with
-// the error at once (a dead SAN NIC never delivers the close message).
+// the error at once (a dead SAN NIC never delivers the close message),
+// and what was queued unread goes back to the pool.
 func (c *madConn) Fail(err error) {
-	if c.closed {
+	if c.Closed() {
 		return
 	}
-	c.shut()
-	if cb := c.rcb; cb != nil {
-		c.rcb, c.rbuf = nil, nil
-		cb(0, err)
-	}
+	delete(c.d.conns, c.key) // late data is released on arrival (onMessage)
+	c.Abort(err)
 }
 
 // PostWritev implements Conn: the vector rides one MadIO message. SAN
@@ -448,7 +386,7 @@ func (c *madConn) Fail(err error) {
 // side's one copy. The receiving madConn releases the buffer after
 // copying it out.
 func (c *madConn) PostWritev(v iovec.Vec, cb func(int, error)) {
-	if c.closed {
+	if c.Closed() {
 		cb(0, ErrClosed)
 		return
 	}
@@ -459,12 +397,14 @@ func (c *madConn) PostWritev(v iovec.Vec, cb func(int, error)) {
 	cb(n, nil)
 }
 
-// Close implements Conn.
+// Close implements Conn: late data is released on arrival (onMessage),
+// and what was queued unread goes back to the pool.
 func (c *madConn) Close() {
-	if c.closed {
+	if c.Closed() {
 		return
 	}
 	var hdr [madHdrLen]byte
 	c.d.mio.SendVec(c.peer, c.d.logical, [][]byte{putMadHdr(&hdr, madClose, c.cid(), 0, c.isDialer())}, iovec.Vec{})
-	c.shut()
+	delete(c.d.conns, c.key)
+	c.CloseRead()
 }

@@ -67,14 +67,21 @@ func (d *LoopbackDriver) Dial(addr vlink.Addr, cb func(vlink.Conn, error)) {
 	})
 }
 
+// Inject hands the listener on port a conn with no peer and returns its
+// receive end: the test pushes the bytes the accepted conn reads (Push,
+// Deliver) and ends them (End). What the conn writes goes nowhere, and
+// closing it closes that receive end (Closed).
+func (d *LoopbackDriver) Inject(port int) *vlink.Inbox {
+	c := &loopConn{d: d}
+	d.ports[port].accept(c)
+	return &c.Inbox
+}
+
 // loopConn is one end of an in-memory pipe.
 type loopConn struct {
+	vlink.Inbox
 	d    *LoopbackDriver
 	peer *loopConn
-	rx   []byte
-	eof  bool
-	rbuf []byte
-	rcb  func(int, error)
 }
 
 func newLoopPair(d *LoopbackDriver) (*loopConn, *loopConn) {
@@ -90,58 +97,29 @@ func (c *loopConn) Kernel() *vtime.Kernel { return c.d.k }
 // Peer implements vlink.Conn.
 func (c *loopConn) Peer() topology.NodeID { return c.d.node }
 
-// PostRead implements vlink.Conn.
-func (c *loopConn) PostRead(buf []byte, cb func(int, error)) {
-	if c.rcb != nil {
-		panic("vlinktest/loopback: overlapping PostRead")
-	}
-	c.rbuf, c.rcb = buf, cb
-	c.tryComplete()
-}
+// Fail implements vlink.Failer: crash injection on an in-memory pipe
+// drops what is queued and completes the pending read with the error.
+func (c *loopConn) Fail(err error) { c.Abort(err) }
 
-// Fail implements vlink.Failer: crash injection on an in-memory pipe simply
-// completes the pending read with the error.
-func (c *loopConn) Fail(err error) {
-	if cb := c.rcb; cb != nil {
-		c.rcb, c.rbuf = nil, nil
-		cb(0, err)
-	}
-}
-
-func (c *loopConn) tryComplete() {
-	if c.rcb == nil || (len(c.rx) == 0 && !c.eof) {
-		return
-	}
-	n := copy(c.rbuf, c.rx)
-	c.rx = c.rx[n:]
-	cb := c.rcb
-	c.rcb, c.rbuf = nil, nil
-	var err error
-	if n == 0 && c.eof {
-		err = io.EOF
-	}
-	cb(n, err)
-}
-
-// PostWritev implements vlink.Conn: the bytes are captured into a pooled
-// buffer at post time (the borrow ends when cb fires, which is
-// immediately here) and delivered after the memcpy-scale latency.
+// PostWritev implements vlink.Conn: the bytes are copied at post time (the
+// borrow ends when cb fires, which is immediately here) and delivered
+// after the memcpy-scale latency.
 func (c *loopConn) PostWritev(v iovec.Vec, cb func(int, error)) {
-	peer := c.peer
-	buf := v.Flatten()
-	c.d.k.Schedule(200*time.Nanosecond, func() { // memcpy-scale latency
-		peer.rx = append(peer.rx, buf.Bytes()...)
-		buf.Release()
-		peer.tryComplete()
-	})
+	if peer := c.peer; peer != nil {
+		b := v.AppendFrom(nil, 0)
+		c.d.k.Schedule(200*time.Nanosecond, func() { // memcpy-scale latency
+			peer.Push(nil, b)
+			peer.Deliver()
+		})
+	}
 	cb(v.Len(), nil)
 }
 
 // Close implements vlink.Conn.
 func (c *loopConn) Close() {
-	peer := c.peer
-	c.d.k.Schedule(200*time.Nanosecond, func() {
-		peer.eof = true
-		peer.tryComplete()
-	})
+	if peer := c.peer; peer != nil {
+		c.d.k.Schedule(200*time.Nanosecond, func() { peer.End(io.EOF) })
+	} else {
+		c.CloseRead()
+	}
 }
