@@ -1,6 +1,7 @@
 package datagrid
 
 import (
+	"padico/internal/session"
 	"padico/internal/topology"
 	"padico/internal/vtime"
 )
@@ -25,3 +26,15 @@ func (dg *DataGrid) RunTransfer(p *vtime.Proc, src, dst topology.NodeID, name st
 // reopened over from's bundles would know if it kept its catalog
 // durably too (the datagrid keeps it in memory only).
 func (dg *DataGrid) AdoptCatalog(from *DataGrid) { dg.catalog = from.catalog }
+
+// RecvTransfer runs the receiving side of one transfer on ch and
+// returns what it accepted.
+func (dg *DataGrid) RecvTransfer(q *vtime.Proc, ch session.Channel) [][]byte {
+	result := vtime.NewQueue[[]byte]("recv")
+	dg.recvTransfer(q, ch, 0, result)
+	var out [][]byte
+	for v, ok := result.TryPop(); ok; v, ok = result.TryPop() {
+		out = append(out, v)
+	}
+	return out
+}

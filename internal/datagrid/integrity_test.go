@@ -7,6 +7,7 @@ import (
 
 	"padico/internal/datagrid"
 	"padico/internal/grid"
+	"padico/internal/iovec"
 	"padico/internal/store"
 	"padico/internal/topology"
 	"padico/internal/vtime"
@@ -297,4 +298,32 @@ func TestRottenSourceIsQuarantinedNotRetried(t *testing.T) {
 			}
 		})
 	})
+}
+
+// TestReceiverRejectsHostileSize: a transfer header whose u64 size does
+// not fit an int (2^63 reads as negative) ends the receiver the way a
+// dead sender does — it returns and closes — instead of panicking in
+// make.
+func TestReceiverRejectsHostileSize(t *testing.T) {
+	g := grid.Cluster(2)
+	dg := g.NewDataGrid(datagrid.Config{})
+	if err := g.K.Run(func(p *vtime.Proc) {
+		ch, err := g.Open(p, 0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hdr := iovec.NewWriter(nil).PutU16(3).PutU64(1 << 63).Put(make([]byte, 32)).Bytes()
+		if err := ch.Send(p, hdr, []byte("obj")); err != nil {
+			t.Fatal(err)
+		}
+		if got := dg.RecvTransfer(p, ch.Remote()); len(got) != 0 {
+			t.Fatalf("accepted %d payloads", len(got))
+		}
+		if _, err := ch.Read(p, make([]byte, 1)); err == nil {
+			t.Fatal("the receiver did not close its end")
+		}
+		ch.Close()
+	}); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -212,6 +212,9 @@ func (dg *DataGrid) recvTransfer(q *vtime.Proc, ch session.Channel, attempt int,
 	}
 	r := iovec.NewReader(hdr[0])
 	nameLen, size := int(r.U16()), int(r.U64())
+	if size < 0 {
+		return // a size no buffer can hold: the sender is broken
+	}
 	var want [32]byte
 	copy(want[:], r.Next(len(want)))
 	nameSeg, err := ch.Recv(q, nameLen)

@@ -46,7 +46,7 @@ type Grid struct {
 	RT    []*Runtime
 	// Prefs is the deployment-wide default QoS; per-channel overrides
 	// go through Session().Open options.
-	Prefs selector.Preferences
+	Prefs selector.QoS
 	// CoreHops indexes the wide-area core hops by name ("core:<wan>"
 	// or "core:<wan>:<siteA>+<siteB>") — the handles condition
 	// schedules and per-link byte accounting hang off.
@@ -342,7 +342,7 @@ func newGrid() *Grid {
 	k := vtime.NewKernel()
 	return &Grid{
 		K: k, Topo: topology.New(), Stack: ipstack.New(k),
-		Prefs:    selector.DefaultPreferences(),
+		Prefs:    selector.DefaultQoS(),
 		CoreHops: make(map[string]*netsim.Hop),
 		nextPort: 20000, nextLogical: 2000,
 	}

@@ -20,7 +20,7 @@ func TestSelectorDecisions(t *testing.T) {
 	prefs := g.Prefs
 
 	// Same cluster: straight parallel path on Myrinet.
-	d, err := selector.Choose(g.Topo, prefs, 0, 1)
+	d, err := selector.Select(g.Topo, selector.Request{Src: 0, Dst: 1, QoS: prefs})
 	if err != nil || d.Method != "madio" || d.Network.Kind != topology.Myrinet {
 		t.Fatalf("intra-cluster decision = %+v, %v", d, err)
 	}
@@ -28,7 +28,7 @@ func TestSelectorDecisions(t *testing.T) {
 		t.Fatal("ciphering chosen on a secure machine-room network")
 	}
 	// Cross-site: parallel streams on the WAN, ciphered.
-	d, err = selector.Choose(g.Topo, prefs, 0, 2)
+	d, err = selector.Select(g.Topo, selector.Request{Src: 0, Dst: 2, QoS: prefs})
 	if err != nil || d.Method != "pstreams" || d.Network.Kind != topology.WAN {
 		t.Fatalf("cross-site decision = %+v, %v", d, err)
 	}
@@ -36,7 +36,7 @@ func TestSelectorDecisions(t *testing.T) {
 		t.Fatal("inter-site link not ciphered under auto policy")
 	}
 	// Loopback.
-	d, _ = selector.Choose(g.Topo, prefs, 1, 1)
+	d, _ = selector.Select(g.Topo, selector.Request{Src: 1, Dst: 1, QoS: prefs})
 	if d.Method != "loopback" {
 		t.Fatalf("self decision = %+v", d)
 	}
@@ -45,7 +45,7 @@ func TestSelectorDecisions(t *testing.T) {
 	lg := grid.LossyPair()
 	lp := lg.Prefs
 	lp.LossTolerance = 0.1
-	d, err = selector.Choose(lg.Topo, lp, 0, 1)
+	d, err = selector.Select(lg.Topo, selector.Request{Src: 0, Dst: 1, QoS: lp})
 	if err != nil || d.Method != "vrp" {
 		t.Fatalf("lossy decision = %+v, %v", d, err)
 	}
@@ -133,7 +133,7 @@ func wanThroughput(t *testing.T, dec *selector.Decision, size int) float64 {
 	if err := g.K.Run(func(p *vtime.Proc) {
 		d := selector.Decision{}
 		if dec == nil {
-			dd, err := selector.Choose(g.Topo, g.Prefs, 0, 1)
+			dd, err := selector.Select(g.Topo, selector.Request{Src: 0, Dst: 1, QoS: g.Prefs})
 			if err != nil {
 				t.Fatal(err)
 			}

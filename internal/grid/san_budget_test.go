@@ -14,6 +14,7 @@ import (
 	"padico/internal/model"
 	"padico/internal/netsim"
 	"padico/internal/selector"
+	"padico/internal/session"
 	"padico/internal/topology"
 	"padico/internal/vtime"
 )
@@ -155,31 +156,57 @@ func sanRungs(size int) []rung {
 			}
 		}},
 		// Send's contract ends the borrow: one copy, into the message.
-		{"session", 1.1, 18, func(tb testing.TB, p *vtime.Proc, g *grid.Grid) func(*vtime.Proc, []byte) {
-			ch, err := g.Open(p, 0, 1)
-			if err != nil {
-				tb.Fatal(err)
+		{"session", 1.1, 14, sessionRung(size, func(p *vtime.Proc, g *grid.Grid) (session.Channel, error) {
+			return g.Open(p, 0, 1)
+		})},
+	}
+}
+
+// sessionRungs are the session's other substrates, timed by the
+// benchmarks only: the local pipe, a LAN VLink (TCP over Ethernet) and
+// an adaptive channel over the SAN circuit.
+func sessionRungs(size int) []rung {
+	return []rung{
+		{"pipe", 0, 0, sessionRung(size, func(p *vtime.Proc, g *grid.Grid) (session.Channel, error) {
+			return g.Open(p, 0, 0)
+		})},
+		{"lan", 0, 0, sessionRung(size, func(p *vtime.Proc, g *grid.Grid) (session.Channel, error) {
+			eth := g.Topo.Networks()[1]
+			return g.Session().OpenWith(p, 0, 1, selector.Decision{Network: eth, Method: "sysio"})
+		})},
+		{"adaptive", 0, 0, sessionRung(size, func(p *vtime.Proc, g *grid.Grid) (session.Channel, error) {
+			return g.Open(p, 0, 1, session.WithAdaptive())
+		})},
+	}
+}
+
+// sessionRung is the round trip over the channel open returns: msg by
+// Send, the acknowledgement by the remote end's Send.
+func sessionRung(size int, open func(*vtime.Proc, *grid.Grid) (session.Channel, error)) func(testing.TB, *vtime.Proc, *grid.Grid) func(*vtime.Proc, []byte) {
+	return func(tb testing.TB, p *vtime.Proc, g *grid.Grid) func(*vtime.Proc, []byte) {
+		ch, err := open(p, g)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		remote := ch.Remote()
+		g.K.GoDaemon("acks", func(q *vtime.Proc) {
+			for {
+				if _, err := remote.Recv(q, size); err != nil {
+					return
+				}
+				if remote.Send(q, ack) != nil {
+					return
+				}
 			}
-			remote := ch.Remote()
-			g.K.GoDaemon("acks", func(q *vtime.Proc) {
-				for {
-					if _, err := remote.Recv(q, size); err != nil {
-						return
-					}
-					if remote.Send(q, ack) != nil {
-						return
-					}
-				}
-			})
-			return func(p *vtime.Proc, msg []byte) {
-				if err := ch.Send(p, msg); err != nil {
-					tb.Error(err)
-				}
-				if _, err := ch.Recv(p, len(ack)); err != nil {
-					tb.Error(err)
-				}
+		})
+		return func(p *vtime.Proc, msg []byte) {
+			if err := ch.Send(p, msg); err != nil {
+				tb.Error(err)
 			}
-		}},
+			if _, err := ch.Recv(p, len(ack)); err != nil {
+				tb.Error(err)
+			}
+		}
 	}
 }
 
@@ -233,8 +260,9 @@ func TestSANCopyBudget(t *testing.T) {
 // still panics — and nothing else. GM messages, Circuit transits, the
 // events that carry them and the SendSafer copies of short segments are
 // recycled by the layer that ends their life. gm's two are the rung's
-// own iovec.Make calls; session's ten above circuit's eight are its own
-// per-message slices and the rung's variadic arguments.
+// own iovec.Make calls; session's six above circuit's eight are the
+// segment slice each delivered message carries and the rung's variadic
+// arguments (Recv hands back the message's own slice).
 func TestSANMessageAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -262,7 +290,7 @@ func benchmarkRung(b *testing.B, name string) {
 	for _, size := range []int{64, 1 << 20} {
 		b.Run(fmt.Sprintf("%dB", size), func(b *testing.B) {
 			var r rung
-			for _, c := range sanRungs(size) {
+			for _, c := range append(sanRungs(size), sessionRungs(size)...) {
 				if c.name == name {
 					r = c
 				}
@@ -290,6 +318,10 @@ func BenchmarkGMMessage(b *testing.B)      { benchmarkRung(b, "gm") }
 func BenchmarkMadIOMessage(b *testing.B)   { benchmarkRung(b, "madio") }
 func BenchmarkCircuitMessage(b *testing.B) { benchmarkRung(b, "circuit") }
 func BenchmarkSessionMessage(b *testing.B) { benchmarkRung(b, "session") }
+
+func BenchmarkSessionPipeMessage(b *testing.B)     { benchmarkRung(b, "pipe") }
+func BenchmarkSessionLANMessage(b *testing.B)      { benchmarkRung(b, "lan") }
+func BenchmarkSessionAdaptiveMessage(b *testing.B) { benchmarkRung(b, "adaptive") }
 
 // raceEnabled is set in -race builds (race_test.go).
 var raceEnabled bool

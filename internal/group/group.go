@@ -643,6 +643,9 @@ func (g *Group) relayMulticast(q *vtime.Proc, self topology.NodeID,
 	}
 	r := iovec.NewReader(hdr[0])
 	taglen, size := int(r.U16()), int(r.U64())
+	if size < 0 {
+		return // a size no buffer can hold: a broken upstream, no status
+	}
 	var want [32]byte
 	copy(want[:], r.Next(len(want)))
 	attempt := int(r.U16())

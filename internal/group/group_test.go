@@ -9,6 +9,7 @@ import (
 
 	"padico/internal/grid"
 	"padico/internal/group"
+	"padico/internal/iovec"
 	"padico/internal/selector"
 	"padico/internal/topology"
 	"padico/internal/vtime"
@@ -458,4 +459,33 @@ func payloadBytes(seed int64, size int) []byte {
 	b := make([]byte, size)
 	rand.New(rand.NewSource(seed)).Read(b)
 	return b
+}
+
+// TestRelayRejectsHostileSize: a multicast header whose u64 size does
+// not fit an int (2^63 reads as negative) ends the relay the way a dead
+// upstream does — it returns with no status — instead of panicking in
+// make.
+func TestRelayRejectsHostileSize(t *testing.T) {
+	g := grid.Cluster(2)
+	grp, err := g.NewGroup(allNodes(g), group.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.K.Run(func(p *vtime.Proc) {
+		ch, err := g.Open(p, 0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hdr := iovec.NewWriter(nil).PutU16(3).PutU64(1 << 63).Put(make([]byte, 32)).PutU16(0).Bytes()
+		if err := ch.Send(p, hdr, []byte("tag")); err != nil {
+			t.Fatal(err)
+		}
+		if got := grp.RelayMulticast(p, 1, ch.Remote()); len(got) != 0 {
+			t.Fatalf("relay delivered %d payloads", len(got))
+		}
+		ch.Remote().Close()
+		ch.Close()
+	}); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -13,8 +13,8 @@
 // data", §2.1). QoS is per-request: two channels between the same pair
 // may legitimately demand different trade-offs (a latency-sensitive
 // control channel next to a striped bulk channel). A deployment-wide
-// QoS (the old global Preferences) is just the default the session
-// layer applies when a caller does not override it.
+// QoS is just the default the session layer applies when a caller does
+// not override it.
 package selector
 
 import (
@@ -122,10 +122,6 @@ type QoS struct {
 	Collective bool
 }
 
-// Preferences is the legacy name for a deployment-wide QoS; the session
-// layer uses one as its default and Select treats them identically.
-type Preferences = QoS
-
 // Validate rejects malformed QoS values; Select calls it so an invalid
 // request fails loudly instead of silently selecting a weaker stack.
 func (q QoS) Validate() error {
@@ -154,9 +150,6 @@ func DefaultQoS() QoS {
 		Cipher:           CipherAuto,
 	}
 }
-
-// DefaultPreferences is DefaultQoS under the legacy name.
-func DefaultPreferences() Preferences { return DefaultQoS() }
 
 // Request is one selection query: a node pair and the QoS the channel
 // between them must honour, optionally under measured network weather.
@@ -436,11 +429,4 @@ func applyWeather(req Request, common []*topology.Network, static *topology.Netw
 		return chosen.nw, chosen.nw.RateBps, chosen.nw.Loss
 	}
 	return chosen.nw, chosen.eff, chosen.loss
-}
-
-// Choose is Select with the pair spelled as two arguments — the
-// pre-session API, kept for callers that carry a deployment-wide
-// Preferences around.
-func Choose(g *topology.Grid, prefs Preferences, a, b topology.NodeID) (Decision, error) {
-	return Select(g, Request{Src: a, Dst: b, QoS: prefs})
 }

@@ -35,7 +35,7 @@ func testGrid() *topology.Grid {
 
 func TestSANPreferenceOrder(t *testing.T) {
 	g := testGrid()
-	d, err := Choose(g, DefaultPreferences(), 0, 1)
+	d, err := Select(g, Request{Src: 0, Dst: 1, QoS: DefaultQoS()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestSANPreferenceOrder(t *testing.T) {
 
 func TestWANGetsStreamsAndCipher(t *testing.T) {
 	g := testGrid()
-	d, err := Choose(g, DefaultPreferences(), 0, 2)
+	d, err := Select(g, Request{Src: 0, Dst: 2, QoS: DefaultQoS()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,19 +60,19 @@ func TestWANGetsStreamsAndCipher(t *testing.T) {
 
 func TestLossyLinkPolicies(t *testing.T) {
 	g := testGrid()
-	prefs := DefaultPreferences()
-	d, _ := Choose(g, prefs, 2, 3)
+	prefs := DefaultQoS()
+	d, _ := Select(g, Request{Src: 2, Dst: 3, QoS: prefs})
 	if d.Method != "sysio" || !d.Compress || !d.Secure {
 		t.Fatalf("default lossy decision = %v", d)
 	}
 	prefs.LossTolerance = 0.1
-	d, _ = Choose(g, prefs, 2, 3)
+	d, _ = Select(g, Request{Src: 2, Dst: 3, QoS: prefs})
 	if d.Method != "vrp" {
 		t.Fatalf("loss-tolerant decision = %v", d)
 	}
 	prefs.Cipher = CipherNever
 	prefs.Compress = false
-	d, _ = Choose(g, prefs, 2, 3)
+	d, _ = Select(g, Request{Src: 2, Dst: 3, QoS: prefs})
 	if d.Secure || d.Compress {
 		t.Fatalf("disabled wrappers still chosen: %v", d)
 	}
@@ -80,9 +80,9 @@ func TestLossyLinkPolicies(t *testing.T) {
 
 func TestCipherAlways(t *testing.T) {
 	g := testGrid()
-	prefs := DefaultPreferences()
+	prefs := DefaultQoS()
 	prefs.Cipher = CipherAlways
-	d, _ := Choose(g, prefs, 0, 1)
+	d, _ := Select(g, Request{Src: 0, Dst: 1, QoS: prefs})
 	if !d.Secure {
 		t.Fatal("cipher=always ignored on SAN")
 	}
@@ -90,14 +90,14 @@ func TestCipherAlways(t *testing.T) {
 
 func TestNoCommonNetwork(t *testing.T) {
 	g := testGrid()
-	if _, err := Choose(g, DefaultPreferences(), 0, 3); err == nil {
+	if _, err := Select(g, Request{Src: 0, Dst: 3, QoS: DefaultQoS()}); err == nil {
 		t.Fatal("disconnected pair got a decision")
 	}
 }
 
 func TestSelfIsLoopback(t *testing.T) {
 	g := testGrid()
-	d, err := Choose(g, DefaultPreferences(), 1, 1)
+	d, err := Select(g, Request{Src: 1, Dst: 1, QoS: DefaultQoS()})
 	if err != nil || d.Method != "loopback" {
 		t.Fatalf("self decision = %v, %v", d, err)
 	}
@@ -105,7 +105,7 @@ func TestSelfIsLoopback(t *testing.T) {
 
 func TestDecisionString(t *testing.T) {
 	g := testGrid()
-	d, _ := Choose(g, DefaultPreferences(), 0, 2)
+	d, _ := Select(g, Request{Src: 0, Dst: 2, QoS: DefaultQoS()})
 	s := d.String()
 	if s == "" {
 		t.Fatal("empty decision string")
@@ -165,10 +165,10 @@ func TestClassifyLANPreferredOverWAN(t *testing.T) {
 	}
 }
 
-// TestClassifyAgreesWithChoose ensures the paradigm classification and
+// TestClassifyAgreesWithSelect ensures the paradigm classification and
 // the concrete driver decision never diverge on the canonical cases
 // datagrid relies on.
-func TestClassifyAgreesWithChoose(t *testing.T) {
+func TestClassifyAgreesWithSelect(t *testing.T) {
 	g := testGrid()
 	pairs := [][2]topology.NodeID{{0, 1}, {0, 2}, {2, 3}, {1, 1}}
 	for _, pr := range pairs {
@@ -176,7 +176,7 @@ func TestClassifyAgreesWithChoose(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dec, err := Choose(g, DefaultPreferences(), pr[0], pr[1])
+		dec, err := Select(g, Request{Src: pr[0], Dst: pr[1], QoS: DefaultQoS()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,19 +193,6 @@ func TestClassifyAgreesWithChoose(t *testing.T) {
 			if dec.Method != "pstreams" && dec.Method != "sysio" {
 				t.Errorf("pair %v: class wan but method %q", pr, dec.Method)
 			}
-		}
-	}
-}
-
-// TestSelectMatchesChoose pins the new per-request API against the
-// legacy two-argument spelling: same knowledge base, same verdicts.
-func TestSelectMatchesChoose(t *testing.T) {
-	g := testGrid()
-	for _, pr := range [][2]topology.NodeID{{0, 1}, {0, 2}, {2, 3}, {1, 1}} {
-		want, err1 := Choose(g, DefaultPreferences(), pr[0], pr[1])
-		got, err2 := Select(g, Request{Src: pr[0], Dst: pr[1], QoS: DefaultQoS()})
-		if (err1 == nil) != (err2 == nil) || got != want {
-			t.Fatalf("pair %v: Select = %v (%v), Choose = %v (%v)", pr, got, err2, want, err1)
 		}
 	}
 }

@@ -42,9 +42,6 @@ import (
 )
 
 const (
-	recKindMsg    = 1 // a Send: segment boundaries are meaningful
-	recKindStream = 2 // a Write: one payload segment of stream bytes
-
 	recHdrLen    = 1 + 8 + 2
 	resumeLen    = 8 + 8 + 8
 	maxRecordLen = 256 << 10 // stream records are split at this size
@@ -167,8 +164,10 @@ func (st *adaptiveState) observeLive(n int, blocked vtime.Duration) {
 	}
 }
 
-// adaptiveEnd is one application-facing end.
+// adaptiveEnd is one application-facing end. Delivered records queue
+// in the shared receive end, kinded msg or stream.
 type adaptiveEnd struct {
+	msgRx
 	st    *adaptiveState
 	peer  *adaptiveEnd
 	owner bool // the src-side end (its inner end is st.inner itself)
@@ -176,22 +175,24 @@ type adaptiveEnd struct {
 	tx *dirState // direction this end sends on
 	rx *dirState // direction this end receives on
 
-	txSem      *vtime.Semaphore // per-direction record FIFO
-	inbox      []record
-	inboxBytes int
-	rxCond     *vtime.Cond
-	rxSpace    *vtime.Cond // pump waits here while the inbox is full
+	txSem   *vtime.Semaphore // per-direction record FIFO
+	rxSpace *vtime.Cond      // pump waits here while the inbox is full
 
-	segs   [][]byte // partially consumed message record
-	stream []byte   // partially consumed stream record
-
-	info   Info
 	closed bool
+}
+
+// newAdaptiveEnd builds the end that sends on tx and receives on rx.
+func newAdaptiveEnd(st *adaptiveState, owner bool, tx, rx *dirState, info Info) *adaptiveEnd {
+	e := &adaptiveEnd{st: st, owner: owner, tx: tx, rx: rx,
+		txSem:   vtime.NewSemaphore(fmt.Sprintf("adaptive:tx:%d->%d", info.Src, info.Dst), 1),
+		rxSpace: vtime.NewCond(fmt.Sprintf("adaptive:rxspace:%d<-%d", info.Src, info.Dst))}
+	e.msgRx = msgRx{info: info, src: e, rxCond: vtime.NewCond(fmt.Sprintf("adaptive:rx:%d<-%d", info.Src, info.Dst))}
+	return e
 }
 
 // openAdaptive provisions the initial substrate and wraps it.
 func (m *Manager) openAdaptive(p *vtime.Proc, src, dst topology.NodeID, qos selector.QoS, dec selector.Decision) (Channel, error) {
-	inner, err := m.provision(p, src, dst, dec)
+	inner, err := m.provision(p, src, dst, dec, false)
 	if err != nil {
 		return nil, err
 	}
@@ -202,16 +203,8 @@ func (m *Manager) openAdaptive(p *vtime.Proc, src, dst topology.NodeID, qos sele
 		epochCond: vtime.NewCond(fmt.Sprintf("adaptive:%d-%d", src, dst)),
 		a2b:       newDirState(), b2a: newDirState(),
 	}
-	a := &adaptiveEnd{st: st, owner: true, tx: st.a2b, rx: st.b2a,
-		txSem:   vtime.NewSemaphore(fmt.Sprintf("adaptive:tx:%d->%d", src, dst), 1),
-		rxCond:  vtime.NewCond(fmt.Sprintf("adaptive:rx:%d<-%d", src, dst)),
-		rxSpace: vtime.NewCond(fmt.Sprintf("adaptive:rxspace:%d<-%d", src, dst)),
-		info:    Info{Src: src, Dst: dst, Class: st.cls, Decision: dec}}
-	b := &adaptiveEnd{st: st, owner: false, tx: st.b2a, rx: st.a2b,
-		txSem:   vtime.NewSemaphore(fmt.Sprintf("adaptive:tx:%d->%d", dst, src), 1),
-		rxCond:  vtime.NewCond(fmt.Sprintf("adaptive:rx:%d<-%d", dst, src)),
-		rxSpace: vtime.NewCond(fmt.Sprintf("adaptive:rxspace:%d<-%d", dst, src)),
-		info:    Info{Src: dst, Dst: src, Class: st.cls, Decision: dec}}
+	a := newAdaptiveEnd(st, true, st.a2b, st.b2a, Info{Src: src, Dst: dst, Class: st.cls, Decision: dec})
+	b := newAdaptiveEnd(st, false, st.b2a, st.a2b, Info{Src: dst, Dst: src, Class: st.cls, Decision: dec})
 	a.peer, b.peer = b, a
 	st.ends = [2]*adaptiveEnd{a, b}
 	st.spawnPumps(a, b)
@@ -288,7 +281,7 @@ func (st *adaptiveState) pump(q *vtime.Proc, ep int, end *adaptiveEnd) {
 		// then pushes back on the sender. recvNext is only advanced
 		// when the record is actually delivered, so a record dropped
 		// here by an epoch change is replayed by the resume.
-		for end.inboxBytes >= rxWindowBytes && !st.done && st.epoch == ep {
+		for end.queued >= rxWindowBytes && !st.done && st.epoch == ep {
 			end.rxSpace.Wait(q)
 		}
 		if st.done || st.epoch != ep {
@@ -296,19 +289,8 @@ func (st *adaptiveState) pump(q *vtime.Proc, ep int, end *adaptiveEnd) {
 		}
 		end.rx.recvNext++
 		end.rx.prune()
-		end.inbox = append(end.inbox, rec)
-		end.inboxBytes += recPayloadLen(rec)
-		end.rxCond.Broadcast()
+		end.push(rxMsg{kind: rec.kind, segs: rec.segs})
 	}
-}
-
-// recPayloadLen sums one record's payload bytes.
-func recPayloadLen(rec record) int {
-	n := 0
-	for _, s := range rec.segs {
-		n += len(s)
-	}
-	return n
 }
 
 // ---------------------------------------------------------------------
@@ -635,26 +617,24 @@ func (e *adaptiveEnd) sendRecord(p *vtime.Proc, kind byte, segs [][]byte) error 
 	}
 }
 
-// waitRecord blocks until a record is deliverable, the peer closed
-// (EOF once drained) or this end closed. When records are known to be
-// outstanding (the sender's replay buffer is non-empty, or the peer
-// closed with undelivered records) a silent stall triggers recovery —
-// the receiver must not wait forever on an epoch that died under the
-// last records in flight.
-func (e *adaptiveEnd) waitRecord(p *vtime.Proc) (record, error) {
+// awaitMsg implements rxSource: a record is deliverable, the peer
+// closed (EOF once drained) or this end closed. When records are known
+// to be outstanding (the sender's replay buffer is non-empty, or the
+// peer closed with undelivered records) a silent stall triggers
+// recovery — the receiver must not wait forever on an epoch that died
+// under the last records in flight.
+func (e *adaptiveEnd) awaitMsg(p *vtime.Proc) (rxMsg, error) {
 	for {
 		if e.closed || e.st.done {
-			return record{}, ErrClosed
+			return rxMsg{}, ErrClosed
 		}
-		if len(e.inbox) > 0 {
-			rec := e.inbox[0]
-			e.inbox = e.inbox[1:]
-			e.inboxBytes -= recPayloadLen(rec)
+		if e.pending() > 0 {
+			m := e.pop()
 			e.rxSpace.Signal()
-			return rec, nil
+			return m, nil
 		}
 		if e.rx.eofAfter >= 0 && e.rx.recvNext >= uint64(e.rx.eofAfter) {
-			return record{}, io.EOF
+			return rxMsg{}, io.EOF
 		}
 		if len(e.rx.buf) > 0 || e.rx.eofAfter >= 0 {
 			if !e.rxCond.WaitTimeout(p, adaptiveStall) {
@@ -678,42 +658,6 @@ func (e *adaptiveEnd) Send(p *vtime.Proc, segs ...[]byte) error {
 	e.info.Sends++
 	e.info.BytesOut += int64(n)
 	return nil
-}
-
-// Recv implements Channel: segment-granular consumption with exact
-// sizes, buffered across calls within one record.
-func (e *adaptiveEnd) Recv(p *vtime.Proc, sizes ...int) ([][]byte, error) {
-	out := make([][]byte, 0, len(sizes))
-	for _, n := range sizes {
-		if len(e.segs) == 0 {
-			rec, err := e.waitRecord(p)
-			if err != nil {
-				return nil, err
-			}
-			if rec.kind != recKindMsg {
-				return nil, fmt.Errorf("%w: message read on a stream record", ErrProtocol)
-			}
-			e.segs = rec.segs
-		}
-		s := e.segs[0]
-		if len(s) != n {
-			return nil, fmt.Errorf("%w: segment is %d bytes, caller expects %d", ErrProtocol, len(s), n)
-		}
-		e.segs = e.segs[1:]
-		e.info.BytesIn += int64(len(s))
-		out = append(out, s)
-	}
-	e.info.Recvs++
-	return out, nil
-}
-
-// RecvVec implements Channel (borrowed views; Release is a no-op).
-func (e *adaptiveEnd) RecvVec(p *vtime.Proc, sizes ...int) (iovec.Vec, error) {
-	segs, err := e.Recv(p, sizes...)
-	if err != nil {
-		return iovec.Vec{}, err
-	}
-	return iovec.Make(segs...), nil
 }
 
 // Write implements Channel: stream bytes travel as one or more
@@ -748,41 +692,6 @@ func (e *adaptiveEnd) Write(p *vtime.Proc, data []byte) (int, error) {
 // every record, so there is nothing to lend.
 func (e *adaptiveEnd) WriteLent(p *vtime.Proc, data []byte) (int, error) {
 	return e.Write(p, data)
-}
-
-// Read implements Channel: next stream bytes, record by record.
-func (e *adaptiveEnd) Read(p *vtime.Proc, buf []byte) (int, error) {
-	if len(e.stream) == 0 {
-		if len(e.segs) > 0 {
-			return 0, fmt.Errorf("%w: stream read inside a partially consumed message", ErrProtocol)
-		}
-		rec, err := e.waitRecord(p)
-		if err != nil {
-			return 0, err
-		}
-		if rec.kind != recKindStream || len(rec.segs) != 1 {
-			return 0, fmt.Errorf("%w: stream read on a message record", ErrProtocol)
-		}
-		e.stream = rec.segs[0]
-	}
-	n := copy(buf, e.stream)
-	e.stream = e.stream[n:]
-	e.info.Recvs++
-	e.info.BytesIn += int64(n)
-	return n, nil
-}
-
-// ReadFull implements Channel.
-func (e *adaptiveEnd) ReadFull(p *vtime.Proc, buf []byte) (int, error) {
-	total := 0
-	for total < len(buf) {
-		n, err := e.Read(p, buf[total:])
-		total += n
-		if err != nil {
-			return total, err
-		}
-	}
-	return total, nil
 }
 
 // Remote implements Channel.

@@ -23,8 +23,7 @@
 // and transfer counters.
 //
 // QoS is per-channel: functional options on Open (WithStreams,
-// WithCipher, WithCompression) override the
-// Manager's default QoS — the deployment-wide Preferences of old — for
+// WithCipher, WithCompression) override the Manager's default QoS for
 // that channel only.
 package session
 
@@ -237,10 +236,10 @@ type Manager struct {
 
 	// Live channel-end registry, keyed by a monotonic id so KillNode can
 	// walk the ends in provisioning order (map iteration must never leak
-	// into event order). Pure bookkeeping: register/deregister cost no
-	// kernel events, so fault-free runs are byte-identical with it.
+	// into event order). Pure bookkeeping: enrolling and retiring cost
+	// no kernel events, so fault-free runs are byte-identical with it.
 	liveSeq int64
-	live    map[int64]Channel
+	live    map[int64]liveEnd
 
 	stats Stats
 
@@ -261,25 +260,30 @@ type pairCircuit struct {
 
 // NewManager builds the session service. defaults supplies the QoS
 // applied when Open gets no overriding options — it is read per Open so
-// a testbed may retune its Preferences after construction.
+// a testbed may retune its default after construction.
 func NewManager(k *vtime.Kernel, topo *topology.Grid, defaults func() selector.QoS, sub Substrate) *Manager {
 	return &Manager{
 		k: k, topo: topo, sub: sub, defaults: defaults,
 		pairs: make(map[[2]topology.NodeID]*pairCircuit),
-		live:  make(map[int64]Channel),
+		live:  make(map[int64]liveEnd),
 	}
 }
 
-// register tracks a live channel end and returns its registry id.
-func (m *Manager) register(ch Channel) int64 {
-	m.liveSeq++
-	m.live[m.liveSeq] = ch
-	return m.liveSeq
+// liveEnd is a provisioned end as the live registry sees it.
+type liveEnd interface {
+	Channel
+	// fail ends the channel after a node crash: blocked and later
+	// operations return promptly.
+	fail(err error)
 }
 
-// deregister forgets a closed channel end (idempotent).
-func (m *Manager) deregister(id int64) {
-	delete(m.live, id)
+// enrol registers one freshly provisioned end in the live registry and
+// returns its bookkeeping; observe arms the weather passive tap at its
+// close.
+func (m *Manager) enrol(ch liveEnd, observe bool) provisioned {
+	m.liveSeq++
+	m.live[m.liveSeq] = ch
+	return provisioned{mgr: m, observe: observe, opened: m.k.Now(), regID: m.liveSeq}
 }
 
 // KillNode fails every live channel end touching the crashed node: a
@@ -299,15 +303,8 @@ func (m *Manager) KillNode(n topology.NodeID) {
 		if !ok {
 			continue // failed as the peer of an earlier end
 		}
-		info := ch.Info()
-		if info.Src != n && info.Dst != n {
-			continue
-		}
-		switch c := ch.(type) {
-		case *msgChannel:
-			c.fail(ErrPeerDown)
-		case *vlinkChannel:
-			c.v.Fail()
+		if info := ch.Info(); info.Src == n || info.Dst == n {
+			ch.fail(ErrPeerDown)
 		}
 	}
 	m.tel.Note("session", "node killed", int(n), 0, 0)
@@ -342,7 +339,7 @@ func (m *Manager) SetTelemetry(h *telemetry.Hub) {
 		var n int64
 		for _, ch := range m.live {
 			if c, ok := ch.(*msgChannel); ok {
-				n += int64(len(c.inbox))
+				n += int64(c.pending())
 			}
 		}
 		return n
@@ -434,27 +431,11 @@ func (m *Manager) Open(p *vtime.Proc, src, dst topology.NodeID, opts ...Option) 
 	if cfg.adaptive {
 		return m.openAdaptive(p, src, dst, cfg.qos, dec)
 	}
-	ch, err := m.provision(p, src, dst, dec)
-	if err != nil {
-		return nil, err
-	}
 	// Only selector-driven channels feed the passive tap at close:
 	// pinned channels (weather probes measure themselves; adaptive
 	// inner substrates report live windows spanning one decision) would
 	// fold lifetime averages that mix conditions.
-	m.markObservable(ch)
-	m.markObservable(ch.Remote())
-	return ch, nil
-}
-
-// markObservable arms the weather passive tap on one channel end.
-func (m *Manager) markObservable(ch Channel) {
-	switch c := ch.(type) {
-	case *msgChannel:
-		c.observe = true
-	case *vlinkChannel:
-		c.observe = true
-	}
+	return m.provision(p, src, dst, dec, true)
 }
 
 // OpenWith establishes a channel with an explicit decision, bypassing
@@ -462,12 +443,13 @@ func (m *Manager) markObservable(ch Channel) {
 // measure one concrete network, and adaptive re-opens use it to
 // provision the decision they already took.
 func (m *Manager) OpenWith(p *vtime.Proc, src, dst topology.NodeID, dec selector.Decision) (Channel, error) {
-	return m.provision(p, src, dst, dec)
+	return m.provision(p, src, dst, dec, false)
 }
 
 // provision builds the substrate for one decision, under a
-// "session.open" span and the open-latency histogram.
-func (m *Manager) provision(p *vtime.Proc, src, dst topology.NodeID, dec selector.Decision) (Channel, error) {
+// "session.open" span and the open-latency histogram, and enrols both
+// ends in the live registry (observe: see Open).
+func (m *Manager) provision(p *vtime.Proc, src, dst topology.NodeID, dec selector.Decision, observe bool) (Channel, error) {
 	cls := classOf(dec)
 	atomic.AddInt64(&m.stats.Opens, 1)
 	sp := m.tel.Begin("session", "open", int(src))
@@ -484,10 +466,10 @@ func (m *Manager) provision(p *vtime.Proc, src, dst topology.NodeID, dec selecto
 	switch {
 	case cls == selector.PathLocal:
 		atomic.AddInt64(&m.stats.LocalOpens, 1)
-		ch = m.openLocal(src, dst, cls, dec)
+		ch = m.openLocal(src, dst, cls, dec, observe)
 	case cls == selector.PathSAN && !dec.Secure && !dec.Compress:
 		atomic.AddInt64(&m.stats.CircuitOpens, 1)
-		ch, err = m.openCircuit(p, src, dst, cls, dec)
+		ch, err = m.openCircuit(p, src, dst, cls, dec, observe)
 	default:
 		// Distributed substrate — also taken for SAN decisions that
 		// demand protocol wrappers (CipherAlways, compression): the
@@ -495,26 +477,11 @@ func (m *Manager) provision(p *vtime.Proc, src, dst topology.NodeID, dec selecto
 		// composes with gsec/adoc, so the QoS is honoured rather than
 		// silently dropped.
 		atomic.AddInt64(&m.stats.VLinkOpens, 1)
-		ch, err = m.openVLink(p, src, dst, cls, dec)
+		ch, err = m.openVLink(p, src, dst, cls, dec, observe)
 	}
 	m.hOpen.Observe(m.k.Now().Sub(t0))
 	sp.End()
-	if err == nil {
-		m.track(ch)
-		m.track(ch.Remote())
-	}
 	return ch, err
-}
-
-// track enrols one provisioned end in the live registry (its Close
-// deregisters it).
-func (m *Manager) track(ch Channel) {
-	switch c := ch.(type) {
-	case *msgChannel:
-		c.regID = m.register(ch)
-	case *vlinkChannel:
-		c.regID = m.register(ch)
-	}
 }
 
 // classOf derives the path class from the decision the selector
@@ -549,11 +516,10 @@ func (m *Manager) observeClose(info Info, opened vtime.Time) {
 
 // openLocal provisions an in-memory pipe: same node, no network, no
 // virtual-time cost beyond what the caller's own protocol charges.
-func (m *Manager) openLocal(src, dst topology.NodeID, cls selector.PathClass, dec selector.Decision) Channel {
+func (m *Manager) openLocal(src, dst topology.NodeID, cls selector.PathClass, dec selector.Decision, observe bool) Channel {
 	a := newMsgChannel(Info{Src: src, Dst: dst, Class: cls, Decision: dec})
 	b := newMsgChannel(Info{Src: dst, Dst: src, Class: cls, Decision: dec})
-	a.mgr, b.mgr = m, m
-	a.opened, b.opened = m.k.Now(), m.k.Now()
+	a.provisioned, b.provisioned = m.enrol(a, observe), m.enrol(b, observe)
 	a.peer, b.peer = b, a
 	a.sendf = func(segs [][]byte, lend bool) { b.deliver(copySegs(segs, lend)) }
 	b.sendf = func(segs [][]byte, lend bool) { a.deliver(copySegs(segs, lend)) }
@@ -561,7 +527,7 @@ func (m *Manager) openLocal(src, dst topology.NodeID, cls selector.PathClass, de
 }
 
 // openCircuit provisions (or shares) the pair's cached 2-rank circuit.
-func (m *Manager) openCircuit(p *vtime.Proc, src, dst topology.NodeID, cls selector.PathClass, dec selector.Decision) (Channel, error) {
+func (m *Manager) openCircuit(p *vtime.Proc, src, dst topology.NodeID, cls selector.PathClass, dec selector.Decision, observe bool) (Channel, error) {
 	key := [2]topology.NodeID{src, dst}
 	if key[0] > key[1] {
 		key[0], key[1] = key[1], key[0]
@@ -598,8 +564,7 @@ func (m *Manager) openCircuit(p *vtime.Proc, src, dst topology.NodeID, cls selec
 	cs, cr := pc.circs[rank(src)], pc.circs[rank(dst)]
 	a := newMsgChannel(Info{Src: src, Dst: dst, Class: cls, Decision: dec})
 	b := newMsgChannel(Info{Src: dst, Dst: src, Class: cls, Decision: dec})
-	a.mgr, b.mgr = m, m
-	a.opened, b.opened = m.k.Now(), m.k.Now()
+	a.provisioned, b.provisioned = m.enrol(a, observe), m.enrol(b, observe)
 	a.peer, b.peer = b, a
 	a.sendf = circuitSend(cs, rank(dst))
 	b.sendf = circuitSend(cr, rank(src))
@@ -673,15 +638,14 @@ func attachCircuitRx(c *circuit.Circuit, end *msgChannel) {
 
 // openVLink provisions a per-session VLink driver stack (the
 // distributed paradigm, alternate methods included).
-func (m *Manager) openVLink(p *vtime.Proc, src, dst topology.NodeID, cls selector.PathClass, dec selector.Decision) (Channel, error) {
+func (m *Manager) openVLink(p *vtime.Proc, src, dst topology.NodeID, cls selector.PathClass, dec selector.Decision, observe bool) (Channel, error) {
 	va, vb, err := m.sub.DialVLinkWith(p, src, dst, dec)
 	if err != nil {
 		return nil, err
 	}
 	a := &vlinkChannel{v: va, info: Info{Src: src, Dst: dst, Class: cls, Decision: dec}}
 	b := &vlinkChannel{v: vb, info: Info{Src: dst, Dst: src, Class: cls, Decision: dec}}
-	a.mgr, b.mgr = m, m
-	a.opened, b.opened = m.k.Now(), m.k.Now()
+	a.provisioned, b.provisioned = m.enrol(a, observe), m.enrol(b, observe)
 	a.remote, b.remote = b, a
 	return a, nil
 }
